@@ -12,7 +12,6 @@ Observation alphabets are finite; continuous observation densities are
 out of scope.
 """
 
-from .kernels import BACKEND
 from .model import (
     Belief,
     PomdpModel,
@@ -26,6 +25,9 @@ from .model import (
 )
 
 __version__ = "0.1.0"
+
+#: the array library the value-iteration sweep runs on
+BACKEND = "numpy"
 
 __all__ = [
     "BACKEND",

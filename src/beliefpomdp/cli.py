@@ -20,7 +20,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import __version__
+from . import BACKEND, __version__
 from .errors import (
     BeliefPomdpError,
     ModelFormatError,
@@ -28,7 +28,6 @@ from .errors import (
     StructureViolation,
 )
 from .grid import build_grid
-from .kernels import BACKEND
 from .model import Belief, load_model, uniform_belief, unit_belief, validate_model
 from .quickest import ks_cost_estimate, qd_threshold, spec_from_model
 from .simulate import compare_policies, evaluate_policy, myopic_sensor_policy

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the zero-likelihood threshold."""
 
 
 class BeliefPomdpError(Exception):
@@ -7,6 +7,10 @@ class BeliefPomdpError(Exception):
 
 class ModelFormatError(BeliefPomdpError):
     """A model file is malformed or fails validation."""
+
+
+#: below this normalizer an observation is treated as impossible
+ZERO_LIKELIHOOD_THRESHOLD = 1e-300
 
 
 class ZeroLikelihood(BeliefPomdpError):

@@ -13,11 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ZeroLikelihood
+from .errors import ZERO_LIKELIHOOD_THRESHOLD, ZeroLikelihood
 from .model import Belief, PomdpModel, RelaxedBelief
-
-#: below this normalizer the observation is treated as impossible
-ZERO_LIKELIHOOD_THRESHOLD = 1e-300
 
 #: path enumeration is exponential in sequence length
 MAX_ORACLE_STEPS = 12

@@ -17,7 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import instantaneous_cost_batch, max_cost_bound
-from .errors import HorizonUnbounded
+from .errors import (
+    ZERO_LIKELIHOOD_THRESHOLD,
+    HorizonUnbounded,
+    PreconditionFailed,
+    ZeroLikelihood,
+)
 from .model import Belief, PomdpModel, unit_belief
 
 CHUNK_SIZE = 8192
@@ -137,12 +142,21 @@ def discounted_horizon(model: PomdpModel, tolerance: float) -> tuple:
 
 
 def _belief_step(model, beliefs, u, obs):
-    """Vectorized filter update for rows sharing action u, per-row observation."""
+    """Vectorized filter update for rows sharing action u, per-row observation.
+
+    Raises ZeroLikelihood, as ``filter_update`` does, when some row's
+    observation has numerically no probability under its belief.
+    """
     predicted = beliefs @ model.transition[u - 1]
     z = predicted * model.observation[u - 1].T[obs]
     sigma = z.sum(axis=1)
-    safe = np.where(sigma > 0.0, sigma, 1.0)
-    post = z / safe[:, None]
+    if np.any(sigma <= ZERO_LIKELIHOOD_THRESHOLD):
+        row = int(np.argmin(sigma))
+        raise ZeroLikelihood(
+            f"observation {int(obs[row]) + 1} under action {u} has probability "
+            f"{sigma[row]:.3e}"
+        )
+    post = z / sigma[:, None]
     post /= post.sum(axis=1, keepdims=True)
     return post
 
@@ -299,11 +313,13 @@ def compare_policies(
         _check_stopping_evaluable(model, policy_a)
         _check_stopping_evaluable(model, policy_b)
         horizon = horizon_cap
+    initial_beliefs = [b if isinstance(b, Belief) else Belief(b) for b in initial_beliefs]
+    if not initial_beliefs:
+        raise PreconditionFailed("compare_policies needs at least one initial belief")
     rows = []
     wins = 0
-    pair_seeds = np.random.SeedSequence(seed).spawn(len(list(initial_beliefs)))
+    pair_seeds = np.random.SeedSequence(seed).spawn(len(initial_beliefs))
     for i, pi0 in enumerate(initial_beliefs):
-        pi0 = pi0 if isinstance(pi0, Belief) else Belief(pi0)
         cost_a = simulate_path_costs(
             model, policy_a, pi0, num_paths, horizon, seed=pair_seeds[i], workers=workers
         )[:, 0]

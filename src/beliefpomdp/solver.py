@@ -8,8 +8,10 @@ variant extends a converged linear-cost value function to the positive
 orthant by positive homogeneity.
 
 All per-point filter posteriors, normalizers, and interpolation weights
-are precomputed once into flat tables; the sweep over them is the hot
-loop and runs on the compiled kernel when available.
+are precomputed once: for each action the continuation is then a fixed
+sparse map of the value vector (Lovejoy's Freudenthal interpolation,
+Operations Research 39(1), 1991), and one sweep is a gather and a row
+sum per action followed by the minimum over actions.
 """
 
 from __future__ import annotations
@@ -21,11 +23,14 @@ import numpy as np
 from .costs import instantaneous_cost_batch
 from .errors import PreconditionFailed
 from .grid import SimplexGrid
-from .kernels import backup_sweep
 from .model import Belief, PomdpModel, RelaxedBelief
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITERS = 100_000
+
+#: grid points per barycentric lookup while building tables; bounds the
+#: lookup's temporaries, which otherwise set the peak memory of a large solve
+TABLE_BLOCK = 1 << 15
 
 
 @dataclass
@@ -123,11 +128,15 @@ class SolveResult:
 
 @dataclass
 class BackupTables:
-    """Flat per-grid-point tables consumed by the sweep kernel.
+    """Per-action backup operators over the grid.
 
     ``sigma[u, y, n]`` is the observation normalizer at grid point n;
-    rows beyond an action's alphabet are zero-padded.  ``vert_idx`` and
-    ``vert_w`` hold the barycentric footprint of each posterior.
+    rows beyond an action's alphabet are zero-padded.  ``vert_idx[u]`` and
+    ``vert_w[u]``, both shaped (N, Y * X) and observation-major, hold the
+    barycentric footprint of every posterior T(pi_n, y, u) with its
+    weights premultiplied by sigma, so the continuation of action u is
+    the sparse product sum_k vert_w[u, n, k] * V[vert_idx[u, n, k]].
+    Padded and impossible observations have zero weight on vertex 0.
     """
 
     cost: np.ndarray
@@ -149,8 +158,9 @@ def build_tables(model: PomdpModel, grid: SimplexGrid) -> BackupTables:
 
     cost = np.zeros((u_count, n))
     sigma = np.zeros((u_count, y_max, n))
-    vert_idx = np.zeros((u_count, y_max, n, x), dtype=np.int32)
-    vert_w = np.zeros((u_count, y_max, n, x))
+    # intp, not int32: numpy converts any other index dtype on every gather
+    vert_idx = np.zeros((u_count, n, y_max * x), dtype=np.intp)
+    vert_w = np.zeros((u_count, n, y_max * x))
     has_cont = np.ones(u_count, dtype=np.uint8)
 
     for u in range(1, u_count + 1):
@@ -158,17 +168,19 @@ def build_tables(model: PomdpModel, grid: SimplexGrid) -> BackupTables:
         if model.is_stopping and u == 1:
             has_cont[u - 1] = 0
             continue
-        predicted = pts @ model.transition[u - 1]
-        for y in range(1, model.num_observations[u - 1] + 1):
-            z = predicted * model.observation[u - 1][:, y - 1][None, :]
-            s = z.sum(axis=1)
-            sigma[u - 1, y - 1] = s
-            live = s > 0.0
-            if np.any(live):
-                posterior = z[live] / s[live, None]
-                idx, w = grid.barycentric(posterior)
-                vert_idx[u - 1, y - 1, live] = idx.astype(np.int32)
-                vert_w[u - 1, y - 1, live] = w
+        for lo in range(0, n, TABLE_BLOCK):
+            block = slice(lo, lo + TABLE_BLOCK)
+            predicted = pts[block] @ model.transition[u - 1]
+            for y in range(1, model.num_observations[u - 1] + 1):
+                z = predicted * model.observation[u - 1][:, y - 1][None, :]
+                s = z.sum(axis=1)
+                sigma[u - 1, y - 1, block] = s
+                live = s > 0.0
+                if np.any(live):
+                    idx, w = grid.barycentric(z[live] / s[live, None])
+                    cols = slice((y - 1) * x, y * x)
+                    vert_idx[u - 1, block, cols][live] = idx
+                    vert_w[u - 1, block, cols][live] = s[live, None] * w
     return BackupTables(
         cost=cost,
         sigma=sigma,
@@ -179,44 +191,30 @@ def build_tables(model: PomdpModel, grid: SimplexGrid) -> BackupTables:
     )
 
 
-def sweep_once(tables: BackupTables, values: np.ndarray):
-    """Apply one backup sweep; returns (new values, 1-based actions)."""
-    n = tables.cost.shape[1]
-    out_values = np.empty(n)
-    out_actions = np.empty(n, dtype=np.int32)
-    backup_sweep(
-        values,
-        tables.cost,
-        tables.sigma,
-        tables.vert_idx,
-        tables.vert_w,
-        tables.has_continuation,
-        tables.discount,
-        out_values,
-        out_actions,
-    )
-    return out_values, out_actions + 1
+def continuation_values(tables: BackupTables, values: np.ndarray, u: int) -> np.ndarray:
+    """sum_y V(T(pi, y, u)) sigma(pi, y, u) at every grid point."""
+    return np.einsum("nk,nk->n", tables.vert_w[u - 1], values[tables.vert_idx[u - 1]])
 
 
 def q_values(tables: BackupTables, values: np.ndarray) -> np.ndarray:
     """Q(n, u) for every grid point and action, shaped (U, N)."""
-    u_count, n = tables.cost.shape
-    q = np.empty((u_count, n))
-    for u in range(u_count):
-        q[u] = tables.cost[u]
-        if tables.has_continuation[u]:
-            q[u] += tables.discount * continuation_values(tables, values, u + 1)
+    q = tables.cost.copy()
+    for u in np.flatnonzero(tables.has_continuation):
+        q[u] += tables.discount * continuation_values(tables, values, u + 1)
     return q
 
 
-def continuation_values(tables: BackupTables, values: np.ndarray, u: int) -> np.ndarray:
-    """sum_y V(T(pi, y, u)) sigma(pi, y, u) at every grid point."""
-    n = tables.cost.shape[1]
-    cont = np.zeros(n)
-    for y in range(tables.sigma.shape[1]):
-        interp = (tables.vert_w[u - 1, y] * values[tables.vert_idx[u - 1, y]]).sum(axis=1)
-        cont += tables.sigma[u - 1, y] * interp
-    return cont
+def sweep_once(tables: BackupTables, values: np.ndarray):
+    """Apply one backup sweep; returns (new values, 1-based actions), ties to smaller u."""
+    q = q_values(tables, values)
+    # a running minimum over the few action rows; min/argmin along axis 0
+    # take several times longer because they reduce across the strided axis
+    best = q[0].copy()
+    actions = np.ones(best.size, dtype=np.int32)
+    for u in range(1, q.shape[0]):
+        actions[q[u] < best] = u + 1
+        np.minimum(best, q[u], out=best)
+    return best, actions
 
 
 def _iterate(tables: BackupTables, tol: float, max_iters: int):

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from beliefpomdp.costs import NonlinearCostSpec, instantaneous_cost
-from beliefpomdp.errors import HorizonUnbounded
+from beliefpomdp.errors import HorizonUnbounded, PreconditionFailed, ZeroLikelihood
+from beliefpomdp.filtering import filter_update
 from beliefpomdp.grid import build_grid
 from beliefpomdp.model import Belief, PomdpModel, uniform_belief, unit_belief
 from beliefpomdp.simulate import (
+    _belief_step,
     compare_policies,
     constant_policy,
     default_initial_beliefs,
@@ -96,6 +98,20 @@ class TestComparePolicies:
             assert row["se_diff"] == 0.0
         assert comparison.a_not_worse == 2
 
+    def test_generator_of_beliefs_is_compared_once_each(self):
+        model = two_state_general()
+        pi0s = [uniform_belief(2), unit_belief(1, 2), Belief([0.2, 0.8])]
+        args = (model, constant_policy(1), constant_policy(2))
+        from_list = compare_policies(*args, pi0s, num_paths=200, seed=3)
+        from_gen = compare_policies(*args, (b for b in pi0s), num_paths=200, seed=3)
+        assert from_gen.num_beliefs == 3
+        assert from_gen.to_dict() == from_list.to_dict()
+
+    def test_empty_belief_set_rejected(self):
+        model = two_state_general()
+        with pytest.raises(PreconditionFailed):
+            compare_policies(model, constant_policy(1), constant_policy(2), [], num_paths=10)
+
     def test_common_random_numbers_pair_paths(self):
         model = two_state_general()
         pi0 = uniform_belief(2)
@@ -141,3 +157,22 @@ def test_default_initial_beliefs_cover_vertices():
     assert mat.shape[1] == 3
     for i in range(3):
         assert any(np.array_equal(b.probs, unit_belief(i + 1, 3).probs) for b in beliefs)
+
+
+def test_belief_step_raises_on_zero_likelihood_like_filter_update():
+    eye = [[1.0, 0.0], [0.0, 1.0]]
+    model = PomdpModel(
+        num_states=2,
+        num_actions=1,
+        num_observations=(2,),
+        transition=[eye],
+        observation=[eye],
+        linear_cost=[[0.0, 0.0]],
+        discount=0.9,
+    )
+    with pytest.raises(ZeroLikelihood):
+        filter_update(model, unit_belief(1, 2), y=2, u=1)
+    with pytest.raises(ZeroLikelihood):
+        _belief_step(model, np.array([[1.0, 0.0], [0.0, 1.0]]), 1, np.array([0, 0]))
+    post = _belief_step(model, np.array([[1.0, 0.0], [0.5, 0.5]]), 1, np.array([0, 1]))
+    np.testing.assert_array_equal(post, [[1.0, 0.0], [0.0, 1.0]])
