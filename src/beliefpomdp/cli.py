@@ -89,13 +89,18 @@ def write_csv(path: Path, header, rows) -> None:
 
 
 class Run:
-    """Output directory, manifest bookkeeping, and exit status for a command."""
+    """Output directory, manifest bookkeeping, and exit status for a command.
 
-    def __init__(self, out, command, options):
+    The manifest records the invoking click command's name and its
+    parameters under their click names.
+    """
+
+    def __init__(self, out):
         self.dir = Path(out)
         self.dir.mkdir(parents=True, exist_ok=True)
-        self.command = command
-        self.options = options
+        ctx = click.get_current_context()
+        self.command = ctx.info_name
+        self.options = dict(ctx.params)
         self.started = time.monotonic()
         self.status = EXIT_OK
 
@@ -162,7 +167,7 @@ def _solve_any(model, resolution, tol, max_iters):
 @out_option
 def validate(model_path, out):
     """Report every model-invariant violation in a model file."""
-    run = Run(out, "validate", {"model": str(model_path)})
+    run = Run(out)
     model = _load(run, model_path, require_valid=False)
     violations = validate_model(model)
     write_json(
@@ -182,11 +187,7 @@ def validate(model_path, out):
 @out_option
 def solve(model_path, resolution, tol, max_iters, out):
     """Run value iteration and export the value function and policy."""
-    run = Run(
-        out,
-        "solve",
-        {"model": str(model_path), "grid": resolution, "tol": tol, "max_iters": max_iters},
-    )
+    run = Run(out)
     model = _load(run, model_path)
     try:
         result = _solve_any(model, resolution, tol, max_iters)
@@ -225,11 +226,7 @@ def _write_solution(run, model, result, filename="value_policy.csv"):
 @out_option
 def solve_relaxed_cmd(model_path, resolution, tol, max_iters, out):
     """Solve the orthant-relaxed recursion of a linear-cost model."""
-    run = Run(
-        out,
-        "solve-relaxed",
-        {"model": str(model_path), "grid": resolution, "tol": tol, "max_iters": max_iters},
-    )
+    run = Run(out)
     model = _load(run, model_path)
     try:
         grid = build_grid(model.num_states, resolution)
@@ -253,19 +250,7 @@ def solve_relaxed_cmd(model_path, resolution, tol, max_iters, out):
 @out_option
 def verify(model_path, resolution, tol, max_iters, seed, predicates, kappa, out):
     """Run structural verifier predicates and write one report each."""
-    run = Run(
-        out,
-        "verify",
-        {
-            "model": str(model_path),
-            "grid": resolution,
-            "tol": tol,
-            "max_iters": max_iters,
-            "seed": seed,
-            "predicates": predicates,
-            "kappa": kappa,
-        },
-    )
+    run = Run(out)
     names = [p.strip() for p in predicates.split(",") if p.strip()]
     unknown = [p for p in names if p not in PREDICATES]
     if unknown:
@@ -347,11 +332,7 @@ def _run_predicate(model, name, solution, resolution, tol, max_iters, seed, kapp
 @out_option
 def qd_threshold_cmd(model_path, resolution, tol, max_iters, out):
     """Solve a quickest-detection model and extract the threshold."""
-    run = Run(
-        out,
-        "qd-threshold",
-        {"model": str(model_path), "grid": resolution, "tol": tol, "max_iters": max_iters},
-    )
+    run = Run(out)
     model = _load(run, model_path)
     try:
         spec = spec_from_model(model)
@@ -378,19 +359,7 @@ def qd_threshold_cmd(model_path, resolution, tol, max_iters, out):
 @out_option
 def qd_simulate(model_path, resolution, tol, max_iters, paths, seed, workers, out):
     """Monte Carlo delay/false-alarm cost of the solved threshold rule."""
-    run = Run(
-        out,
-        "qd-simulate",
-        {
-            "model": str(model_path),
-            "grid": resolution,
-            "tol": tol,
-            "max_iters": max_iters,
-            "paths": paths,
-            "seed": seed,
-            "workers": workers,
-        },
-    )
+    run = Run(out)
     model = _load(run, model_path)
     try:
         spec = spec_from_model(model)
@@ -412,7 +381,7 @@ def qd_simulate(model_path, resolution, tol, max_iters, paths, seed, workers, ou
 @out_option
 def blackwell(model_path, out):
     """Factorize sensor 1's observation matrix through sensor 2's."""
-    run = Run(out, "blackwell", {"model": str(model_path)})
+    run = Run(out)
     model = _load(run, model_path)
     if model.num_actions != 2:
         fail(run, "blackwell factorization needs a two-action model")
@@ -429,9 +398,7 @@ def blackwell(model_path, out):
 @out_option
 def ultrametric_root(model_path, root_degree, out):
     """Stochastic root of sensor 1's matrix plus its dominance chain."""
-    run = Run(
-        out, "ultrametric-root", {"model": str(model_path), "root_degree": root_degree}
-    )
+    run = Run(out)
     model = _load(run, model_path)
     base = model.observation[0]
     report = structure.is_ultrametric(base)
@@ -478,19 +445,7 @@ def _initial_belief_set(num_states):
 @out_option
 def evaluate(model_path, resolution, tol, max_iters, paths, seed, workers, out):
     """Monte Carlo cost of the grid-optimal policy from standard start beliefs."""
-    run = Run(
-        out,
-        "evaluate",
-        {
-            "model": str(model_path),
-            "grid": resolution,
-            "tol": tol,
-            "max_iters": max_iters,
-            "paths": paths,
-            "seed": seed,
-            "workers": workers,
-        },
-    )
+    run = Run(out)
     model = _load(run, model_path)
     try:
         result = _solve_any(model, resolution, tol, max_iters)
@@ -528,19 +483,7 @@ def evaluate(model_path, resolution, tol, max_iters, paths, seed, workers, out):
 @out_option
 def compare(model_path, resolution, tol, max_iters, paths, seed, workers, out):
     """Paired comparison: grid-optimal policy against the myopic sensor rule."""
-    run = Run(
-        out,
-        "compare",
-        {
-            "model": str(model_path),
-            "grid": resolution,
-            "tol": tol,
-            "max_iters": max_iters,
-            "paths": paths,
-            "seed": seed,
-            "workers": workers,
-        },
-    )
+    run = Run(out)
     model = _load(run, model_path)
     try:
         result = _solve_any(model, resolution, tol, max_iters)
@@ -586,11 +529,7 @@ def compare(model_path, resolution, tol, max_iters, paths, seed, workers, out):
 @out_option
 def conjecture_probe_cmd(num_models, resolution, seed, out):
     """Random search for a monotonicity counterexample without TP2 sensors."""
-    run = Run(
-        out,
-        "conjecture-probe",
-        {"num_models": num_models, "grid": resolution, "seed": seed},
-    )
+    run = Run(out)
     streams = np.random.SeedSequence(seed).spawn(max(num_models, 1))
 
     def generator(index):

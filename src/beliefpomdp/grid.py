@@ -1,11 +1,13 @@
 """Uniform lattice discretization of the belief simplex.
 
-Grid points are the beliefs with coordinates k_i / M, sum k_i = M.  Query
-points are located inside a Freudenthal-style triangulation expressed in
-reverse-cumulative coordinates z_i = M * sum_{j >= i} pi(j); sorting the
-fractional parts of z yields at most X enclosing vertices and their
-barycentric weights.  Interpolation is exact at grid points and
-continuous across cell boundaries.
+Grid points are the beliefs with coordinates k_i / M, sum k_i = M, kept in
+reverse-cumulative coordinates z_i = sum_{j >= i} k_j (i = 1..X-1), the
+integers M >= z_1 >= ... >= z_{X-1} >= 0; a point's index is a closed-form
+sum of binomials.  Query points are located inside a Freudenthal
+triangulation in the same coordinates (Lovejoy, Operations Research 39(1),
+1991): sorting the fractional parts of z yields at most X enclosing
+vertices and their barycentric weights.  Interpolation is exact at grid
+points and continuous across cell boundaries.
 """
 
 from __future__ import annotations
@@ -31,35 +33,36 @@ def simplex_point_count(num_states: int, resolution: int) -> int:
 class SimplexGrid:
     """All beliefs with coordinates k/M, plus the interpolation machinery.
 
-    ``points[n]`` is the n-th grid belief; points are ordered so that for
-    X = 2 the second coordinate increases with n.  ``coords`` holds the
-    integer vectors k, and ``keys`` their mixed-radix encoding, sorted
-    ascending for binary-search lookup.
+    ``points[n]`` is the n-th grid belief and ``coords[n]`` its integer
+    vector k.  Points are ordered lexicographically in (z_{X-1}, ..., z_1),
+    so for X = 2 the second coordinate increases with n, and z has index
+    N - 1 - sum_{i=1}^{X-1} C(M - z_i + i - 1, i); ``binomials[i - 1, z]``
+    holds the term C(M - z + i - 1, i).
     """
 
     num_states: int
     resolution: int
     points: np.ndarray
     coords: np.ndarray
-    keys: np.ndarray
+    binomials: np.ndarray
 
     @property
     def num_points(self) -> int:
         return self.points.shape[0]
 
-    def _encode(self, coords: np.ndarray) -> np.ndarray:
-        base = self.resolution + 1
-        weights = base ** np.arange(self.num_states, dtype=np.int64)
-        return coords.astype(np.int64) @ weights
+    def _rank(self, z: np.ndarray) -> np.ndarray:
+        """Flat indices of lattice points given as z_1..z_{X-1} in the last axis."""
+        terms = sum(self.binomials[i, z[..., i]] for i in range(self.num_states - 1))
+        return self.num_points - 1 - terms
 
     def index_of(self, coords: np.ndarray) -> np.ndarray:
         """Flat indices of integer coordinate vectors (must be grid members)."""
-        coords = np.atleast_2d(coords)
-        keys = self._encode(coords)
-        pos = np.searchsorted(self.keys, keys)
-        if np.any(pos >= self.keys.size) or np.any(self.keys[np.minimum(pos, self.keys.size - 1)] != keys):
+        coords = np.atleast_2d(np.asarray(coords, dtype=np.intp))
+        bad = coords.shape[1] != self.num_states or np.any(coords < 0)
+        if bad or np.any(coords.sum(axis=1) != self.resolution):
             raise ValueError("coordinate vector is not a grid point")
-        return pos
+        z = np.cumsum(coords[:, :0:-1], axis=1)[:, ::-1]
+        return self._rank(z)
 
     def barycentric(self, queries: np.ndarray):
         """Enclosing vertex indices and weights for each query belief.
@@ -83,6 +86,9 @@ class SimplexGrid:
         nearest = np.rint(z)
         snap = np.abs(z - nearest) <= SNAP_TOL
         z = np.where(snap, nearest, z)
+        # a nonnegative query has nonincreasing z; others leave the lattice
+        if np.any(z[:, 1:] > z[:, :-1]):
+            raise ValueError("query is not a belief: its cell leaves the grid")
 
         base = np.floor(z)
         frac = z - base
@@ -100,28 +106,20 @@ class SimplexGrid:
         np.clip(weights, 0.0, 1.0, out=weights)
 
         # vertex v_k adds unit steps to the base along the first k sorted axes
-        steps = np.zeros((n, x, d))
+        steps = np.zeros((n, x, d), dtype=np.intp)
         rows = np.repeat(np.arange(n), d)
         level = np.tile(np.arange(1, d + 1), n)
-        steps[rows, level, order.ravel()] = 1.0
+        steps[rows, level, order.ravel()] = 1
         np.cumsum(steps, axis=1, out=steps)
-        zvert = base[:, None, :] + steps
 
-        # back to integer grid coordinates: k_1 = M - z_2, k_i = z_i - z_{i+1}
-        kvert = np.empty((n, x, x))
-        kvert[:, :, 0] = m - zvert[:, :, 0]
-        if d > 1:
-            kvert[:, :, 1:d] = zvert[:, :, :-1] - zvert[:, :, 1:]
-        kvert[:, :, d] = zvert[:, :, d - 1]
-
+        # zero-weight vertices, which may sit at z = M + 1 off the lattice,
+        # fall back to the base vertex before ranking
         tiny = weights <= 1e-15
-        kvert[tiny] = np.broadcast_to(
-            kvert[:, :1, :], kvert.shape
-        )[tiny]
+        steps[tiny] = 0
         weights[tiny] = 0.0
         weights /= weights.sum(axis=1, keepdims=True)
 
-        idx = self.index_of(kvert.reshape(-1, x).astype(np.int64)).reshape(n, x)
+        idx = self._rank(base.astype(np.intp)[:, None, :] + steps)
         return idx, weights
 
     def interpolate(self, values: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -153,33 +151,24 @@ def build_grid(
             f"grid would have {count} points, cap is {max_points}; "
             f"reduce the resolution"
         )
-    coords = _compositions(num_states, resolution)
-    base = resolution + 1
-    weights = base ** np.arange(num_states, dtype=np.int64)
-    keys = coords.astype(np.int64) @ weights
-    order = np.argsort(keys)
-    coords = np.ascontiguousarray(coords[order])
-    keys = keys[order]
-    points = coords.astype(float) / resolution
-    points.setflags(write=False)
-    coords.setflags(write=False)
-    keys.setflags(write=False)
-    return SimplexGrid(
-        num_states=num_states,
-        resolution=resolution,
-        points=points,
-        coords=coords,
-        keys=keys,
-    )
+    m = resolution
+    # columns z_i..z_{X-1} in lexicographic order of (z_{X-1}, ..., z_i);
+    # each prefix ending at c gets the children z_{i-1} = c..M in turn
+    z = np.arange(m + 1, dtype=np.intp)[:, None]
+    for _ in range(num_states - 2):
+        counts = m + 1 - z[:, 0]
+        offsets = np.cumsum(counts) - counts
+        child = np.arange(counts.sum()) + np.repeat(z[:, 0] - offsets, counts)
+        z = np.column_stack([child, np.repeat(z, counts, axis=0)])
+    coords = -np.diff(z, axis=1, prepend=m, append=0)
+    points = coords.astype(float) / m
 
-
-def _compositions(parts: int, total: int) -> np.ndarray:
-    """All nonnegative integer vectors of the given length summing to total."""
-    if parts == 1:
-        return np.array([[total]], dtype=np.int64)
-    blocks = []
-    for first in range(total + 1):
-        rest = _compositions(parts - 1, total - first)
-        head = np.full((rest.shape[0], 1), first, dtype=np.int64)
-        blocks.append(np.hstack([head, rest]))
-    return np.vstack(blocks)
+    # binomials[i - 1, z] = C(M - z + i - 1, i): row 1 is M - z, and each
+    # further row is the suffix sum of the one before (hockey stick)
+    binomials = np.empty((num_states - 1, m + 1), dtype=np.intp)
+    binomials[0] = np.arange(m, -1, -1)
+    for i in range(1, num_states - 1):
+        binomials[i] = np.cumsum(binomials[i - 1, ::-1])[::-1]
+    for arr in (points, coords, binomials):
+        arr.setflags(write=False)
+    return SimplexGrid(num_states, resolution, points, coords, binomials)

@@ -35,6 +35,11 @@ from .solver import (
 MINOR_TOL = 1e-12
 MLR_TOL = 1e-12
 PAIR_CAP = 1_000_000
+#: pairs per vectorized MLR comparison; bounds the temporaries of one block
+PAIR_BLOCK = 1 << 16
+#: stop-point pairs per convexity block; ``samples`` at the first violation
+#: counts the whole block it falls in, so changing this changes reports
+CONVEX_BLOCK = 500_000
 
 
 # ---------------------------------------------------------------------------
@@ -214,14 +219,21 @@ def verify_stopping_set_convex(policy, grid: SimplexGrid | None = None) -> Order
         return make_report(
             "stopping_set_convex", 0.0, 0.5, samples=0, stop_points=int(stop_idx.size)
         )
-    a_all, b_all = np.triu_indices(stop_idx.size, k=1)
-    a_all, b_all = stop_idx[a_all], stop_idx[b_all]
+    # pairs go in np.triu_indices(s, k=1) order, decoded one block at a
+    # time: pair p is (i, p - row_start[i] + i + 1) for the last row_start
+    # at or below p
+    s = stop_idx.size
+    rows = np.arange(s - 1)
+    row_start = rows * (2 * s - rows - 1) // 2
+    total = s * (s - 1) // 2
     worst = 0.0
     witness = None
     checked = 0
-    for start in range(0, a_all.size, 500_000):
-        a = a_all[start : start + 500_000]
-        b = b_all[start : start + 500_000]
+    for start in range(0, total, CONVEX_BLOCK):
+        p = np.arange(start, min(start + CONVEX_BLOCK, total))
+        i = np.searchsorted(row_start, p, side="right") - 1
+        a = stop_idx[i]
+        b = stop_idx[p - row_start[i] + i + 1]
         ok = ~np.any((grid.coords[a] + grid.coords[b]) % 2, axis=1)
         a, b = a[ok], b[ok]
         if a.size == 0:
@@ -325,24 +337,34 @@ def verify_mlr_monotone_value(
         b = rng.integers(0, n, size=max_pairs)
         keep = a != b
         a, b = a[keep], b[keep]
-    direction = _mlr_direction(grid.points, a, b)
-    comparable = direction != 0
-    a, b, direction = a[comparable], b[comparable], direction[comparable]
-    hi = np.where(direction > 0, a, b)
-    lo = np.where(direction > 0, b, a)
-    gap = value.values[hi] - value.values[lo]
-    if gap.size == 0:
+    worst = None
+    samples = 0
+    for start in range(0, a.size, PAIR_BLOCK):
+        pa, pb = a[start : start + PAIR_BLOCK], b[start : start + PAIR_BLOCK]
+        direction = _mlr_direction(grid.points, pa, pb)
+        comparable = direction != 0
+        pa, pb, direction = pa[comparable], pb[comparable], direction[comparable]
+        hi = np.where(direction > 0, pa, pb)
+        lo = np.where(direction > 0, pb, pa)
+        gap = value.values[hi] - value.values[lo]
+        samples += gap.size
+        if gap.size == 0:
+            continue
+        k = int(np.argmax(gap))
+        # strict: on ties the earliest pair stays the witness
+        if worst is None or gap[k] > worst[0]:
+            worst = (float(gap[k]), int(hi[k]), int(lo[k]))
+    if worst is None:
         return make_report("mlr_monotone_value", 0.0, tolerance, samples=0)
-    worst = int(np.argmax(gap))
     return make_report(
         "mlr_monotone_value",
-        float(gap[worst]),
+        worst[0],
         tolerance,
         witness={
-            "pi_high": grid.points[hi[worst]].tolist(),
-            "pi_low": grid.points[lo[worst]].tolist(),
+            "pi_high": grid.points[worst[1]].tolist(),
+            "pi_low": grid.points[worst[2]].tolist(),
         },
-        samples=int(gap.size),
+        samples=samples,
     )
 
 

@@ -103,6 +103,9 @@ class TestExitCodes:
         assert manifest["command"] == "verify"
         assert manifest["exit_status"] == 2
         assert "wall_time_s" in manifest
+        options = manifest["options"]
+        assert options["model_path"] == NON_TP2 and options["predicates"] == "tp2"
+        assert options["resolution"] == 200 and options["out"] == str(tmp_path)
 
 
 class TestCommands:

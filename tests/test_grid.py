@@ -1,9 +1,12 @@
 """Simplex grid construction and barycentric interpolation."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beliefpomdp.errors import ResourceLimit
 from beliefpomdp.grid import build_grid, simplex_point_count
@@ -46,6 +49,56 @@ class TestConstruction:
             build_grid(1, 5)
         with pytest.raises(ValueError):
             build_grid(3, 0)
+
+
+def stars_and_bars(x, m):
+    """Every k >= 0 with sum k = m, from the bar positions among m + x - 1 slots."""
+    out = []
+    for bars in itertools.combinations(range(m + x - 1), x - 1):
+        edges = (-1,) + bars + (m + x - 1,)
+        out.append([hi - lo - 1 for lo, hi in zip(edges, edges[1:])])
+    return out
+
+
+grid_sizes = st.integers(2, 6).flatmap(
+    lambda x: st.tuples(st.just(x), st.integers(1, {2: 30, 3: 15, 4: 9, 5: 7, 6: 6}[x]))
+)
+
+
+class TestRanking:
+    @given(grid_sizes)
+    @settings(max_examples=40, deadline=None)
+    def test_order_matches_brute_force(self, size):
+        x, m = size
+        expected = sorted(stars_and_bars(x, m), key=lambda k: k[::-1])
+        grid = build_grid(x, m)
+        assert grid.coords.tolist() == expected
+        np.testing.assert_array_equal(grid.points, np.array(expected, dtype=float) / m)
+
+    @given(grid_sizes)
+    @settings(max_examples=40, deadline=None)
+    def test_index_of_ranks_every_point(self, size):
+        grid = build_grid(*size)
+        np.testing.assert_array_equal(grid.index_of(grid.coords), np.arange(grid.num_points))
+
+    @given(grid_sizes, st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_index_of_rejects_non_members(self, size, seed):
+        x, m = size
+        grid = build_grid(x, m)
+        rng = np.random.default_rng(seed)
+        k = grid.coords[rng.integers(grid.num_points)].copy()
+        i, j = rng.choice(x, size=2, replace=False)
+        negative = k.copy()
+        negative[i] -= k[i] + 1  # row sum stays m
+        negative[j] += k[i] + 1
+        long_row = k.copy()
+        long_row[i] += 1
+        for bad in (negative, long_row):
+            with pytest.raises(ValueError):
+                grid.index_of(np.vstack([grid.coords[:1], bad]))
+        with pytest.raises(ValueError):
+            grid.index_of(k[:-1])
 
 
 class TestBarycentric:
@@ -92,6 +145,11 @@ class TestBarycentric:
         q = np.array([[0.76, 0.24], [0.01, 0.99]])
         picked = grid.nearest_index(q)
         np.testing.assert_array_equal(grid.points[picked][:, 0], [0.75, 0.0])
+
+    def test_rejects_query_whose_cell_leaves_the_grid(self):
+        grid = build_grid(3, 4)
+        with pytest.raises(ValueError):
+            grid.barycentric([[0.2, -0.3, 1.1]])
 
     def test_snapping_keeps_near_grid_queries_exact(self, rng):
         grid = build_grid(3, 6)

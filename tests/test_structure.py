@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from beliefpomdp import structure
 from beliefpomdp.costs import NonlinearCostSpec
 from beliefpomdp.errors import NegativeEigenvalue, PreconditionFailed
 from beliefpomdp.grid import build_grid
 from beliefpomdp.model import Belief, PomdpModel, unit_belief
-from beliefpomdp.solver import Policy, solve_discounted, solve_stopping
+from beliefpomdp.solver import Policy, ValueFunction, solve_discounted, solve_stopping
 from beliefpomdp.structure import (
     blackwell_factorize,
     conjecture_probe,
@@ -27,7 +28,7 @@ from beliefpomdp.structure import (
     verify_myopic_bound,
     verify_stopping_set_convex,
 )
-from conftest import two_state_general
+from conftest import three_state_general, two_state_general
 
 
 class TestTp2:
@@ -187,6 +188,51 @@ class TestStoppingSetConvex:
         assert report.holds
         assert report.details["stop_points"] > 0
 
+    def test_all_stop_policy_checks_every_even_pair(self):
+        grid = build_grid(3, 60)  # 1,891 stop points, 1,786,995 pairs: four blocks
+        report = verify_stopping_set_convex(Policy(grid, np.ones(grid.num_points, dtype=np.int32)))
+        assert report.holds
+        # a pair has an on-grid midpoint iff both points share every coordinate parity
+        _, class_sizes = np.unique(grid.coords % 2, axis=0, return_counts=True)
+        assert report.samples == int((class_sizes * (class_sizes - 1) // 2).sum())
+
+    def test_blocks_match_materialized_pair_scan(self, monkeypatch):
+        grid = build_grid(3, 8)
+        # a convex stop region plus the last grid point, which comes last in
+        # every row of the pair order
+        stop = (grid.coords[:, 0] >= 4) | (grid.coords[:, 2] == 8)
+        actions = np.where(stop, 1, 2).astype(np.int32)
+        policy = Policy(grid, actions)
+        monkeypatch.setattr(structure, "CONVEX_BLOCK", 5)
+        report = verify_stopping_set_convex(policy)
+        samples, witness = materialized_convexity_scan(policy, block=5)
+        assert samples > 5  # the first violation is past the first block
+        assert not report.holds
+        assert report.samples == samples
+        assert report.witness == witness
+
+
+def materialized_convexity_scan(policy, block):
+    """Reference: all stop pairs in np.triu_indices order, scanned in blocks."""
+    grid = policy.grid
+    stop = np.flatnonzero(policy.actions == 1)
+    a_all, b_all = np.triu_indices(stop.size, k=1)
+    checked = 0
+    for start in range(0, a_all.size, block):
+        a, b = stop[a_all[start : start + block]], stop[b_all[start : start + block]]
+        even = ~np.any((grid.coords[a] + grid.coords[b]) % 2, axis=1)
+        a, b = a[even], b[even]
+        checked += a.size
+        for pa, pb in zip(a, b):
+            mid = grid.index_of((grid.coords[pa] + grid.coords[pb]) // 2)[0]
+            if policy.actions[mid] != 1:
+                return checked, {
+                    "pi1": grid.points[pa].tolist(),
+                    "pi2": grid.points[pb].tolist(),
+                    "midpoint_action": int(policy.actions[mid]),
+                }
+    return checked, None
+
 
 class TestHomogeneity:
     def test_linear_fixture_passes(self):
@@ -223,6 +269,20 @@ class TestMlrMonotoneValue:
         hi = np.array(report.witness["pi_high"])
         lo = np.array(report.witness["pi_low"])
         assert mlr_geq(hi, lo)
+
+    @pytest.mark.parametrize("max_pairs", [structure.PAIR_CAP, 5_000])
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_blocked_pairs_match_one_block(self, monkeypatch, max_pairs, tied):
+        grid = build_grid(3, 20)
+        if tied:  # every comparable pair has gap 0, so the first is the witness
+            value = ValueFunction(grid, np.zeros(grid.num_points))
+        else:
+            value = solve_discounted(three_state_general(), grid, tol=1e-10).value
+        whole = verify_mlr_monotone_value(value, 1e-9, max_pairs=max_pairs, seed=3)
+        monkeypatch.setattr(structure, "PAIR_BLOCK", 7)
+        blocked = verify_mlr_monotone_value(value, 1e-9, max_pairs=max_pairs, seed=3)
+        assert whole.samples > 7
+        assert blocked.to_dict() == whole.to_dict()
 
     def test_pair_sampling_cap(self):
         model = two_state_general()
