@@ -92,7 +92,8 @@ class Run:
     """Output directory, manifest bookkeeping, and exit status for a command.
 
     The manifest records the invoking click command's name and its
-    parameters under their click names.
+    parameters under their click names, plus the problem ``sizes`` a
+    command reports (empty for commands that report none).
     """
 
     def __init__(self, out):
@@ -103,6 +104,7 @@ class Run:
         self.options = dict(ctx.params)
         self.started = time.monotonic()
         self.status = EXIT_OK
+        self.sizes = {}
 
     def violation(self):
         self.status = EXIT_VIOLATION
@@ -115,6 +117,7 @@ class Run:
                 "options": self.options,
                 "version": __version__,
                 "backend": BACKEND,
+                "sizes": self.sizes,
                 "wall_time_s": time.monotonic() - self.started,
                 "exit_status": self.status,
             },
@@ -369,6 +372,9 @@ def qd_simulate(model_path, resolution, tol, max_iters, paths, seed, workers, ou
         )
     except BeliefPomdpError as exc:
         fail(run, str(exc))
+    _record_mc_sizes(
+        run, paths, estimate.horizon_cap, 1, policies=1, horizon_key="horizon_cap"
+    )
     payload = estimate.to_dict()
     payload["value_at_start"] = solved.value_at_start
     payload["solver"] = solved.to_dict()
@@ -425,6 +431,22 @@ def ultrametric_root(model_path, root_degree, out):
     run.finish()
 
 
+def _record_mc_sizes(run, paths, horizon, start_beliefs, policies, horizon_key="horizon"):
+    """Monte Carlo sizes for the manifest.
+
+    ``path_steps`` is paths x horizon x start beliefs x policies, the
+    steps budgeted; a chunk whose paths have all stopped ends early.
+    """
+    run.sizes.update(
+        {
+            "paths": paths,
+            horizon_key: horizon,
+            "start_beliefs": start_beliefs,
+            "path_steps": paths * horizon * start_beliefs * policies,
+        }
+    )
+
+
 def _initial_belief_set(num_states):
     beliefs = [unit_belief(i, num_states) for i in range(1, num_states + 1)]
     beliefs.append(uniform_belief(num_states))
@@ -450,8 +472,9 @@ def evaluate(model_path, resolution, tol, max_iters, paths, seed, workers, out):
     try:
         result = _solve_any(model, resolution, tol, max_iters)
         rows = []
-        seeds = np.random.SeedSequence(seed).spawn(len(_initial_belief_set(model.num_states)))
-        for i, pi0 in enumerate(_initial_belief_set(model.num_states)):
+        beliefs = _initial_belief_set(model.num_states)
+        seeds = np.random.SeedSequence(seed).spawn(len(beliefs))
+        for i, pi0 in enumerate(beliefs):
             ev = evaluate_policy(
                 model, result.policy, pi0, num_paths=paths, seed=seeds[i], workers=workers
             )
@@ -461,6 +484,7 @@ def evaluate(model_path, resolution, tol, max_iters, paths, seed, workers, out):
             )
     except BeliefPomdpError as exc:
         fail(run, str(exc))
+    _record_mc_sizes(run, paths, ev.horizon, len(beliefs), policies=1)
     header = [f"pi{i}" for i in range(1, model.num_states + 1)] + [
         "policy",
         "mean",
@@ -498,6 +522,8 @@ def compare(model_path, resolution, tol, max_iters, paths, seed, workers, out):
         )
     except BeliefPomdpError as exc:
         fail(run, str(exc))
+    horizon = comparison.rows[0]["horizon"]
+    _record_mc_sizes(run, paths, horizon, comparison.num_beliefs, policies=2)
     header = [f"pi{i}" for i in range(1, model.num_states + 1)] + [
         "policy",
         "mean",

@@ -13,6 +13,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .columns import row_sum
 from .reports import OrderCheckReport, make_report
 
 if TYPE_CHECKING:
@@ -154,10 +155,8 @@ def performance_loss_batch(spec: NonlinearCostSpec, beliefs: np.ndarray, u: int)
     if fam == "linf":
         return a * (1.0 - np.einsum("ni,ni->n", p, p)) + b
     if fam == "entropy":
-        plogp = np.zeros_like(p)
-        mask = p > 0
-        plogp[mask] = p[mask] * np.log2(p[mask])
-        return -a * plogp.sum(axis=1) + b
+        plogp = p * np.log2(p, out=np.zeros_like(p), where=p > 0)
+        return -a * row_sum(plogp) + b
     raise ValueError(f"unknown cost family {fam!r}")
 
 

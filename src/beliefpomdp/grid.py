@@ -17,9 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .columns import row_sum
 from .errors import ResourceLimit
 
 DEFAULT_MAX_POINTS = 2_000_000
+
+#: query rows per barycentric call in every whole-set lookup (interpolation,
+#: policy lookup, table building); bounds the lookup's temporaries, which
+#: otherwise set the peak memory of a large solve
+TABLE_BLOCK = 1 << 15
 
 #: coordinates this close to an integer snap onto it before cell location
 SNAP_TOL = 1e-9
@@ -79,9 +85,12 @@ class SimplexGrid:
         m = self.resolution
 
         # z[:, i] = M * sum_{j>=i} pi_j for i = 1..X-1 (z for i=0 would be
-        # identically M and carries no information)
-        tails = np.cumsum(q[:, ::-1], axis=1)[:, ::-1]
-        z = m * tails[:, 1:]
+        # identically M and carries no information), summed from the tail
+        tails = np.empty((n, x - 1))
+        tails[:, -1] = q[:, -1]
+        for i in range(x - 3, -1, -1):
+            np.add(tails[:, i + 1], q[:, i + 1], out=tails[:, i])
+        z = m * tails
         z = np.clip(z, 0.0, float(m))
         nearest = np.rint(z)
         snap = np.abs(z - nearest) <= SNAP_TOL
@@ -117,20 +126,38 @@ class SimplexGrid:
         tiny = weights <= 1e-15
         steps[tiny] = 0
         weights[tiny] = 0.0
-        weights /= weights.sum(axis=1, keepdims=True)
+        weights /= row_sum(weights)[:, None]
 
         idx = self._rank(base.astype(np.intp)[:, None, :] + steps)
         return idx, weights
 
+    def _lookups(self, queries: np.ndarray):
+        """(rows, indices, weights) for each block of TABLE_BLOCK queries."""
+        q = np.atleast_2d(np.asarray(queries, dtype=float))
+        for lo in range(0, q.shape[0], TABLE_BLOCK):
+            rows = slice(lo, lo + TABLE_BLOCK)
+            yield (rows, *self.barycentric(q[rows]))
+
     def interpolate(self, values: np.ndarray, queries: np.ndarray) -> np.ndarray:
-        idx, w = self.barycentric(queries)
-        return (values[idx] * w).sum(axis=1)
+        out = np.empty(len(np.atleast_2d(queries)))
+        for rows, idx, w in self._lookups(queries):
+            out[rows] = row_sum(values[idx] * w)
+        return out
 
     def nearest_index(self, queries: np.ndarray) -> np.ndarray:
-        """Index of the enclosing-cell vertex with the largest weight."""
-        idx, w = self.barycentric(queries)
-        pick = np.argmax(w, axis=1)
-        return idx[np.arange(idx.shape[0]), pick]
+        """Index of the enclosing-cell vertex with the largest weight.
+
+        Ties go to the first such vertex, as with ``argmax``.
+        """
+        out = np.empty(len(np.atleast_2d(queries)), dtype=np.intp)
+        for rows, idx, w in self._lookups(queries):
+            best, best_w = idx[:, 0], w[:, 0]
+            for j in range(1, self.num_states):
+                better = w[:, j] > best_w
+                best = np.where(better, idx[:, j], best)
+                best_w = np.where(better, w[:, j], best_w)
+            out[rows] = best
+        return out
 
 
 def build_grid(

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .columns import inverse_cdf
 from .costs import NonlinearCostSpec
 from .errors import PreconditionFailed, StructureViolation
 from .grid import build_grid
@@ -238,7 +239,7 @@ def ks_cost_estimate(
             pre &= ~jump
             state_row = np.where(pre, 1, 0)  # observation row: 1 pre, 0 post
             draw = rng.random(count)
-            obs = (draw[:, None] > cum_b[state_row]).sum(axis=1)
+            obs = inverse_cdf(draw, cum_b[state_row])
             z1 = b[0, obs] * (1.0 - persistence * belief)
             z2 = b[1, obs] * persistence * belief
             belief = z2 / (z1 + z2)

@@ -6,6 +6,16 @@ therefore identical for any worker count.  Every step draws one
 transition uniform and one observation uniform for every path in the
 chunk, whether or not the path is still active, so two policies
 evaluated with the same seed see common random numbers path by path.
+
+Short-axis rule: a chunk holds thousands of paths but only X states and
+Y observations, so no step reduces along a state or observation axis.
+Sampling, filter normalizers, costs and the policy lookup loop over the
+X or Y columns with full-length vector operations (``columns.row_sum``,
+``columns.inverse_cdf``), and each action's rows are gathered once per
+step.  The columns are added left to right, as numpy's ``sum(axis=1)``
+adds rows shorter than 8, so paths are bit-identical to the row-wise
+form on such models; from width 8 up numpy's sum is unrolled and a cost
+or belief can differ in the last bit.
 """
 
 from __future__ import annotations
@@ -16,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .columns import inverse_cdf, row_sum
 from .costs import instantaneous_cost_batch, max_cost_bound
 from .errors import (
     ZERO_LIKELIHOOD_THRESHOLD,
@@ -149,7 +160,7 @@ def _belief_step(model, beliefs, u, obs):
     """
     predicted = beliefs @ model.transition[u - 1]
     z = predicted * model.observation[u - 1].T[obs]
-    sigma = z.sum(axis=1)
+    sigma = row_sum(z)
     if np.any(sigma <= ZERO_LIKELIHOOD_THRESHOLD):
         row = int(np.argmin(sigma))
         raise ZeroLikelihood(
@@ -157,7 +168,7 @@ def _belief_step(model, beliefs, u, obs):
             f"{sigma[row]:.3e}"
         )
     post = z / sigma[:, None]
-    post /= post.sum(axis=1, keepdims=True)
+    post /= row_sum(post)[:, None]
     return post
 
 
@@ -176,11 +187,16 @@ def simulate_path_costs(
     0/1 flag marking paths still running at the horizon.
     """
     rho = model.discount
-    pi0 = initial_belief.probs
+    cum_pi0 = np.cumsum(initial_belief.probs)
+    cum_p = [np.cumsum(p, axis=1) for p in model.transition]
+    cum_b = [np.cumsum(b, axis=1) for b in model.observation]
+    continuing = [
+        u for u in range(1, model.num_actions + 1) if not (model.is_stopping and u == 1)
+    ]
 
     def sim(rng, count):
-        states = (rng.random(count)[:, None] > np.cumsum(pi0)[None, :]).sum(axis=1)
-        beliefs = np.tile(pi0, (count, 1))
+        states = inverse_cdf(rng.random(count), cum_pi0)
+        beliefs = np.tile(initial_belief.probs, (count, 1))
         costs = np.zeros(count)
         active = np.ones(count, dtype=bool)
         disc = 1.0
@@ -196,19 +212,16 @@ def simulate_path_costs(
                     active = active & ~stopping_now
             step_u = rng.random(count)
             step_y = rng.random(count)
-            for u in range(1, model.num_actions + 1):
-                rows = active & (actions == u)
-                if model.is_stopping and u == 1:
+            for u in continuing:
+                rows = np.flatnonzero(active & (actions == u))
+                if rows.size == 0:
                     continue
-                if not np.any(rows):
-                    continue
-                costs[rows] += disc * instantaneous_cost_batch(model, beliefs[rows], u)
-                cum_p = np.cumsum(model.transition[u - 1], axis=1)
-                nxt = (step_u[rows, None] > cum_p[states[rows]]).sum(axis=1)
-                cum_b = np.cumsum(model.observation[u - 1], axis=1)
-                obs = (step_y[rows, None] > cum_b[nxt]).sum(axis=1)
+                here = beliefs[rows]
+                costs[rows] += disc * instantaneous_cost_batch(model, here, u)
+                nxt = inverse_cdf(step_u[rows], cum_p[u - 1][states[rows]])
+                obs = inverse_cdf(step_y[rows], cum_b[u - 1][nxt])
                 states[rows] = nxt
-                beliefs[rows] = _belief_step(model, beliefs[rows], u, obs)
+                beliefs[rows] = _belief_step(model, here, u, obs)
             disc *= rho
         return np.stack([costs, active.astype(float)], axis=1)
 

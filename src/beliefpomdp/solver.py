@@ -22,15 +22,11 @@ import numpy as np
 
 from .costs import instantaneous_cost_batch
 from .errors import PreconditionFailed
-from .grid import SimplexGrid
+from .grid import TABLE_BLOCK, SimplexGrid
 from .model import Belief, PomdpModel, RelaxedBelief
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITERS = 100_000
-
-#: grid points per barycentric lookup while building tables; bounds the
-#: lookup's temporaries, which otherwise set the peak memory of a large solve
-TABLE_BLOCK = 1 << 15
 
 
 @dataclass

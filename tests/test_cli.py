@@ -19,6 +19,10 @@ def run(args):
     return CliRunner().invoke(main, args)
 
 
+def manifest_sizes(folder):
+    return json.loads((folder / "manifest.json").read_text())["sizes"]
+
+
 def artifact_hashes(folder):
     return {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest()
@@ -106,6 +110,7 @@ class TestExitCodes:
         options = manifest["options"]
         assert options["model_path"] == NON_TP2 and options["predicates"] == "tp2"
         assert options["resolution"] == 200 and options["out"] == str(tmp_path)
+        assert manifest["sizes"] == {}
 
 
 class TestCommands:
@@ -158,6 +163,12 @@ class TestCommands:
         sim = json.loads((tmp_path / "sim" / "qd_simulate.json").read_text())
         for key in ("threshold", "delay_term", "false_alarm", "ks_cost", "ci_halfwidth", "seed", "cap_hits"):
             assert key in sim
+        assert manifest_sizes(tmp_path / "sim") == {
+            "paths": 2000,
+            "horizon_cap": sim["horizon_cap"],
+            "start_beliefs": 1,
+            "path_steps": 2000 * sim["horizon_cap"],
+        }
 
     def test_qd_threshold_rejects_non_qd_model(self, tmp_path):
         result = run(["qd-threshold", "--model", FVP, "--out", str(tmp_path)])
@@ -206,6 +217,13 @@ class TestCommands:
         lines = (tmp_path / "evaluate.csv").read_text().strip().splitlines()
         assert lines[0].endswith("policy,mean,std_error,paths,horizon")
         assert len(lines) == 6
+        horizon = int(lines[1].split(",")[-1])
+        assert manifest_sizes(tmp_path) == {
+            "paths": 300,
+            "horizon": horizon,
+            "start_beliefs": 5,
+            "path_steps": 300 * horizon * 5,
+        }
 
         result = run(
             [
@@ -223,6 +241,12 @@ class TestCommands:
         assert result.exit_code == 0
         summary = json.loads((tmp_path / "cmp" / "compare_summary.json").read_text())
         assert summary["num_beliefs"] == 5
+        assert manifest_sizes(tmp_path / "cmp") == {
+            "paths": 500,
+            "horizon": horizon,
+            "start_beliefs": 5,
+            "path_steps": 500 * horizon * 5 * 2,
+        }
 
     def test_conjecture_probe_small(self, tmp_path):
         result = run(

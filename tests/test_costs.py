@@ -33,6 +33,22 @@ class TestFamilies:
         spec = NonlinearCostSpec("entropy", alpha=[1.0], beta=[0.0])
         assert performance_loss(spec, unit_belief(1, 3), 1) == 0.0
 
+    @pytest.mark.parametrize("x", [2, 3, 4, 9])
+    def test_entropy_with_exact_zeros_matches_masked_sum(self, x, rng):
+        spec = NonlinearCostSpec("entropy", alpha=[0.7], beta=[0.2])
+        p = rng.dirichlet(np.ones(x), size=400)
+        p[rng.random(p.shape) < 0.3] = 0.0
+        p[:5] = np.eye(x)[np.arange(5) % x]
+        plogp = np.zeros_like(p)
+        mask = p > 0
+        plogp[mask] = p[mask] * np.log2(p[mask])
+        expected = -0.7 * plogp.sum(axis=1) + 0.2
+        got = performance_loss_batch(spec, p, 1)
+        if x < 8:
+            np.testing.assert_array_equal(got, expected)
+        else:  # numpy unrolls row sums from width 8: roundoff agreement only
+            np.testing.assert_allclose(got, expected, rtol=1e-15, atol=0)
+
     def test_entropy_uses_log2(self):
         spec = NonlinearCostSpec("entropy", alpha=[1.0], beta=[0.0])
         assert performance_loss(spec, uniform_belief(2), 1) == pytest.approx(1.0, abs=1e-14)

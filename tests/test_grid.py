@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from beliefpomdp import grid as grid_module
 from beliefpomdp.errors import ResourceLimit
-from beliefpomdp.grid import build_grid, simplex_point_count
+from beliefpomdp.grid import SimplexGrid, build_grid, simplex_point_count
 
 
 class TestConstruction:
@@ -145,6 +146,39 @@ class TestBarycentric:
         q = np.array([[0.76, 0.24], [0.01, 0.99]])
         picked = grid.nearest_index(q)
         np.testing.assert_array_equal(grid.points[picked][:, 0], [0.75, 0.0])
+
+    @pytest.mark.parametrize(
+        "x, query, vertex",
+        [
+            (2, [0.625, 0.375], 0),  # weights 1/2, 1/2
+            (3, [0.375, 0.5, 0.125], 0),  # 1/2, 0, 1/2
+            (3, [0.3125, 0.34375, 0.34375], 1),  # 1/4, 3/8, 3/8
+        ],
+    )
+    def test_nearest_index_ties_go_to_first_vertex(self, x, query, vertex):
+        grid = build_grid(x, 4)
+        idx, w = grid.barycentric([query])
+        assert w[0, vertex] == w[0].max() and np.sum(w[0] == w[0].max()) == 2
+        assert grid.nearest_index([query])[0] == idx[0, vertex]
+
+    def test_lookups_block_by_block(self, monkeypatch, rng):
+        grid = build_grid(3, 11)
+        vals = rng.normal(size=grid.num_points)
+        queries = rng.dirichlet(np.ones(3), size=66)
+        whole = grid.interpolate(vals, queries), grid.nearest_index(queries)
+        rows = []
+        barycentric = SimplexGrid.barycentric
+
+        def recording(self, q):
+            rows.append(len(q))
+            return barycentric(self, q)
+
+        monkeypatch.setattr(SimplexGrid, "barycentric", recording)
+        monkeypatch.setattr(grid_module, "TABLE_BLOCK", 7)  # ragged last block
+        blocked = grid.interpolate(vals, queries), grid.nearest_index(queries)
+        assert rows == 2 * ([7] * 9 + [3])
+        np.testing.assert_array_equal(blocked[0], whole[0])
+        np.testing.assert_array_equal(blocked[1], whole[1])
 
     def test_rejects_query_whose_cell_leaves_the_grid(self):
         grid = build_grid(3, 4)

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from beliefpomdp import quickest
 from beliefpomdp.costs import NonlinearCostSpec
 from beliefpomdp.errors import PreconditionFailed
-from beliefpomdp.model import validate_model
+from beliefpomdp.model import fixture_path, load_model, validate_model
 from beliefpomdp.quickest import (
     QdSpec,
     build_qd_model,
@@ -139,3 +140,66 @@ class TestKsCostEstimate:
     def test_path_count_validation(self):
         with pytest.raises(ValueError):
             ks_cost_estimate(SPEC, 0.1, num_paths=0)
+
+
+def reference_ks_paths(spec, threshold, num_paths, horizon_cap, seed):
+    """The row-wise detection loop: observation counts summed along axis 1."""
+    persistence = spec.persistence
+    b = spec.observation
+    cum_b = np.cumsum(b, axis=1)
+
+    def sim(rng, count):
+        pre = np.ones(count, dtype=bool)
+        belief = np.ones(count)
+        announced = np.zeros(count, dtype=bool)
+        announce_time = np.full(count, horizon_cap)
+        change_time = np.full(count, horizon_cap + 1)
+        for k in range(1, horizon_cap + 1):
+            if np.all(announced):
+                break
+            jump = rng.random(count) >= persistence
+            change_time[pre & jump] = k
+            pre &= ~jump
+            state_row = np.where(pre, 1, 0)
+            draw = rng.random(count)
+            obs = (draw[:, None] > cum_b[state_row]).sum(axis=1)
+            z1 = b[0, obs] * (1.0 - persistence * belief)
+            z2 = b[1, obs] * persistence * belief
+            belief = z2 / (z1 + z2)
+            hit = ~announced & (belief < threshold)
+            announce_time[hit] = k
+            announced |= hit
+        delay = np.maximum(announce_time - change_time, 0)
+        columns = (delay, announce_time < change_time, ~announced, change_time)
+        return np.stack([c.astype(float) for c in columns], axis=1)
+
+    return quickest.run_chunked(sim, seed, num_paths)
+
+
+class TestKsOracle:
+    """ks_cost_estimate's per-path table is bit-identical to the row-wise loop."""
+
+    @pytest.mark.parametrize(
+        "spec, threshold, workers",
+        [
+            (spec_from_model(load_model(fixture_path("quickest_detection_x2.json"))), 0.2, 1),
+            (QdSpec(0.85, 0.05, [[0.6, 0.3, 0.1], [0.1, 0.3, 0.6]]), 0.3, 1),
+            (SPEC, 0.13, 2),
+        ],
+    )
+    def test_paths_match_reference(self, monkeypatch, spec, threshold, workers):
+        tables = []
+        run_chunked = quickest.run_chunked
+
+        def recording(*args, **kwargs):
+            tables.append(run_chunked(*args, **kwargs))
+            return tables[-1]
+
+        monkeypatch.setattr(quickest, "run_chunked", recording)
+        est = ks_cost_estimate(
+            spec, threshold, num_paths=9000, horizon_cap=150, seed=11, workers=workers
+        )
+        monkeypatch.undo()
+        ref = reference_ks_paths(spec, threshold, 9000, 150, seed=11)
+        assert np.array_equal(tables[0], ref)
+        assert est.cap_hits == int(ref[:, 2].sum())

@@ -3,11 +3,18 @@
 import numpy as np
 import pytest
 
-from beliefpomdp.costs import NonlinearCostSpec, instantaneous_cost
+from beliefpomdp.costs import NonlinearCostSpec, instantaneous_cost, instantaneous_cost_batch
 from beliefpomdp.errors import HorizonUnbounded, PreconditionFailed, ZeroLikelihood
 from beliefpomdp.filtering import filter_update
 from beliefpomdp.grid import build_grid
-from beliefpomdp.model import Belief, PomdpModel, uniform_belief, unit_belief
+from beliefpomdp.model import (
+    Belief,
+    PomdpModel,
+    fixture_path,
+    load_model,
+    uniform_belief,
+    unit_belief,
+)
 from beliefpomdp.simulate import (
     _belief_step,
     compare_policies,
@@ -15,10 +22,155 @@ from beliefpomdp.simulate import (
     default_initial_beliefs,
     evaluate_policy,
     myopic_sensor_policy,
+    run_chunked,
     simulate_path_costs,
 )
-from beliefpomdp.solver import solve_discounted, solve_stopping
-from conftest import qd_model, two_state_general
+from beliefpomdp.solver import Policy, solve_discounted, solve_stopping
+from conftest import qd_model, random_model, three_state_general, two_state_general
+
+DISCOUNTED_FIXTURES = [
+    "filter_vs_predictor",
+    "increasing_cost",
+    "linear_x3",
+    "monotone_a123",
+    "non_tp2_observation",
+    "ultrametric_chain",
+    "ultrametric_chain_x3",
+]
+
+ENTROPY = NonlinearCostSpec("entropy", alpha=[0.7, 0.4], beta=[0.1, 0.0])
+
+
+def reference_cost(model, beliefs, u):
+    """Instantaneous cost with the entropy loss summed row-wise over a mask."""
+    spec = model.nonlinear_cost
+    if spec.family != "entropy" or (model.is_stopping and u == 1):
+        return instantaneous_cost_batch(model, beliefs, u)
+    plogp = np.zeros_like(beliefs)
+    mask = beliefs > 0
+    plogp[mask] = beliefs[mask] * np.log2(beliefs[mask])
+    loss = -float(spec.alpha[u - 1]) * plogp.sum(axis=1) + float(spec.beta[u - 1])
+    return beliefs @ model.linear_cost[u - 1] + loss
+
+
+def reference_actions(policy, points):
+    """Grid policies pick the heaviest cell vertex by argmax."""
+    if isinstance(policy, Policy):
+        idx, w = policy.grid.barycentric(points)
+        return policy.actions[idx[np.arange(idx.shape[0]), np.argmax(w, axis=1)]]
+    return np.asarray(policy.actions_at(points), dtype=np.int64)
+
+
+def reference_belief_step(model, beliefs, u, obs):
+    predicted = beliefs @ model.transition[u - 1]
+    z = predicted * model.observation[u - 1].T[obs]
+    post = z / z.sum(axis=1)[:, None]
+    post /= post.sum(axis=1, keepdims=True)
+    return post
+
+
+def reference_path_costs(model, policy, initial_belief, num_paths, horizon, seed=0):
+    """The row-wise step loop: boolean row masks, sums and counts along axis 1."""
+    rho = model.discount
+    pi0 = initial_belief.probs
+
+    def sim(rng, count):
+        states = (rng.random(count)[:, None] > np.cumsum(pi0)[None, :]).sum(axis=1)
+        beliefs = np.tile(pi0, (count, 1))
+        costs = np.zeros(count)
+        active = np.ones(count, dtype=bool)
+        disc = 1.0
+        for _ in range(horizon):
+            if not np.any(active):
+                break
+            actions = reference_actions(policy, beliefs)
+            if model.is_stopping:
+                stopping_now = active & (actions == 1)
+                if np.any(stopping_now):
+                    term = reference_cost(model, beliefs[stopping_now], 1)
+                    costs[stopping_now] += disc * term
+                    active = active & ~stopping_now
+            step_u = rng.random(count)
+            step_y = rng.random(count)
+            for u in range(1, model.num_actions + 1):
+                rows = active & (actions == u)
+                if (model.is_stopping and u == 1) or not np.any(rows):
+                    continue
+                costs[rows] += disc * reference_cost(model, beliefs[rows], u)
+                cum_p = np.cumsum(model.transition[u - 1], axis=1)
+                nxt = (step_u[rows, None] > cum_p[states[rows]]).sum(axis=1)
+                cum_b = np.cumsum(model.observation[u - 1], axis=1)
+                obs = (step_y[rows, None] > cum_b[nxt]).sum(axis=1)
+                states[rows] = nxt
+                beliefs[rows] = reference_belief_step(model, beliefs[rows], u, obs)
+            disc *= rho
+        return np.stack([costs, active.astype(float)], axis=1)
+
+    return run_chunked(sim, seed, num_paths)
+
+
+def random_grid_policy(model, resolution, seed=0):
+    """A grid policy with actions drawn at random, so lookups switch often."""
+    grid = build_grid(model.num_states, resolution)
+    rng = np.random.default_rng(seed)
+    return Policy(grid, rng.integers(1, model.num_actions + 1, grid.num_points))
+
+
+def interior_belief(num_states):
+    w = np.arange(1, num_states + 1, dtype=float)
+    return Belief(w / w.sum())
+
+
+class TestStepOracle:
+    """simulate_path_costs is bit-identical to the row-wise step loop."""
+
+    def check(self, model, policy, pi0, num_paths=600, horizon=25, seed=4, workers=1):
+        new = simulate_path_costs(
+            model, policy, pi0, num_paths, horizon, seed=seed, workers=workers
+        )
+        ref = reference_path_costs(model, policy, pi0, num_paths, horizon, seed=seed)
+        assert np.array_equal(new, ref)
+        return new
+
+    @pytest.mark.parametrize("name", DISCOUNTED_FIXTURES)
+    def test_discounted_fixtures(self, name):
+        model = load_model(fixture_path(f"{name}.json"))
+        resolution = 40 if model.num_states == 2 else 12
+        policy = random_grid_policy(model, resolution)
+        for pi0 in (interior_belief(model.num_states), unit_belief(1, model.num_states)):
+            self.check(model, policy, pi0)
+
+    def test_stopping_model(self):
+        model = qd_model(b=[[0.6, 0.3, 0.1], [0.2, 0.3, 0.5]])
+        policy = solve_stopping(model, build_grid(2, 30), tol=1e-9).policy
+        out = self.check(model, policy, unit_belief(2, 2), horizon=30)
+        assert 0 < out[:, 1].sum() < out.shape[0]  # some paths stop, some run on
+
+    def test_actions_with_different_alphabets(self):
+        model = three_state_general(nonlinear=ENTROPY)
+        assert model.num_observations == (2, 3)
+        self.check(model, random_grid_policy(model, 9), interior_belief(3))
+
+    def test_myopic_function_policy(self):
+        model = load_model(fixture_path("filter_vs_predictor.json"))
+        self.check(model, myopic_sensor_policy(model), uniform_belief(2), horizon=40)
+
+    def test_two_workers_over_several_chunks(self):
+        model = three_state_general(nonlinear=ENTROPY)
+        policy = random_grid_policy(model, 9, seed=2)
+        self.check(model, policy, interior_belief(3), num_paths=9000, horizon=8, workers=2)
+
+    def test_wide_model_agrees_to_roundoff(self):
+        # from width 8 numpy's row sum is unrolled, so only roundoff agreement holds
+        spec = NonlinearCostSpec("entropy", alpha=[0.5, 0.5], beta=[0.0, 0.0])
+        base = random_model(np.random.default_rng(8), num_states=9, num_actions=2, max_obs=9)
+        model = PomdpModel(**{**base.to_dict(), "nonlinear_cost": spec})
+        policy = constant_policy(2)
+        pi0 = interior_belief(9)
+        new = simulate_path_costs(model, policy, pi0, 600, 20, seed=5)
+        ref = reference_path_costs(model, policy, pi0, 600, 20, seed=5)
+        np.testing.assert_allclose(new, ref, rtol=1e-15, atol=0)
+        np.testing.assert_array_equal(new[:, 1], ref[:, 1])
 
 
 class TestEvaluatePolicy:
