@@ -81,11 +81,18 @@ def write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(json_ready(payload), indent=2, sort_keys=True) + "\n")
 
 
-def write_csv(path: Path, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(x if isinstance(x, str) else fmt(x) for x in row))
-    path.write_text("\n".join(lines) + "\n")
+def write_csv(path: Path, header, columns) -> None:
+    """Write a table given column by column.
+
+    ``columns`` holds one cell sequence per header name, all of one
+    length (the row count); a shorter or longer column raises
+    ``ValueError``.  String cells are written as they are and every
+    other cell through ``fmt``.  Lines end in a newline, the last one
+    included.
+    """
+    cells = [[x if isinstance(x, str) else fmt(x) for x in col] for col in columns]
+    rows = map(",".join, zip(*cells, strict=True))
+    path.write_text("\n".join([",".join(header), *rows]) + "\n")
 
 
 class Run:
@@ -203,21 +210,30 @@ def solve(model_path, resolution, tol, max_iters, out):
 
 
 def _write_solution(run, model, result, filename="value_policy.csv"):
+    """Write the solved grid, its convergence trace and a summary.
+
+    Every grid point is ``coords / M``, so the coordinate cells index
+    the M + 1 labels ``fmt(k / M)`` (the same IEEE division that built
+    ``grid.points``) instead of formatting each coordinate.
+    """
     grid = result.policy.grid
     header = [f"pi{i}" for i in range(1, model.num_states + 1)] + ["value", "action"]
     values = result.value.values if hasattr(result.value, "values") else result.value.base.values
-    rows = [
-        list(grid.points[n]) + [values[n], str(int(result.policy.actions[n]))]
-        for n in range(grid.num_points)
-    ]
-    write_csv(run.dir / filename, header, rows)
+    labels = [fmt(k / grid.resolution) for k in range(grid.resolution + 1)]
+    coordinates = [list(map(labels.__getitem__, col.tolist())) for col in grid.coords.T]
+    actions = list(map(str, result.policy.actions.tolist()))
+    write_csv(run.dir / filename, header, [*coordinates, values.tolist(), actions])
+    log = result.log
+    sweeps = list(map(str, range(1, log.iterations + 1)))
+    write_csv(run.dir / "convergence.csv", ["iteration", "change"], [sweeps, log.changes])
+    run.sizes.update({"grid_points": grid.num_points, "iterations": log.iterations})
     threshold = None
     if model.num_states == 2 and model.is_stopping:
         t = extract_threshold(result.policy)
         threshold = None if isinstance(t, NotThreshold) else t
     write_json(
         run.dir / "solve_summary.json",
-        {**result.log.to_dict(), "threshold": threshold, "grid_points": grid.num_points},
+        {**log.to_dict(), "threshold": threshold, "grid_points": grid.num_points},
     )
 
 
@@ -492,7 +508,7 @@ def evaluate(model_path, resolution, tol, max_iters, paths, seed, workers, out):
         "paths",
         "horizon",
     ]
-    write_csv(run.dir / "evaluate.csv", header, rows)
+    write_csv(run.dir / "evaluate.csv", header, zip(*rows))
     run.finish()
 
 
@@ -541,7 +557,7 @@ def compare(model_path, resolution, tol, max_iters, paths, seed, workers, out):
                 row["initial_belief"]
                 + [label, mean, se, str(row["num_paths"]), str(row["horizon"])]
             )
-    write_csv(run.dir / "compare.csv", header, rows)
+    write_csv(run.dir / "compare.csv", header, zip(*rows))
     write_json(run.dir / "compare_summary.json", comparison.to_dict())
     if comparison.a_not_worse != comparison.num_beliefs:
         run.violation()

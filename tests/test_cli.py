@@ -2,17 +2,32 @@
 
 import hashlib
 import json
+from types import SimpleNamespace
 
+import numpy as np
+import pytest
 from click.testing import CliRunner
 
+from beliefpomdp import cli
 from beliefpomdp.cli import main
+from beliefpomdp.grid import build_grid
 from beliefpomdp.model import fixture_path
+from beliefpomdp.simulate import EvalResult, PolicyComparison
+from beliefpomdp.solver import (
+    IterationLog,
+    Policy,
+    RelaxedSolveResult,
+    RelaxedValueFunction,
+    SolveResult,
+    ValueFunction,
+)
 
 QD = str(fixture_path("quickest_detection_x2.json"))
 FVP = str(fixture_path("filter_vs_predictor.json"))
 NON_TP2 = str(fixture_path("non_tp2_observation.json"))
 MONO = str(fixture_path("monotone_a123.json"))
 CHAIN = str(fixture_path("ultrametric_chain.json"))
+LINEAR_X3 = str(fixture_path("linear_x3.json"))
 
 
 def run(args):
@@ -21,6 +36,17 @@ def run(args):
 
 def manifest_sizes(folder):
     return json.loads((folder / "manifest.json").read_text())["sizes"]
+
+
+def assert_convergence_trace(folder, summary):
+    """One ``convergence.csv`` row per sweep, ending at the summary's final change."""
+    lines = (folder / "convergence.csv").read_text().splitlines()
+    assert lines[0] == "iteration,change"
+    assert len(lines) - 1 == summary["iterations"] > 0
+    assert [int(line.split(",")[0]) for line in lines[1:]] == list(
+        range(1, summary["iterations"] + 1)
+    )
+    assert float(lines[-1].split(",")[1]) == summary["final_change"]
 
 
 def artifact_hashes(folder):
@@ -125,6 +151,11 @@ class TestCommands:
         summary = json.loads((tmp_path / "solve_summary.json").read_text())
         assert summary["converged"]
         assert 0.0 < summary["threshold"] < 1.0
+        assert_convergence_trace(tmp_path, summary)
+        assert manifest_sizes(tmp_path) == {
+            "grid_points": 101,
+            "iterations": summary["iterations"],
+        }
 
     def test_solve_relaxed_rejects_nonlinear(self, tmp_path):
         result = run(["solve-relaxed", "--model", FVP, "--out", str(tmp_path)])
@@ -136,6 +167,12 @@ class TestCommands:
         )
         assert result.exit_code == 0
         assert (tmp_path / "relaxed_values.csv").exists()
+        summary = json.loads((tmp_path / "solve_summary.json").read_text())
+        assert_convergence_trace(tmp_path, summary)
+        assert manifest_sizes(tmp_path) == {
+            "grid_points": summary["grid_points"],
+            "iterations": summary["iterations"],
+        }
 
     def test_qd_threshold_and_simulate(self, tmp_path):
         result = run(
@@ -297,3 +334,140 @@ class TestDeterminism:
         result = CliRunner().invoke(main, ["validate", "--model", QD])
         assert result.exit_code == 0
         assert (tmp_path / "envout" / "validation.json").exists()
+
+
+def reference_write_csv(path, header, rows):
+    """The row-wise writer the column-wise ``cli.write_csv`` replaced."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(x if isinstance(x, str) else f"{float(x):.12g}" for x in row))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def reference_solution_rows(grid, values, actions):
+    """Rows of a solution table, one numpy scalar per coordinate."""
+    return [
+        list(grid.points[n]) + [values[n], str(int(actions[n]))]
+        for n in range(grid.num_points)
+    ]
+
+
+#: values whose 12-digit text is easy to get wrong
+SPECIAL_VALUES = [-0.0, 1e-300, 1e300, -1e300, -1e-300, 0.0, 5e-324, 1 / 3, -2.5e-7]
+
+
+def synthetic_solution(num_states, resolution, relaxed=False):
+    grid = build_grid(num_states, resolution)
+    rng = np.random.default_rng(num_states * 10_000 + resolution)
+    scale = 10.0 ** rng.integers(-30, 30, size=grid.num_points)
+    values = rng.normal(size=grid.num_points) * scale
+    head = min(grid.num_points, len(SPECIAL_VALUES))
+    values[:head] = SPECIAL_VALUES[:head]
+    actions = rng.integers(1, 4, size=grid.num_points)
+    log = IterationLog(changes=[0.5, 1 / 3, 1e-300, -0.0, 7.25e-9], converged=True)
+    value = ValueFunction(grid, values)
+    if relaxed:
+        return RelaxedSolveResult(RelaxedValueFunction(value), Policy(grid, actions), log)
+    return SolveResult(value, Policy(grid, actions), log)
+
+
+class TestCsvOracle:
+    """Column-wise tables are byte-identical to the row-wise writer's."""
+
+    @pytest.mark.parametrize(
+        "num_states,resolution,relaxed",
+        [(2, 1, False), (2, 1000, False), (3, 600, False), (3, 7, True), (4, 30, False)],
+    )
+    def test_solution_table(self, tmp_path, num_states, resolution, relaxed):
+        result = synthetic_solution(num_states, resolution, relaxed)
+        model = SimpleNamespace(num_states=num_states, is_stopping=False)
+        run_stub = SimpleNamespace(dir=tmp_path, sizes={})
+        cli._write_solution(run_stub, model, result)
+
+        grid = result.policy.grid
+        values = result.value.base.values if relaxed else result.value.values
+        header = [f"pi{i}" for i in range(1, num_states + 1)] + ["value", "action"]
+        rows = reference_solution_rows(grid, values, result.policy.actions)
+        reference_write_csv(tmp_path / "reference.csv", header, rows)
+        got = (tmp_path / "value_policy.csv").read_bytes()
+        assert got == (tmp_path / "reference.csv").read_bytes()
+        assert got.count(b"\n") == grid.num_points + 1
+
+        trace = [[str(i), c] for i, c in enumerate(result.log.changes, start=1)]
+        reference_write_csv(tmp_path / "reference_trace.csv", ["iteration", "change"], trace)
+        got = (tmp_path / "convergence.csv").read_bytes()
+        assert got == (tmp_path / "reference_trace.csv").read_bytes()
+        assert run_stub.sizes == {"grid_points": grid.num_points, "iterations": 5}
+
+    def test_coordinate_labels_are_the_grid_division(self):
+        """``k / M`` in Python is the same IEEE quotient as the grid's ``coords / M``."""
+        for resolution in (1, 7, 600, 1998):
+            grid = build_grid(2, resolution)
+            labels = [k / resolution for k in grid.coords[:, 0].tolist()]
+            assert labels == grid.points[:, 0].tolist()
+
+    def test_column_lengths_must_agree(self, tmp_path):
+        with pytest.raises(ValueError):
+            cli.write_csv(tmp_path / "t.csv", ["a", "b"], [[1.0, 2.0], ["x"]])
+
+    def test_empty_table_is_header_line(self, tmp_path):
+        cli.write_csv(tmp_path / "t.csv", ["a", "b"], [[], []])
+        reference_write_csv(tmp_path / "r.csv", ["a", "b"], [])
+        assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "r.csv").read_bytes() == b"a,b\n"
+
+    def test_evaluate_table(self, tmp_path, monkeypatch):
+        beliefs = cli._initial_belief_set(3)
+        evals = [
+            EvalResult(mean=m, std_error=se, num_paths=300, horizon=41, truncation_bound=None)
+            for m, se in zip(SPECIAL_VALUES, reversed(SPECIAL_VALUES))
+        ][: len(beliefs)]
+        pending = iter(evals)
+        monkeypatch.setattr(cli, "evaluate_policy", lambda *a, **k: next(pending))
+        args = ["--model", LINEAR_X3, "--grid", "10", "--paths", "300", "--out", str(tmp_path)]
+        result = run(["evaluate", *args])
+        assert result.exit_code == 0, result.output
+
+        header = ["pi1", "pi2", "pi3", "policy", "mean", "std_error", "paths", "horizon"]
+        rows = [
+            list(pi0.probs)
+            + ["grid_optimal", ev.mean, ev.std_error, str(ev.num_paths), str(ev.horizon)]
+            for pi0, ev in zip(beliefs, evals)
+        ]
+        reference_write_csv(tmp_path / "reference.csv", header, rows)
+        got = (tmp_path / "evaluate.csv").read_bytes()
+        assert got == (tmp_path / "reference.csv").read_bytes()
+
+    def test_compare_table(self, tmp_path, monkeypatch):
+        beliefs = cli._initial_belief_set(3)
+        rows = [
+            {
+                "initial_belief": [float(p) for p in pi0.probs],
+                "mean_a": SPECIAL_VALUES[i],
+                "se_a": 1 / (i + 3),
+                "mean_b": -SPECIAL_VALUES[-1 - i],
+                "se_b": 1e-300 * i,
+                "num_paths": 500,
+                "horizon": 63,
+            }
+            for i, pi0 in enumerate(beliefs)
+        ]
+        comparison = PolicyComparison(rows, a_not_worse=len(rows), num_beliefs=len(rows))
+        monkeypatch.setattr(cli, "compare_policies", lambda *a, **k: comparison)
+        args = ["--model", LINEAR_X3, "--grid", "10", "--paths", "500", "--out", str(tmp_path)]
+        result = run(["compare", *args])
+        assert result.exit_code == 0, result.output
+
+        header = ["pi1", "pi2", "pi3", "policy", "mean", "std_error", "paths", "horizon"]
+        table = []
+        for row in rows:
+            for label, mean, se in (
+                ("grid_optimal", row["mean_a"], row["se_a"]),
+                ("myopic_bound", row["mean_b"], row["se_b"]),
+            ):
+                table.append(
+                    row["initial_belief"]
+                    + [label, mean, se, str(row["num_paths"]), str(row["horizon"])]
+                )
+        reference_write_csv(tmp_path / "reference.csv", header, table)
+        got = (tmp_path / "compare.csv").read_bytes()
+        assert got == (tmp_path / "reference.csv").read_bytes()
