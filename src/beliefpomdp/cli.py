@@ -20,7 +20,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import BACKEND, __version__
+from . import __version__
 from .errors import (
     BeliefPomdpError,
     ModelFormatError,
@@ -123,7 +123,6 @@ class Run:
                 "command": self.command,
                 "options": self.options,
                 "version": __version__,
-                "backend": BACKEND,
                 "sizes": self.sizes,
                 "wall_time_s": time.monotonic() - self.started,
                 "exit_status": self.status,
@@ -209,6 +208,12 @@ def solve(model_path, resolution, tol, max_iters, out):
     run.finish()
 
 
+def _record_solve_sizes(run, result):
+    run.sizes.update(
+        {"grid_points": result.policy.grid.num_points, "iterations": result.log.iterations}
+    )
+
+
 def _write_solution(run, model, result, filename="value_policy.csv"):
     """Write the solved grid, its convergence trace and a summary.
 
@@ -218,7 +223,7 @@ def _write_solution(run, model, result, filename="value_policy.csv"):
     """
     grid = result.policy.grid
     header = [f"pi{i}" for i in range(1, model.num_states + 1)] + ["value", "action"]
-    values = result.value.values if hasattr(result.value, "values") else result.value.base.values
+    values = result.value.values
     labels = [fmt(k / grid.resolution) for k in range(grid.resolution + 1)]
     coordinates = [list(map(labels.__getitem__, col.tolist())) for col in grid.coords.T]
     actions = list(map(str, result.policy.actions.tolist()))
@@ -226,7 +231,7 @@ def _write_solution(run, model, result, filename="value_policy.csv"):
     log = result.log
     sweeps = list(map(str, range(1, log.iterations + 1)))
     write_csv(run.dir / "convergence.csv", ["iteration", "change"], [sweeps, log.changes])
-    run.sizes.update({"grid_points": grid.num_points, "iterations": log.iterations})
+    _record_solve_sizes(run, result)
     threshold = None
     if model.num_states == 2 and model.is_stopping:
         t = extract_threshold(result.policy)
@@ -275,7 +280,10 @@ def verify(model_path, resolution, tol, max_iters, seed, predicates, kappa, out)
     if unknown:
         fail(run, f"unknown predicates {unknown}; choose from {list(PREDICATES)}")
     model = _load(run, model_path)
-    kappas = tuple(float(k) for k in kappa.split(","))
+    try:
+        kappas = tuple(float(k) for k in kappa.split(","))
+    except ValueError:
+        fail(run, f"--kappa needs comma-separated numbers, got {kappa!r}")
 
     solved = None
 
@@ -283,11 +291,12 @@ def verify(model_path, resolution, tol, max_iters, seed, predicates, kappa, out)
         nonlocal solved
         if solved is None:
             solved = _solve_any(model, resolution, tol, max_iters)
+            _record_solve_sizes(run, solved)
         return solved
 
     try:
         for name in names:
-            reports = _run_predicate(model, name, solution, resolution, tol, max_iters, seed, kappas)
+            reports = _run_predicate(model, name, solution, seed, kappas)
             payload = [r.to_dict() for r in reports]
             write_json(run.dir / f"verify_{name.replace('-', '_')}.json", payload)
             if any(not r.holds for r in reports):
@@ -297,7 +306,8 @@ def verify(model_path, resolution, tol, max_iters, seed, predicates, kappa, out)
     run.finish()
 
 
-def _run_predicate(model, name, solution, resolution, tol, max_iters, seed, kappas):
+def _run_predicate(model, name, solution, seed, kappas):
+    """Reports of one predicate; ``solution()`` is the command's one solve."""
     if name == "tp2":
         out = []
         for u in range(1, model.num_actions + 1):
@@ -327,17 +337,10 @@ def _run_predicate(model, name, solution, resolution, tol, max_iters, seed, kapp
         tolerance = 1e-6 * max(1e-12, result.value.scale())
         return [structure.verify_mlr_monotone_value(result.value, tolerance, seed=seed)]
     if name == "homogeneity":
-        grid = build_grid(model.num_states, resolution)
-        return [
-            structure.verify_homogeneity(
-                model, grid, kappas=kappas, seed=seed, tol=tol, max_iters=max_iters
-            )
-        ]
+        value = solution().value
+        return [structure.verify_homogeneity(model, value, kappas=kappas, seed=seed)]
     if name == "myopic-bound":
-        grid = build_grid(model.num_states, resolution)
-        return [
-            structure.verify_myopic_bound(model, grid, solver_tol=tol, max_iters=max_iters)
-        ]
+        return [structure.verify_myopic_bound(model, solution())]
     if name == "ultrametric":
         return [structure.is_ultrametric(model.observation[0])]
     raise AssertionError(name)

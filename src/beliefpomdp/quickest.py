@@ -10,7 +10,6 @@ optimal policy in the post-change probability.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +19,7 @@ from .costs import NonlinearCostSpec
 from .errors import PreconditionFailed, StructureViolation
 from .grid import build_grid
 from .model import STOPPING_TIME, Belief, PomdpModel, unit_belief
-from .simulate import run_chunked
+from .simulate import run_chunked, standard_error
 from .solver import NotThreshold, extract_threshold, solve_stopping
 
 DEFAULT_HORIZON_CAP = 10_000
@@ -263,7 +262,7 @@ def ks_cost_estimate(
     delay, fa, capped, change = table.T
     per_path = d * delay + fa
     mean = float(per_path.mean())
-    se = float(per_path.std(ddof=1) / math.sqrt(num_paths)) if num_paths > 1 else 0.0
+    se = standard_error(per_path)
     return KsCostEstimate(
         delay_term=float(d * delay.mean()),
         false_alarm=float(fa.mean()),

@@ -242,6 +242,12 @@ def _check_stopping_evaluable(model: PomdpModel, policy) -> None:
         )
 
 
+def standard_error(samples: np.ndarray) -> float:
+    """Standard error of the sample mean; 0.0 for fewer than two samples."""
+    n = samples.size
+    return float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+
+
 def evaluate_policy(
     model: PomdpModel,
     policy,
@@ -273,10 +279,9 @@ def evaluate_policy(
     )
     costs = table[:, 0]
     cap_hits = int(table[:, 1].sum()) if model.is_stopping else 0
-    se = float(costs.std(ddof=1) / math.sqrt(num_paths)) if num_paths > 1 else 0.0
     return EvalResult(
         mean=float(costs.mean()),
-        std_error=se,
+        std_error=standard_error(costs),
         num_paths=num_paths,
         horizon=horizon,
         truncation_bound=bound,
@@ -317,6 +322,8 @@ def compare_policies(
     difference (a minus b); ``a_not_worse`` counts beliefs where the
     difference is within three standard errors of nonpositive.
     """
+    if num_paths < 1:
+        raise ValueError("num_paths must be >= 1")
     if model.discount < 1.0:
         horizon, _ = discounted_horizon(model, tolerance)
         horizon = min(horizon, horizon_cap)
@@ -340,13 +347,13 @@ def compare_policies(
             model, policy_b, pi0, num_paths, horizon, seed=pair_seeds[i], workers=workers
         )[:, 0]
         diff = cost_a - cost_b
-        se_diff = float(diff.std(ddof=1) / math.sqrt(num_paths)) if num_paths > 1 else 0.0
+        se_diff = standard_error(diff)
         row = {
             "initial_belief": pi0.probs.tolist(),
             "mean_a": float(cost_a.mean()),
-            "se_a": float(cost_a.std(ddof=1) / math.sqrt(num_paths)),
+            "se_a": standard_error(cost_a),
             "mean_b": float(cost_b.mean()),
-            "se_b": float(cost_b.std(ddof=1) / math.sqrt(num_paths)),
+            "se_b": standard_error(cost_b),
             "mean_diff": float(diff.mean()),
             "se_diff": se_diff,
             "num_paths": num_paths,

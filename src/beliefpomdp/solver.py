@@ -229,6 +229,17 @@ def _iterate(tables: BackupTables, tol: float, max_iters: int):
     return values, actions, log
 
 
+def _solve(model: PomdpModel, grid: SimplexGrid, tol: float, max_iters: int) -> SolveResult:
+    """The body shared by the public solvers, which only add precondition
+    checks; none of them calls another, so a wrapper around each public
+    solver sees exactly one solve."""
+    tables = build_tables(model, grid)
+    values, actions, log = _iterate(tables, tol, max_iters)
+    return SolveResult(
+        value=ValueFunction(grid, values), policy=Policy(grid, actions), log=log
+    )
+
+
 def solve_discounted(
     model: PomdpModel,
     grid: SimplexGrid,
@@ -244,11 +255,7 @@ def solve_discounted(
         raise PreconditionFailed("use solve_stopping for stopping_time models")
     if not model.discount < 1.0:
         raise PreconditionFailed("solve_discounted requires discount < 1")
-    tables = build_tables(model, grid)
-    values, actions, log = _iterate(tables, tol, max_iters)
-    return SolveResult(
-        value=ValueFunction(grid, values), policy=Policy(grid, actions), log=log
-    )
+    return _solve(model, grid, tol, max_iters)
 
 
 def solve_stopping(
@@ -267,18 +274,17 @@ def solve_stopping(
         raise PreconditionFailed("solve_stopping requires a stopping_time model")
     if model.discount > 1.0:
         raise PreconditionFailed("discount must be <= 1")
-    tables = build_tables(model, grid)
-    values, actions, log = _iterate(tables, tol, max_iters)
-    return SolveResult(
-        value=ValueFunction(grid, values), policy=Policy(grid, actions), log=log
-    )
+    return _solve(model, grid, tol, max_iters)
 
 
-@dataclass
-class RelaxedSolveResult:
-    value: RelaxedValueFunction
-    policy: Policy
-    log: IterationLog
+def check_relaxed(model: PomdpModel) -> None:
+    """Raise unless the orthant recursion is defined: linear costs, discounted."""
+    if model.nonlinear_cost.family != "none":
+        raise PreconditionFailed(
+            "the relaxed recursion is defined for linear costs only"
+        )
+    if model.is_stopping or not model.discount < 1.0:
+        raise PreconditionFailed("the relaxed recursion requires a discounted model")
 
 
 def solve_relaxed(
@@ -286,27 +292,17 @@ def solve_relaxed(
     grid: SimplexGrid,
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
-) -> RelaxedSolveResult:
+) -> SolveResult:
     """Value iteration for the orthant Bellman recursion of a linear-cost model.
 
     For unnormalized alpha the backup term W(B_y(u) P'(u) alpha) equals
     sigma * V(posterior) by homogeneity, so on the simplex the recursion
-    coincides with the normalized one; the result carries the homogeneous
+    coincides with the normalized one and the result is the simplex
+    solution; ``RelaxedValueFunction(result.value)`` is its homogeneous
     extension to the whole orthant.
     """
-    if model.nonlinear_cost.family != "none":
-        raise PreconditionFailed(
-            "the relaxed recursion is defined for linear costs only"
-        )
-    if model.is_stopping or not model.discount < 1.0:
-        raise PreconditionFailed("solve_relaxed requires a discounted model")
-    tables = build_tables(model, grid)
-    values, actions, log = _iterate(tables, tol, max_iters)
-    return RelaxedSolveResult(
-        value=RelaxedValueFunction(ValueFunction(grid, values)),
-        policy=Policy(grid, actions),
-        log=log,
-    )
+    check_relaxed(model)
+    return _solve(model, grid, tol, max_iters)
 
 
 def bellman_backup(model: PomdpModel, value: ValueFunction, belief: Belief):

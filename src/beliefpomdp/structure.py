@@ -24,12 +24,14 @@ from .grid import SimplexGrid, build_grid
 from .model import Belief, PomdpModel
 from .reports import OrderCheckReport, make_report
 from .solver import (
+    RelaxedValueFunction,
+    SolveResult,
     ValueFunction,
     build_tables,
+    check_relaxed,
     continuation_values,
     q_values,
     solve_discounted,
-    solve_relaxed,
 )
 
 MINOR_TOL = 1e-12
@@ -40,6 +42,15 @@ PAIR_BLOCK = 1 << 16
 #: stop-point pairs per convexity block; ``samples`` at the first violation
 #: counts the whole block it falls in, so changing this changes reports
 CONVEX_BLOCK = 500_000
+#: myopic bound: Jensen tolerance per unit of value scale, the absolute Q
+#: tolerance, and the cost margin by which sensor 2 counts as cheaper
+JENSEN_TOLERANCE_SCALE = 1e-8
+Q_TOLERANCE = 1e-9
+STRICTNESS_MARGIN = 1e-9
+#: conjecture probe: MLR tolerance per unit of value scale, and the solve
+PROBE_TOLERANCE_SCALE = 1e-6
+PROBE_SOLVER_TOL = 1e-9
+PROBE_MAX_ITERS = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -205,13 +216,13 @@ def verify_concavity(
     )
 
 
-def verify_stopping_set_convex(policy, grid: SimplexGrid | None = None) -> OrderCheckReport:
+def verify_stopping_set_convex(policy) -> OrderCheckReport:
     """Sweep all stop-region pairs with on-grid midpoints for convexity.
 
     The stop region is the set of grid points with action 1; a violation
     is a pair of stop points whose midpoint continues.
     """
-    grid = grid or policy.grid
+    grid = policy.grid
     if grid.resolution % 2 != 0:
         raise PreconditionFailed("convexity sweep needs an even grid resolution")
     stop_idx = np.flatnonzero(policy.actions == 1)
@@ -262,21 +273,28 @@ def verify_stopping_set_convex(policy, grid: SimplexGrid | None = None) -> Order
 
 def verify_homogeneity(
     model: PomdpModel,
-    grid: SimplexGrid,
+    value: ValueFunction,
     kappas=(0.001, 0.5, 1.0, 2.0, 7.3),
     num_samples: int = 50,
     tolerance: float = 1e-10,
     seed: int = 0,
-    tol: float = 1e-9,
-    max_iters: int = 100_000,
 ) -> OrderCheckReport:
     """Check W(kappa * alpha) = kappa * W(alpha) on sampled orthant points.
 
-    Violations are scaled by max(1, kappa * |W|) so the tolerance is
-    relative to the value magnitude at each scale.
+    ``value`` is the model's solved simplex value function and W its
+    homogeneous extension; the model must satisfy ``solve_relaxed``'s
+    preconditions, and every kappa must be finite and positive, since the
+    property is defined on the open orthant only.  Violations are scaled
+    by max(1, kappa * |W|) so the tolerance is relative to the value
+    magnitude at each scale.
     """
-    relaxed = solve_relaxed(model, grid, tol=tol, max_iters=max_iters)
-    w = relaxed.value
+    check_relaxed(model)
+    kappas = tuple(float(k) for k in kappas)
+    if not kappas or not all(np.isfinite(k) and k > 0.0 for k in kappas):
+        raise PreconditionFailed(
+            f"homogeneity needs finite positive scales, got {list(kappas)}"
+        )
+    w = RelaxedValueFunction(value)
     scale = max(1.0, w.scale())
     rng = np.random.default_rng(seed)
     alphas = rng.uniform(0.05, 2.0, size=(num_samples, model.num_states))
@@ -295,7 +313,7 @@ def verify_homogeneity(
         worst,
         tolerance,
         witness=witness,
-        samples=num_samples * len(tuple(kappas)),
+        samples=num_samples * len(kappas),
     )
 
 
@@ -403,14 +421,7 @@ def random_a1a2_non_tp2_model(rng, num_obs: int | None = None, discount: float =
     )
 
 
-def conjecture_probe(
-    model_generator,
-    num_models: int,
-    resolution: int = 200,
-    tolerance_scale: float = 1e-6,
-    solver_tol: float = 1e-9,
-    max_iters: int = 100_000,
-) -> dict:
+def conjecture_probe(model_generator, num_models: int, resolution: int = 200) -> dict:
     """Search for an MLR-monotonicity counterexample in a model stream.
 
     ``model_generator(index)`` must yield models; each is solved and its
@@ -422,8 +433,8 @@ def conjecture_probe(
         model = model_generator(index)
         if grid is None or grid.num_states != model.num_states:
             grid = build_grid(model.num_states, resolution)
-        result = solve_discounted(model, grid, tol=solver_tol, max_iters=max_iters)
-        tolerance = tolerance_scale * max(1.0, result.value.scale())
+        result = solve_discounted(model, grid, tol=PROBE_SOLVER_TOL, max_iters=PROBE_MAX_ITERS)
+        tolerance = PROBE_TOLERANCE_SCALE * max(1.0, result.value.scale())
         report = verify_mlr_monotone_value(result.value, tolerance)
         if not report.holds:
             return {
@@ -528,16 +539,8 @@ def blackwell_factorize(
     )
 
 
-def verify_myopic_bound(
-    model: PomdpModel,
-    grid: SimplexGrid,
-    solver_tol: float = 1e-9,
-    max_iters: int = 100_000,
-    jensen_tolerance_scale: float = 1e-8,
-    q_tolerance: float = 1e-9,
-    strictness_margin: float = 1e-9,
-) -> OrderCheckReport:
-    """Certify the myopic lower bound on a two-sensor model.
+def verify_myopic_bound(model: PomdpModel, solution: SolveResult) -> OrderCheckReport:
+    """Certify the myopic lower bound on a two-sensor model's solution.
 
     Requires both actions to share the transition matrix and sensor 2 to
     Blackwell-dominate sensor 1.  Checks, at every grid point: (a) the
@@ -546,8 +549,10 @@ def verify_myopic_bound(
     cheaper instantaneously, Q(pi, 2) <= Q(pi, 1), so the optimal policy
     sits above the myopic one with ties resolved by Q comparison.
 
-    The reported worst violation is normalized: each raw defect is
-    divided by its own tolerance, so "holds" means both checks pass.
+    The backup tables are built on ``solution``'s grid and evaluated at
+    its values.  The reported worst violation is normalized: each raw
+    defect is divided by its own tolerance, so "holds" means both checks
+    pass.
     """
     if model.num_actions != 2:
         raise PreconditionFailed("myopic bound check needs exactly two sensing modes")
@@ -564,17 +569,17 @@ def verify_myopic_bound(
             f"(residual {fac.residual:.3e})"
         )
 
-    result = solve_discounted(model, grid, tol=solver_tol, max_iters=max_iters)
-    values = result.value.values
+    grid = solution.value.grid
+    values = solution.value.values
     tables = build_tables(model, grid)
     cont1 = continuation_values(tables, values, 1)
     cont2 = continuation_values(tables, values, 2)
     jensen_gap = cont2 - cont1
-    jensen_tol = jensen_tolerance_scale * max(1.0, result.value.scale())
+    jensen_tol = JENSEN_TOLERANCE_SCALE * max(1.0, solution.value.scale())
     jensen_worst = int(np.argmax(jensen_gap))
 
     q = q_values(tables, values)
-    cheaper2 = tables.cost[1] < tables.cost[0] - strictness_margin
+    cheaper2 = tables.cost[1] < tables.cost[0] - STRICTNESS_MARGIN
     if np.any(cheaper2):
         q_gap = np.where(cheaper2, q[1] - q[0], -np.inf)
         q_worst = int(np.argmax(q_gap))
@@ -583,13 +588,13 @@ def verify_myopic_bound(
         q_worst, q_worst_val = None, -np.inf
 
     myopic = np.where(cheaper2, 2, 1)
-    policy_ok = (result.policy.actions >= myopic) | (
-        cheaper2 & (q[1] <= q[0] + q_tolerance)
+    policy_ok = (solution.policy.actions >= myopic) | (
+        cheaper2 & (q[1] <= q[0] + Q_TOLERANCE)
     )
 
     ratios = [jensen_gap[jensen_worst] / jensen_tol]
     if q_worst is not None:
-        ratios.append(q_worst_val / q_tolerance)
+        ratios.append(q_worst_val / Q_TOLERANCE)
     worst_ratio = float(max(ratios))
     witness_idx = jensen_worst if ratios[0] == worst_ratio else q_worst
     return make_report(
@@ -601,7 +606,7 @@ def verify_myopic_bound(
         jensen_worst=float(jensen_gap[jensen_worst]),
         jensen_tolerance=float(jensen_tol),
         q_worst=(None if q_worst is None else q_worst_val),
-        q_tolerance=float(q_tolerance),
+        q_tolerance=Q_TOLERANCE,
         strict_set_size=int(np.count_nonzero(cheaper2)),
         policy_respects_bound=bool(np.all(policy_ok)),
         factorization_residual=float(fac.residual),

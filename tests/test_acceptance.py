@@ -21,6 +21,7 @@ from beliefpomdp.solver import (
     NotThreshold,
     extract_threshold,
     solve_discounted,
+    solve_relaxed,
     solve_stopping,
 )
 from beliefpomdp.structure import (
@@ -148,8 +149,8 @@ def test_acceptance_05_positive_homogeneity():
     kappas = (0.001, 0.5, 1.0, 2.0, 7.3)
     for name, m in (("monotone_a123.json", 200), ("linear_x3.json", 60)):
         model = load_model(fixture_path(name))
-        grid = build_grid(model.num_states, m)
-        report = verify_homogeneity(model, grid, kappas=kappas, tolerance=1e-10)
+        relaxed = solve_relaxed(model, build_grid(model.num_states, m), tol=1e-9)
+        report = verify_homogeneity(model, relaxed.value, kappas=kappas, tolerance=1e-10)
         assert report.holds, (name, report.worst_violation)
     budget.done("5 positive homogeneity (two linear fixtures, five scales)")
 
@@ -188,17 +189,12 @@ def test_acceptance_08_blackwell_myopic_bound():
         fac = blackwell_factorize(model.observation[0], model.observation[1])
         assert fac.residual <= 1e-6, name
 
-        grid = build_grid(2, 200)
-        report = verify_myopic_bound(
-            model,
-            grid,
-            solver_tol=1e-10,
-            jensen_tolerance_scale=1e-8,
-            q_tolerance=1e-9,
-        )
+        sol = solve_discounted(model, build_grid(2, 200), tol=1e-10)
+        report = verify_myopic_bound(model, sol)
         assert report.holds, (name, report.details)
+        assert report.details["jensen_tolerance"] == 1e-8 * max(1.0, sol.value.scale())
+        assert report.details["q_tolerance"] == 1e-9
 
-        sol = solve_discounted(model, grid, tol=1e-10)
         beliefs = default_initial_beliefs(2)[:5]
         comparison = compare_policies(
             model,

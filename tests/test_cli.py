@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from beliefpomdp import cli
+from beliefpomdp import cli, solver, structure
 from beliefpomdp.cli import main
 from beliefpomdp.grid import build_grid
 from beliefpomdp.model import fixture_path
@@ -16,8 +16,6 @@ from beliefpomdp.simulate import EvalResult, PolicyComparison
 from beliefpomdp.solver import (
     IterationLog,
     Policy,
-    RelaxedSolveResult,
-    RelaxedValueFunction,
     SolveResult,
     ValueFunction,
 )
@@ -28,6 +26,7 @@ NON_TP2 = str(fixture_path("non_tp2_observation.json"))
 MONO = str(fixture_path("monotone_a123.json"))
 CHAIN = str(fixture_path("ultrametric_chain.json"))
 LINEAR_X3 = str(fixture_path("linear_x3.json"))
+CHAIN_X3 = str(fixture_path("ultrametric_chain_x3.json"))
 
 
 def run(args):
@@ -36,6 +35,31 @@ def run(args):
 
 def manifest_sizes(folder):
     return json.loads((folder / "manifest.json").read_text())["sizes"]
+
+
+def error_text(result):
+    """What a command printed, stderr included."""
+    return result.output + (result.stderr_bytes or b"").decode()
+
+
+def count_solver_work(monkeypatch):
+    """Record each value iteration's sweep count and each table build's grid."""
+    work = {"sweeps": [], "table_grids": []}
+    iterate, build_tables = solver._iterate, solver.build_tables
+
+    def counting_iterate(tables, tol, max_iters):
+        values, actions, log = iterate(tables, tol, max_iters)
+        work["sweeps"].append(log.iterations)
+        return values, actions, log
+
+    def counting_build_tables(model, grid):
+        work["table_grids"].append(grid)
+        return build_tables(model, grid)
+
+    monkeypatch.setattr(solver, "_iterate", counting_iterate)
+    for module in (solver, structure):
+        monkeypatch.setattr(module, "build_tables", counting_build_tables)
+    return work
 
 
 def assert_convergence_trace(folder, summary):
@@ -137,6 +161,67 @@ class TestExitCodes:
         assert options["model_path"] == NON_TP2 and options["predicates"] == "tp2"
         assert options["resolution"] == 200 and options["out"] == str(tmp_path)
         assert manifest["sizes"] == {}
+        assert set(manifest) == {
+            "command",
+            "options",
+            "version",
+            "sizes",
+            "wall_time_s",
+            "exit_status",
+        }
+
+
+class TestVerify:
+    @pytest.mark.parametrize(
+        "model,resolution,predicates,table_builds",
+        [
+            (LINEAR_X3, 100, "homogeneity,mlr-monotone,fosd-cost", 1),
+            (CHAIN_X3, 150, "myopic-bound,concavity,ultrametric", 2),
+        ],
+        ids=["linear_x3", "ultrametric_chain_x3"],
+    )
+    def test_one_solve_per_command(
+        self, tmp_path, monkeypatch, model, resolution, predicates, table_builds
+    ):
+        """Every predicate reads the command's one solution; myopic-bound
+        builds its own tables, on that solution's grid."""
+        work = count_solver_work(monkeypatch)
+        args = ["--model", model, "--grid", str(resolution), "--predicates", predicates]
+        result = run(["verify", *args, "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        assert len(work["sweeps"]) == 1
+        grids = work["table_grids"]
+        assert len(grids) == table_builds
+        assert all(g is grids[0] for g in grids)
+        assert manifest_sizes(tmp_path) == {
+            "grid_points": (resolution + 1) * (resolution + 2) // 2,
+            "iterations": work["sweeps"][0],
+        }
+
+    @pytest.mark.parametrize(
+        "model,message",
+        [(FVP, "linear costs"), (QD, "discounted")],
+        ids=["entropy_cost", "stopping"],
+    )
+    def test_homogeneity_precondition_exits_one(self, tmp_path, model, message):
+        args = ["--model", model, "--grid", "20", "--predicates", "homogeneity"]
+        result = run(["verify", *args, "--out", str(tmp_path)])
+        assert result.exit_code == 1
+        assert message in error_text(result)
+        assert json.loads((tmp_path / "manifest.json").read_text())["exit_status"] == 1
+        assert not (tmp_path / "verify_homogeneity.json").exists()
+
+    @pytest.mark.parametrize("kappa", ["0", "-1", "abc"])
+    def test_bad_kappa_exits_one(self, tmp_path, kappa):
+        """W(0) = 0 = 0 * W would pass vacuously, and negative scales leave
+        the orthant where the property is defined."""
+        args = ["--model", MONO, "--grid", "20", "--predicates", "homogeneity"]
+        result = run(["verify", *args, "--kappa", kappa, "--out", str(tmp_path)])
+        assert result.exit_code == 1
+        assert "error:" in error_text(result)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["exit_status"] == 1 and manifest["options"]["kappa"] == kappa
+        assert not (tmp_path / "verify_homogeneity.json").exists()
 
 
 class TestCommands:
@@ -285,6 +370,22 @@ class TestCommands:
             "path_steps": 500 * horizon * 5 * 2,
         }
 
+    def test_compare_one_path_writes_finite_numbers(self, tmp_path):
+        """One path gives standard errors of 0, not NaN (which is not JSON)."""
+        args = ["--model", FVP, "--grid", "20", "--paths", "1", "--out", str(tmp_path)]
+        result = run(["compare", *args])
+        assert result.exit_code in (cli.EXIT_OK, cli.EXIT_VIOLATION), result.output
+
+        def refuse(constant):
+            raise ValueError(f"{constant} in compare_summary.json")
+
+        summary = json.loads(
+            (tmp_path / "compare_summary.json").read_text(), parse_constant=refuse
+        )
+        for row in summary["rows"]:
+            assert row["se_a"] == row["se_b"] == row["se_diff"] == 0.0
+        assert "nan" not in (tmp_path / "compare.csv").read_text()
+
     def test_conjecture_probe_small(self, tmp_path):
         result = run(
             [
@@ -356,7 +457,7 @@ def reference_solution_rows(grid, values, actions):
 SPECIAL_VALUES = [-0.0, 1e-300, 1e300, -1e300, -1e-300, 0.0, 5e-324, 1 / 3, -2.5e-7]
 
 
-def synthetic_solution(num_states, resolution, relaxed=False):
+def synthetic_solution(num_states, resolution):
     grid = build_grid(num_states, resolution)
     rng = np.random.default_rng(num_states * 10_000 + resolution)
     scale = 10.0 ** rng.integers(-30, 30, size=grid.num_points)
@@ -365,10 +466,7 @@ def synthetic_solution(num_states, resolution, relaxed=False):
     values[:head] = SPECIAL_VALUES[:head]
     actions = rng.integers(1, 4, size=grid.num_points)
     log = IterationLog(changes=[0.5, 1 / 3, 1e-300, -0.0, 7.25e-9], converged=True)
-    value = ValueFunction(grid, values)
-    if relaxed:
-        return RelaxedSolveResult(RelaxedValueFunction(value), Policy(grid, actions), log)
-    return SolveResult(value, Policy(grid, actions), log)
+    return SolveResult(ValueFunction(grid, values), Policy(grid, actions), log)
 
 
 class TestCsvOracle:
@@ -379,17 +477,19 @@ class TestCsvOracle:
         [(2, 1, False), (2, 1000, False), (3, 600, False), (3, 7, True), (4, 30, False)],
     )
     def test_solution_table(self, tmp_path, num_states, resolution, relaxed):
-        result = synthetic_solution(num_states, resolution, relaxed)
+        """``relaxed`` writes the table under ``solve-relaxed``'s file name."""
+        result = synthetic_solution(num_states, resolution)
         model = SimpleNamespace(num_states=num_states, is_stopping=False)
         run_stub = SimpleNamespace(dir=tmp_path, sizes={})
-        cli._write_solution(run_stub, model, result)
+        filename = "relaxed_values.csv" if relaxed else "value_policy.csv"
+        cli._write_solution(run_stub, model, result, filename=filename)
 
         grid = result.policy.grid
-        values = result.value.base.values if relaxed else result.value.values
+        values = result.value.values
         header = [f"pi{i}" for i in range(1, num_states + 1)] + ["value", "action"]
         rows = reference_solution_rows(grid, values, result.policy.actions)
         reference_write_csv(tmp_path / "reference.csv", header, rows)
-        got = (tmp_path / "value_policy.csv").read_bytes()
+        got = (tmp_path / filename).read_bytes()
         assert got == (tmp_path / "reference.csv").read_bytes()
         assert got.count(b"\n") == grid.num_points + 1
 

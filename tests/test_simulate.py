@@ -24,6 +24,7 @@ from beliefpomdp.simulate import (
     myopic_sensor_policy,
     run_chunked,
     simulate_path_costs,
+    standard_error,
 )
 from beliefpomdp.solver import Policy, solve_discounted, solve_stopping
 from conftest import qd_model, random_model, three_state_general, two_state_general
@@ -264,6 +265,19 @@ class TestComparePolicies:
         with pytest.raises(PreconditionFailed):
             compare_policies(model, constant_policy(1), constant_policy(2), [], num_paths=10)
 
+    def test_zero_paths_rejected(self):
+        model = two_state_general()
+        with pytest.raises(ValueError, match="num_paths"):
+            compare_policies(
+                model, constant_policy(1), constant_policy(2), [uniform_belief(2)], num_paths=0
+            )
+
+    def test_one_path_has_zero_standard_errors(self):
+        model = two_state_general()
+        args = (model, constant_policy(1), constant_policy(2), [uniform_belief(2)])
+        row = compare_policies(*args, num_paths=1, seed=3).rows[0]
+        assert (row["se_a"], row["se_b"], row["se_diff"]) == (0.0, 0.0, 0.0)
+
     def test_common_random_numbers_pair_paths(self):
         model = two_state_general()
         pi0 = uniform_belief(2)
@@ -328,3 +342,10 @@ def test_belief_step_raises_on_zero_likelihood_like_filter_update():
         _belief_step(model, np.array([[1.0, 0.0], [0.0, 1.0]]), 1, np.array([0, 0]))
     post = _belief_step(model, np.array([[1.0, 0.0], [0.5, 0.5]]), 1, np.array([0, 1]))
     np.testing.assert_array_equal(post, [[1.0, 0.0], [0.0, 1.0]])
+
+
+def test_standard_error():
+    assert standard_error(np.array([2.5])) == 0.0
+    assert standard_error(np.array([1.0, 3.0])) == 1.0
+    samples = np.arange(10.0)
+    assert standard_error(samples) == float(samples.std(ddof=1) / np.sqrt(10))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from beliefpomdp import solver
 from beliefpomdp.costs import NonlinearCostSpec, instantaneous_cost
 from beliefpomdp.errors import PreconditionFailed
 from beliefpomdp.filtering import filter_update
@@ -17,6 +18,7 @@ from beliefpomdp.model import (
 from beliefpomdp.solver import (
     NotThreshold,
     Policy,
+    RelaxedValueFunction,
     bellman_backup,
     extract_threshold,
     solve_discounted,
@@ -189,6 +191,24 @@ class TestSolveStopping:
         assert np.all(v[:-2] + v[2:] <= 2.0 * v[1:-1] + 1e-12)
 
 
+PUBLIC_SOLVERS = ("solve_discounted", "solve_stopping", "solve_relaxed")
+
+
+@pytest.mark.parametrize("name", PUBLIC_SOLVERS)
+def test_public_solvers_do_not_call_each_other(monkeypatch, name):
+    """A wrapper around each public solver must see exactly one solve."""
+    model = qd_model() if name == "solve_stopping" else two_state_general()
+    chosen = getattr(solver, name)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a public solver called another one")
+
+    for other in PUBLIC_SOLVERS:
+        if other != name:
+            monkeypatch.setattr(solver, other, refuse)
+    assert chosen(model, build_grid(2, 20), tol=1e-9).log.converged
+
+
 class TestSolveRelaxed:
     def test_requires_linear_costs(self):
         model = two_state_general(
@@ -199,12 +219,12 @@ class TestSolveRelaxed:
 
     def test_homogeneous_scaling(self, rng):
         model = two_state_general()
-        relaxed = solve_relaxed(model, build_grid(2, 100), tol=1e-10)
+        w = RelaxedValueFunction(solve_relaxed(model, build_grid(2, 100), tol=1e-10).value)
         for _ in range(20):
             alpha = rng.uniform(0.05, 3.0, size=2)
-            base = relaxed.value.at(alpha)
+            base = w.at(alpha)
             for kappa in (0.1, 1.0, 7.3):
-                scaled = relaxed.value.at(kappa * alpha)
+                scaled = w.at(kappa * alpha)
                 assert abs(scaled - kappa * base) <= 1e-10 * max(1.0, kappa * abs(base))
 
     def test_agrees_with_normalized_solve_on_simplex(self):
@@ -212,21 +232,20 @@ class TestSolveRelaxed:
         grid = build_grid(2, 100)
         relaxed = solve_relaxed(model, grid, tol=1e-10)
         plain = solve_discounted(model, grid, tol=1e-10)
-        np.testing.assert_allclose(
-            relaxed.value.base.values, plain.value.values, atol=1e-12
-        )
+        np.testing.assert_array_equal(relaxed.value.values, plain.value.values)
+        np.testing.assert_array_equal(relaxed.policy.actions, plain.policy.actions)
 
     def test_small_scale_ratio_independent_of_epsilon(self, rng):
         model = two_state_general()
-        relaxed = solve_relaxed(model, build_grid(2, 80), tol=1e-10)
+        w = RelaxedValueFunction(solve_relaxed(model, build_grid(2, 80), tol=1e-10).value)
         alpha = rng.uniform(0.5, 1.5, size=2)
-        ratios = [relaxed.value.at(eps * alpha) / eps for eps in (1e-3, 1e-2, 1e-1)]
+        ratios = [w.at(eps * alpha) / eps for eps in (1e-3, 1e-2, 1e-1)]
         np.testing.assert_allclose(ratios, ratios[0], rtol=1e-10)
 
     def test_zero_vector_has_zero_value(self):
         model = two_state_general()
-        relaxed = solve_relaxed(model, build_grid(2, 40))
-        assert relaxed.value.at(np.zeros(2)) == 0.0
+        w = RelaxedValueFunction(solve_relaxed(model, build_grid(2, 40)).value)
+        assert w.at(np.zeros(2)) == 0.0
 
 
 class TestExtractThreshold:

@@ -10,7 +10,13 @@ from beliefpomdp.costs import NonlinearCostSpec
 from beliefpomdp.errors import NegativeEigenvalue, PreconditionFailed
 from beliefpomdp.grid import build_grid
 from beliefpomdp.model import Belief, PomdpModel, unit_belief
-from beliefpomdp.solver import Policy, ValueFunction, solve_discounted, solve_stopping
+from beliefpomdp.solver import (
+    Policy,
+    ValueFunction,
+    solve_discounted,
+    solve_relaxed,
+    solve_stopping,
+)
 from beliefpomdp.structure import (
     blackwell_factorize,
     conjecture_probe,
@@ -28,7 +34,7 @@ from beliefpomdp.structure import (
     verify_myopic_bound,
     verify_stopping_set_convex,
 )
-from conftest import three_state_general, two_state_general
+from conftest import qd_model, three_state_general, two_state_general
 
 
 class TestTp2:
@@ -237,14 +243,39 @@ def materialized_convexity_scan(policy, block):
 class TestHomogeneity:
     def test_linear_fixture_passes(self):
         model = two_state_general()
-        report = verify_homogeneity(model, build_grid(2, 60), kappas=(1.0, 2.0))
+        relaxed = solve_relaxed(model, build_grid(2, 60), tol=1e-9)
+        report = verify_homogeneity(model, relaxed.value, kappas=(1.0, 2.0))
         assert report.holds
         assert report.worst_violation < 1e-12
 
     def test_kappa_one_is_exact(self):
         model = two_state_general()
-        report = verify_homogeneity(model, build_grid(2, 40), kappas=(1.0,))
+        relaxed = solve_relaxed(model, build_grid(2, 40), tol=1e-9)
+        report = verify_homogeneity(model, relaxed.value, kappas=(1.0,))
         assert report.worst_violation == 0.0
+
+    @pytest.mark.parametrize("kappas", [(0.0,), (2.0, -1.0), (np.inf,), (np.nan,), ()])
+    def test_kappas_must_be_finite_and_positive(self, kappas):
+        model = two_state_general()
+        value = solve_relaxed(model, build_grid(2, 20), tol=1e-9).value
+        with pytest.raises(PreconditionFailed, match="finite positive"):
+            verify_homogeneity(model, value, kappas=kappas)
+
+    def test_rejects_nonlinear_cost(self):
+        """Extending a nonlinear-cost value is homogeneous by construction, so
+        the report would pass vacuously; the verifier refuses the model."""
+        model = two_state_general(
+            nonlinear=NonlinearCostSpec("entropy", alpha=[1.0, 1.0], beta=[0.0, 0.0])
+        )
+        value = solve_discounted(model, build_grid(2, 20), tol=1e-9).value
+        with pytest.raises(PreconditionFailed, match="linear costs"):
+            verify_homogeneity(model, value)
+
+    def test_rejects_stopping_model(self):
+        model = qd_model()
+        value = solve_stopping(model, build_grid(2, 20), tol=1e-9).value
+        with pytest.raises(PreconditionFailed, match="discounted"):
+            verify_homogeneity(model, value)
 
 
 class TestMlrMonotoneValue:
@@ -378,15 +409,17 @@ class TestMyopicBound:
             nonlinear_cost=spec,
             discount=0.9,
         )
-        report = verify_myopic_bound(model, build_grid(2, 100))
+        sol = solve_discounted(model, build_grid(2, 100), tol=1e-9)
+        report = verify_myopic_bound(model, sol)
         assert report.holds
         assert report.details["strict_set_size"] > 0
         assert report.details["policy_respects_bound"]
 
     def test_rejects_action_dependent_transitions(self):
         model = two_state_general()
+        sol = solve_discounted(model, build_grid(2, 20), tol=1e-9)
         with pytest.raises(PreconditionFailed, match="transition"):
-            verify_myopic_bound(model, build_grid(2, 20))
+            verify_myopic_bound(model, sol)
 
     def test_rejects_non_dominant_sensors(self):
         shared_p = [[0.9, 0.1], [0.2, 0.8]]
@@ -399,8 +432,9 @@ class TestMyopicBound:
             linear_cost=([0.0, 0.0], [0.3, 0.3]),
             discount=0.9,
         )
+        sol = solve_discounted(model, build_grid(2, 20), tol=1e-9)
         with pytest.raises(PreconditionFailed, match="dominate"):
-            verify_myopic_bound(model, build_grid(2, 20))
+            verify_myopic_bound(model, sol)
 
     def test_empty_strict_set_passes_vacuously(self):
         shared_p = [[0.9, 0.1], [0.2, 0.8]]
@@ -413,7 +447,8 @@ class TestMyopicBound:
             linear_cost=([0.0, 0.0], [0.5, 0.5]),  # sensor 2 never cheaper
             discount=0.9,
         )
-        report = verify_myopic_bound(model, build_grid(2, 60))
+        sol = solve_discounted(model, build_grid(2, 60), tol=1e-9)
+        report = verify_myopic_bound(model, sol)
         assert report.holds
         assert report.details["strict_set_size"] == 0
 
@@ -501,5 +536,5 @@ def test_jensen_check_consistent_with_concavity(rng):
     grid = build_grid(2, 100)
     sol = solve_discounted(model, grid, tol=1e-9)
     assert verify_concavity(sol.value, tolerance=1e-6 * sol.value.scale()).holds
-    report = verify_myopic_bound(model, grid)
+    report = verify_myopic_bound(model, sol)
     assert report.holds
