@@ -137,6 +137,12 @@ def fail(run: Run, message: str):
     run.finish()
 
 
+def require_positive(run: Run, option: str, value: int):
+    """Fail on a count below one, which would make a vacuous or empty run."""
+    if value < 1:
+        fail(run, f"{option} must be at least 1, got {value}")
+
+
 model_option = click.option("--model", "model_path", required=True, type=click.Path(exists=True))
 grid_option = click.option("--grid", "resolution", default=200, show_default=True, type=int)
 tol_option = click.option("--tol", default=1e-8, show_default=True, type=float)
@@ -366,8 +372,13 @@ def qd_threshold_cmd(model_path, resolution, tol, max_iters, out):
         write_json(run.dir / "qd_threshold.json", {"error": str(exc)})
         run.violation()
         run.finish()
+    _record_qd_sizes(run, result)
     write_json(run.dir / "qd_threshold.json", result.to_dict())
     run.finish()
+
+
+def _record_qd_sizes(run, result):
+    run.sizes.update({"grid_points": result.grid_points, "iterations": result.iterations})
 
 
 @main.command("qd-simulate")
@@ -382,10 +393,12 @@ def qd_threshold_cmd(model_path, resolution, tol, max_iters, out):
 def qd_simulate(model_path, resolution, tol, max_iters, paths, seed, workers, out):
     """Monte Carlo delay/false-alarm cost of the solved threshold rule."""
     run = Run(out)
+    require_positive(run, "--paths", paths)
     model = _load(run, model_path)
     try:
         spec = spec_from_model(model)
         solved = qd_threshold(spec, resolution=resolution, tol=tol, max_iters=max_iters)
+        _record_qd_sizes(run, solved)
         estimate = ks_cost_estimate(
             spec, solved.threshold, num_paths=paths, seed=seed, workers=workers
         )
@@ -487,6 +500,7 @@ def _initial_belief_set(num_states):
 def evaluate(model_path, resolution, tol, max_iters, paths, seed, workers, out):
     """Monte Carlo cost of the grid-optimal policy from standard start beliefs."""
     run = Run(out)
+    require_positive(run, "--paths", paths)
     model = _load(run, model_path)
     try:
         result = _solve_any(model, resolution, tol, max_iters)
@@ -527,6 +541,7 @@ def evaluate(model_path, resolution, tol, max_iters, paths, seed, workers, out):
 def compare(model_path, resolution, tol, max_iters, paths, seed, workers, out):
     """Paired comparison: grid-optimal policy against the myopic sensor rule."""
     run = Run(out)
+    require_positive(run, "--paths", paths)
     model = _load(run, model_path)
     try:
         result = _solve_any(model, resolution, tol, max_iters)
@@ -575,12 +590,15 @@ def compare(model_path, resolution, tol, max_iters, paths, seed, workers, out):
 def conjecture_probe_cmd(num_models, resolution, seed, out):
     """Random search for a monotonicity counterexample without TP2 sensors."""
     run = Run(out)
-    streams = np.random.SeedSequence(seed).spawn(max(num_models, 1))
+    require_positive(run, "--num-models", num_models)
+    streams = np.random.SeedSequence(seed).spawn(num_models)
 
     def generator(index):
         return structure.random_a1a2_non_tp2_model(np.random.default_rng(streams[index]))
 
-    summary = structure.conjecture_probe(generator, num_models, resolution=resolution)
+    summary = structure.conjecture_probe(
+        generator, num_models, resolution=resolution, sizes=run.sizes
+    )
     write_json(run.dir / "conjecture_probe.json", summary)
     if summary["counterexample_found"]:
         run.violation()

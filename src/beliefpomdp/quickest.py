@@ -114,6 +114,9 @@ def spec_from_model(model: PomdpModel) -> QdSpec:
 
 @dataclass
 class QdThresholdResult:
+    """The solved threshold and its solve; ``to_dict`` leaves out
+    ``grid_points``, which the CLI records in the manifest's sizes."""
+
     threshold: float
     resolution: int
     iterations: int
@@ -121,6 +124,7 @@ class QdThresholdResult:
     converged: bool
     value_at_start: float
     stop_points: int
+    grid_points: int
 
     def to_dict(self) -> dict:
         return {
@@ -163,6 +167,7 @@ def qd_threshold(
         converged=result.log.converged,
         value_at_start=result.value.at(initial_belief()),
         stop_points=int(np.count_nonzero(result.policy.actions == 1)),
+        grid_points=grid.num_points,
     )
 
 

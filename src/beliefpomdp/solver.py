@@ -11,7 +11,9 @@ All per-point filter posteriors, normalizers, and interpolation weights
 are precomputed once: for each action the continuation is then a fixed
 sparse map of the value vector (Lovejoy's Freudenthal interpolation,
 Operations Research 39(1), 1991), and one sweep is a gather and a row
-sum per action followed by the minimum over actions.
+sum per action followed by the minimum over actions.  Models that share
+``stack_key`` stack into one block-diagonal operator, so one sweep
+advances all of them; a single model is a stack of one.
 """
 
 from __future__ import annotations
@@ -124,15 +126,19 @@ class SolveResult:
 
 @dataclass
 class BackupTables:
-    """Per-action backup operators over the grid.
+    """Per-action backup operators over the grid, for one model or a stack.
 
-    ``sigma[u, y, n]`` is the observation normalizer at grid point n;
-    rows beyond an action's alphabet are zero-padded.  ``vert_idx[u]`` and
-    ``vert_w[u]``, both shaped (N, Y * X) and observation-major, hold the
-    barycentric footprint of every posterior T(pi_n, y, u) with its
-    weights premultiplied by sigma, so the continuation of action u is
-    the sparse product sum_k vert_w[u, n, k] * V[vert_idx[u, n, k]].
-    Padded and impossible observations have zero weight on vertex 0.
+    A stack of B models that share ``stack_key`` has B * N point rows,
+    model-major: row b * N + n is model b's grid point n, and that row's
+    footprint indexes model b's own rows, so the operators are
+    block-diagonal.  ``sigma[u, y, r]`` is the observation normalizer at
+    row r; rows beyond an action's alphabet are zero-padded.
+    ``vert_idx[u]`` and ``vert_w[u]``, both shaped (B * N, Y * X) and
+    observation-major, hold the barycentric footprint of every posterior
+    T(pi_n, y, u) with its weights premultiplied by sigma, so the
+    continuation of action u is the sparse product sum_k vert_w[u, r, k] *
+    V[vert_idx[u, r, k]].  Padded and impossible observations have zero
+    weight on vertex 0.
     """
 
     cost: np.ndarray
@@ -141,40 +147,82 @@ class BackupTables:
     vert_w: np.ndarray
     has_continuation: np.ndarray
     discount: float
+    num_models: int
+
+
+def stack_key(model: PomdpModel) -> tuple:
+    """What models must share to be solved in one stack.
+
+    The table width X * max Y is part of it: the sweep's row sums may
+    round differently over a zero-padded row, so a model stacked at
+    another width would no longer match its own solve bit for bit.
+    """
+    width = model.num_states * max(model.num_observations)
+    return (model.num_states, model.num_actions, width, model.discount, model.is_stopping)
 
 
 def build_tables(model: PomdpModel, grid: SimplexGrid) -> BackupTables:
-    if grid.num_states != model.num_states:
+    return stack_tables([model], grid)
+
+
+def stack_tables(models: list, grid: SimplexGrid) -> BackupTables:
+    """Block-diagonal backup tables of models that share ``stack_key``.
+
+    Posteriors go through ``grid.barycentric`` once per action,
+    observation and block of TABLE_BLOCK stacked rows, whichever models
+    the block spans.
+    """
+    first = models[0]
+    if any(stack_key(m) != stack_key(first) for m in models):
+        raise ValueError("stacked models must share stack_key")
+    if grid.num_states != first.num_states:
         raise ValueError("grid dimension does not match the model")
     pts = grid.points
     n = grid.num_points
-    x = model.num_states
-    u_count = model.num_actions
-    y_max = max(model.num_observations)
+    x = first.num_states
+    u_count = first.num_actions
+    rows = len(models) * n
+    y_max = max(first.num_observations)
 
-    cost = np.zeros((u_count, n))
-    sigma = np.zeros((u_count, y_max, n))
+    cost = np.zeros((u_count, rows))
+    sigma = np.zeros((u_count, y_max, rows))
     # intp, not int32: numpy converts any other index dtype on every gather
-    vert_idx = np.zeros((u_count, n, y_max * x), dtype=np.intp)
-    vert_w = np.zeros((u_count, n, y_max * x))
+    vert_idx = np.zeros((u_count, rows, y_max * x), dtype=np.intp)
+    vert_w = np.zeros((u_count, rows, y_max * x))
     has_cont = np.ones(u_count, dtype=np.uint8)
 
     for u in range(1, u_count + 1):
-        cost[u - 1] = instantaneous_cost_batch(model, pts, u)
-        if model.is_stopping and u == 1:
+        for b, model in enumerate(models):
+            cost[u - 1, b * n : (b + 1) * n] = instantaneous_cost_batch(model, pts, u)
+        if first.is_stopping and u == 1:
             has_cont[u - 1] = 0
             continue
-        for lo in range(0, n, TABLE_BLOCK):
-            block = slice(lo, lo + TABLE_BLOCK)
-            predicted = pts[block] @ model.transition[u - 1]
-            for y in range(1, model.num_observations[u - 1] + 1):
-                z = predicted * model.observation[u - 1][:, y - 1][None, :]
+        # likelihood[b, y] is column y of model b's observation matrix
+        likelihood = np.zeros((len(models), y_max, x))
+        for b, model in enumerate(models):
+            likelihood[b, : model.num_observations[u - 1]] = model.observation[u - 1].T
+        for lo in range(0, rows, TABLE_BLOCK):
+            hi = min(lo + TABLE_BLOCK, rows)
+            block = slice(lo, hi)
+            # one matmul per model the block spans, as a single-model build
+            # computes it; a batched einsum would round differently
+            predicted = np.concatenate(
+                [
+                    pts[max(lo - b * n, 0) : hi - b * n] @ models[b].transition[u - 1]
+                    for b in range(lo // n, (hi - 1) // n + 1)
+                ]
+            )
+            owner = np.arange(lo, hi) // n  # the model of each row
+            for y in range(y_max):
+                z = likelihood[owner, y]
+                z *= predicted
                 s = z.sum(axis=1)
-                sigma[u - 1, y - 1, block] = s
+                sigma[u - 1, y, block] = s
                 live = s > 0.0
                 if np.any(live):
                     idx, w = grid.barycentric(z[live] / s[live, None])
-                    cols = slice((y - 1) * x, y * x)
+                    idx += n * owner[live, None]
+                    cols = slice(y * x, (y + 1) * x)
                     vert_idx[u - 1, block, cols][live] = idx
                     vert_w[u - 1, block, cols][live] = s[live, None] * w
     return BackupTables(
@@ -183,17 +231,18 @@ def build_tables(model: PomdpModel, grid: SimplexGrid) -> BackupTables:
         vert_idx=vert_idx,
         vert_w=vert_w,
         has_continuation=has_cont,
-        discount=model.discount,
+        discount=first.discount,
+        num_models=len(models),
     )
 
 
 def continuation_values(tables: BackupTables, values: np.ndarray, u: int) -> np.ndarray:
-    """sum_y V(T(pi, y, u)) sigma(pi, y, u) at every grid point."""
+    """sum_y V(T(pi, y, u)) sigma(pi, y, u) at every point row."""
     return np.einsum("nk,nk->n", tables.vert_w[u - 1], values[tables.vert_idx[u - 1]])
 
 
 def q_values(tables: BackupTables, values: np.ndarray) -> np.ndarray:
-    """Q(n, u) for every grid point and action, shaped (U, N)."""
+    """Q(r, u) for every point row and action, shaped (U, B * N)."""
     q = tables.cost.copy()
     for u in np.flatnonzero(tables.has_continuation):
         q[u] += tables.discount * continuation_values(tables, values, u + 1)
@@ -214,30 +263,60 @@ def sweep_once(tables: BackupTables, values: np.ndarray):
 
 
 def _iterate(tables: BackupTables, tol: float, max_iters: int):
-    n = tables.cost.shape[1]
-    values = np.zeros(n)
-    actions = np.ones(n, dtype=np.int32)
-    log = IterationLog(tol=tol)
+    """Value iteration from V = 0 on every stacked model at once.
+
+    Returns per-model lists (values, actions, logs).  The sup-norm change
+    is taken per model, and each model keeps the iterate, actions and
+    change log of the sweep at which its change fell below ``tol``, or of
+    the last sweep if it never did.
+    """
+    count = tables.num_models
+    values = np.zeros(tables.cost.shape[1])
+    actions = np.ones(values.size, dtype=np.int32)
+    logs = [IterationLog(tol=tol) for _ in range(count)]
+    # each model's rows of the last sweep it took part in; sweep_once
+    # returns fresh arrays, so no later sweep writes into them
+    kept_values = list(values.reshape(count, -1))
+    kept_actions = list(actions.reshape(count, -1))
+    running = range(count)
     for _ in range(max_iters):
         new_values, actions = sweep_once(tables, values)
-        change = float(np.max(np.abs(new_values - values)))
-        log.changes.append(change)
+        change = np.abs(new_values - values).reshape(count, -1).max(axis=1).tolist()
         values = new_values
-        if change < tol:
-            log.converged = True
+        value_rows, action_rows = values.reshape(count, -1), actions.reshape(count, -1)
+        for b in running:
+            logs[b].changes.append(change[b])
+            logs[b].converged = change[b] < tol
+            kept_values[b], kept_actions[b] = value_rows[b], action_rows[b]
+        running = [b for b in running if not logs[b].converged]
+        if not running:
             break
-    return values, actions, log
+    return kept_values, kept_actions, logs
+
+
+def _results(tables: BackupTables, grid: SimplexGrid, tol: float, max_iters: int) -> list:
+    values, actions, logs = _iterate(tables, tol, max_iters)
+    return [
+        SolveResult(value=ValueFunction(grid, v), policy=Policy(grid, a), log=log)
+        for v, a, log in zip(values, actions, logs)
+    ]
+
+
+def solve_stack(models: list, grid: SimplexGrid, tol: float, max_iters: int) -> list:
+    """Solve models that share ``stack_key`` as one block-diagonal value
+    iteration; result b is bit-identical to solving model b alone.
+
+    It checks no preconditions: callers apply the public solver's checks
+    to every model first.
+    """
+    return _results(stack_tables(models, grid), grid, tol, max_iters)
 
 
 def _solve(model: PomdpModel, grid: SimplexGrid, tol: float, max_iters: int) -> SolveResult:
-    """The body shared by the public solvers, which only add precondition
-    checks; none of them calls another, so a wrapper around each public
-    solver sees exactly one solve."""
-    tables = build_tables(model, grid)
-    values, actions, log = _iterate(tables, tol, max_iters)
-    return SolveResult(
-        value=ValueFunction(grid, values), policy=Policy(grid, actions), log=log
-    )
+    """The one-model stack behind the public solvers, which only add
+    precondition checks; none of them calls another, so a wrapper around
+    each public solver sees exactly one solve."""
+    return _results(build_tables(model, grid), grid, tol, max_iters)[0]
 
 
 def solve_discounted(
@@ -251,11 +330,16 @@ def solve_discounted(
     Non-convergence within ``max_iters`` is reported in the log, not
     raised; the best iterate is still returned.
     """
+    check_discounted(model)
+    return _solve(model, grid, tol, max_iters)
+
+
+def check_discounted(model: PomdpModel) -> None:
+    """Raise unless ``solve_discounted`` applies: a discounted model, rho < 1."""
     if model.is_stopping:
         raise PreconditionFailed("use solve_stopping for stopping_time models")
     if not model.discount < 1.0:
         raise PreconditionFailed("solve_discounted requires discount < 1")
-    return _solve(model, grid, tol, max_iters)
 
 
 def solve_stopping(

@@ -8,6 +8,7 @@ checks on solved grids, not proofs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -20,7 +21,7 @@ from .errors import (
     PostconditionFailed,
     PreconditionFailed,
 )
-from .grid import SimplexGrid, build_grid
+from .grid import TABLE_BLOCK, SimplexGrid, build_grid, simplex_point_count
 from .model import Belief, PomdpModel
 from .reports import OrderCheckReport, make_report
 from .solver import (
@@ -28,10 +29,12 @@ from .solver import (
     SolveResult,
     ValueFunction,
     build_tables,
+    check_discounted,
     check_relaxed,
     continuation_values,
     q_values,
-    solve_discounted,
+    solve_stack,
+    stack_key,
 )
 
 MINOR_TOL = 1e-12
@@ -344,7 +347,12 @@ def verify_mlr_monotone_value(
     beyond; for each comparable pair the dominating belief must not have
     the larger value (within tolerance).
     """
-    grid = value.grid
+    return _mlr_report(value, _mlr_pairs(value.grid, max_pairs, seed), tolerance)
+
+
+def _mlr_pairs(grid: SimplexGrid, max_pairs: int, seed: int):
+    """(hi, lo) grid indices of the MLR-comparable pairs, hi dominating,
+    one block of up to PAIR_BLOCK candidate pairs at a time."""
     n = grid.num_points
     total = n * (n - 1) // 2
     if total <= max_pairs:
@@ -355,15 +363,19 @@ def verify_mlr_monotone_value(
         b = rng.integers(0, n, size=max_pairs)
         keep = a != b
         a, b = a[keep], b[keep]
-    worst = None
-    samples = 0
     for start in range(0, a.size, PAIR_BLOCK):
         pa, pb = a[start : start + PAIR_BLOCK], b[start : start + PAIR_BLOCK]
         direction = _mlr_direction(grid.points, pa, pb)
         comparable = direction != 0
         pa, pb, direction = pa[comparable], pb[comparable], direction[comparable]
-        hi = np.where(direction > 0, pa, pb)
-        lo = np.where(direction > 0, pb, pa)
+        yield np.where(direction > 0, pa, pb), np.where(direction > 0, pb, pa)
+
+
+def _mlr_report(value: ValueFunction, pairs, tolerance: float) -> OrderCheckReport:
+    """The MLR monotonicity report of ``value`` over ``_mlr_pairs`` blocks."""
+    worst = None
+    samples = 0
+    for hi, lo in pairs:
         gap = value.values[hi] - value.values[lo]
         samples += gap.size
         if gap.size == 0:
@@ -374,6 +386,7 @@ def verify_mlr_monotone_value(
             worst = (float(gap[k]), int(hi[k]), int(lo[k]))
     if worst is None:
         return make_report("mlr_monotone_value", 0.0, tolerance, samples=0)
+    grid = value.grid
     return make_report(
         "mlr_monotone_value",
         worst[0],
@@ -421,30 +434,77 @@ def random_a1a2_non_tp2_model(rng, num_obs: int | None = None, discount: float =
     )
 
 
-def conjecture_probe(model_generator, num_models: int, resolution: int = 200) -> dict:
+def conjecture_probe(
+    model_generator, num_models: int, resolution: int = 200, sizes: dict | None = None
+) -> dict:
     """Search for an MLR-monotonicity counterexample in a model stream.
 
-    ``model_generator(index)`` must yield models; each is solved and its
-    value function checked for MLR monotonicity.  Returns a summary with
-    the first counterexample found, if any.
+    ``model_generator(index)`` must yield discounted models; each is
+    solved and its value function checked for MLR monotonicity.  Models
+    are generated, and checked as ``solve_discounted`` checks them, one
+    window of at most TABLE_BLOCK grid points at a time; the window's
+    models that share ``solver.stack_key`` are solved as one stack.  The
+    reports are then checked in stream order, so the summary names the
+    first counterexample, as a model-by-model search would.  When given,
+    ``sizes`` receives the work done: models solved, the grid's point
+    count (the largest grid's, if the state count varies), their summed
+    sweeps, and how many hit the iteration cap unconverged.
     """
-    grid = None
+    work = {} if sizes is None else sizes
+    work.update(models=0, grid_points=0, sweeps=0, unconverged=0)
+
+    @functools.cache
+    def grid_and_pairs(num_states):
+        # the MLR-comparable pairs depend on the grid alone
+        grid = build_grid(num_states, resolution)
+        return grid, list(_mlr_pairs(grid, PAIR_CAP, seed=0))
+
+    for window in _probe_windows(model_generator, num_models, resolution):
+        models = dict(window)
+        stacks = {}
+        for index, model in window:
+            stacks.setdefault(stack_key(model), []).append(index)
+        results = {}
+        for indices in stacks.values():
+            stack = [models[i] for i in indices]
+            grid, _ = grid_and_pairs(stack[0].num_states)
+            solved = solve_stack(stack, grid, tol=PROBE_SOLVER_TOL, max_iters=PROBE_MAX_ITERS)
+            results.update(zip(indices, solved))
+        for result in results.values():
+            work["models"] += 1
+            work["grid_points"] = max(work["grid_points"], result.value.grid.num_points)
+            work["sweeps"] += result.log.iterations
+            work["unconverged"] += not result.log.converged
+        for index, model in window:
+            result = results[index]
+            tolerance = PROBE_TOLERANCE_SCALE * max(1.0, result.value.scale())
+            report = _mlr_report(result.value, grid_and_pairs(model.num_states)[1], tolerance)
+            if not report.holds:
+                return {
+                    "num_models": num_models,
+                    "counterexample_found": True,
+                    "model_index": index,
+                    "model": model.to_dict(),
+                    "report": report.to_dict(),
+                }
+    return {"num_models": num_models, "counterexample_found": False}
+
+
+def _probe_windows(model_generator, num_models: int, resolution: int):
+    """Runs of consecutive (index, model) pairs whose grids hold at most
+    TABLE_BLOCK points in all (a bigger grid takes a window of its own)."""
+    window, rows = [], 0
     for index in range(num_models):
         model = model_generator(index)
-        if grid is None or grid.num_states != model.num_states:
-            grid = build_grid(model.num_states, resolution)
-        result = solve_discounted(model, grid, tol=PROBE_SOLVER_TOL, max_iters=PROBE_MAX_ITERS)
-        tolerance = PROBE_TOLERANCE_SCALE * max(1.0, result.value.scale())
-        report = verify_mlr_monotone_value(result.value, tolerance)
-        if not report.holds:
-            return {
-                "num_models": num_models,
-                "counterexample_found": True,
-                "model_index": index,
-                "model": model.to_dict(),
-                "report": report.to_dict(),
-            }
-    return {"num_models": num_models, "counterexample_found": False}
+        check_discounted(model)
+        points = simplex_point_count(model.num_states, resolution)
+        if window and rows + points > TABLE_BLOCK:
+            yield window
+            window, rows = [], 0
+        window.append((index, model))
+        rows += points
+    if window:
+        yield window
 
 
 # ---------------------------------------------------------------------------

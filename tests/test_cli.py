@@ -43,14 +43,16 @@ def error_text(result):
 
 
 def count_solver_work(monkeypatch):
-    """Record each value iteration's sweep count and each table build's grid."""
-    work = {"sweeps": [], "table_grids": []}
+    """Record each solved model's sweep count, each value iteration's
+    stack size and each single-model table build's grid."""
+    work = {"sweeps": [], "stacks": [], "table_grids": []}
     iterate, build_tables = solver._iterate, solver.build_tables
 
     def counting_iterate(tables, tol, max_iters):
-        values, actions, log = iterate(tables, tol, max_iters)
-        work["sweeps"].append(log.iterations)
-        return values, actions, log
+        values, actions, logs = iterate(tables, tol, max_iters)
+        work["sweeps"].extend(log.iterations for log in logs)
+        work["stacks"].append(len(logs))
+        return values, actions, logs
 
     def counting_build_tables(model, grid):
         work["table_grids"].append(grid)
@@ -266,6 +268,7 @@ class TestCommands:
         assert result.exit_code == 0
         payload = json.loads((tmp_path / "qd_threshold.json").read_text())
         assert 0.0 < payload["threshold"] < 1.0
+        assert manifest_sizes(tmp_path) == {"grid_points": 401, "iterations": payload["iterations"]}
         result = run(
             [
                 "qd-simulate",
@@ -286,6 +289,8 @@ class TestCommands:
         for key in ("threshold", "delay_term", "false_alarm", "ks_cost", "ci_halfwidth", "seed", "cap_hits"):
             assert key in sim
         assert manifest_sizes(tmp_path / "sim") == {
+            "grid_points": 401,
+            "iterations": sim["solver"]["iterations"],
             "paths": 2000,
             "horizon_cap": sim["horizon_cap"],
             "start_beliefs": 1,
@@ -386,7 +391,31 @@ class TestCommands:
             assert row["se_a"] == row["se_b"] == row["se_diff"] == 0.0
         assert "nan" not in (tmp_path / "compare.csv").read_text()
 
-    def test_conjecture_probe_small(self, tmp_path):
+    @pytest.mark.parametrize(
+        "command,model",
+        [("evaluate", LINEAR_X3), ("compare", LINEAR_X3), ("qd-simulate", QD)],
+    )
+    def test_zero_paths_exits_one(self, tmp_path, command, model):
+        args = [command, "--model", model, "--grid", "10", "--paths", "0"]
+        result = run([*args, "--out", str(tmp_path)])
+        assert result.exit_code == 1
+        assert "--paths must be at least 1" in error_text(result)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["exit_status"] == 1 and manifest["options"]["paths"] == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_no_probe_models_exits_one(self, tmp_path, count):
+        """An empty probe would pass vacuously."""
+        result = run(["conjecture-probe", "--num-models", count, "--out", str(tmp_path)])
+        assert result.exit_code == 1
+        assert "--num-models must be at least 1" in error_text(result)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["exit_status"] == 1 and manifest["options"]["num_models"] == int(count)
+        assert not (tmp_path / "conjecture_probe.json").exists()
+
+    def test_conjecture_probe_small(self, tmp_path, monkeypatch):
+        work = count_solver_work(monkeypatch)
         result = run(
             [
                 "conjecture-probe",
@@ -403,6 +432,13 @@ class TestCommands:
         assert result.exit_code == 0
         payload = json.loads((tmp_path / "conjecture_probe.json").read_text())
         assert payload == {"counterexample_found": False, "num_models": 2}
+        assert work["stacks"] == [2] and not work["table_grids"]
+        assert manifest_sizes(tmp_path) == {
+            "models": 2,
+            "grid_points": 61,
+            "sweeps": sum(work["sweeps"]),
+            "unconverged": 0,
+        }
 
 
 class TestDeterminism:

@@ -9,7 +9,7 @@ from beliefpomdp import structure
 from beliefpomdp.costs import NonlinearCostSpec
 from beliefpomdp.errors import NegativeEigenvalue, PreconditionFailed
 from beliefpomdp.grid import build_grid
-from beliefpomdp.model import Belief, PomdpModel, unit_belief
+from beliefpomdp.model import Belief, PomdpModel, fixture_path, load_model, unit_belief
 from beliefpomdp.solver import (
     Policy,
     ValueFunction,
@@ -34,7 +34,28 @@ from beliefpomdp.structure import (
     verify_myopic_bound,
     verify_stopping_set_convex,
 )
-from conftest import qd_model, three_state_general, two_state_general
+from conftest import qd_model, random_model, three_state_general, two_state_general
+
+
+def probe_one_at_a_time(model_generator, num_models, resolution):
+    """Reference probe: solve and check each model on its own, in order."""
+    for index in range(num_models):
+        model = model_generator(index)
+        grid = build_grid(model.num_states, resolution)
+        result = solve_discounted(
+            model, grid, tol=structure.PROBE_SOLVER_TOL, max_iters=structure.PROBE_MAX_ITERS
+        )
+        tolerance = structure.PROBE_TOLERANCE_SCALE * max(1.0, result.value.scale())
+        report = verify_mlr_monotone_value(result.value, tolerance)
+        if not report.holds:
+            return {
+                "num_models": num_models,
+                "counterexample_found": True,
+                "model_index": index,
+                "model": model.to_dict(),
+                "report": report.to_dict(),
+            }
+    return {"num_models": num_models, "counterexample_found": False}
 
 
 class TestTp2:
@@ -343,6 +364,72 @@ class TestConjectureProbe:
                 assert is_tp2(model.transition[u - 1]).holds
                 assert not is_tp2(model.observation[u - 1]).holds
                 assert fosd_decreasing_cost(model, u).holds
+
+    def test_first_of_two_counterexamples_is_reported(self):
+        tp2 = two_state_general(discount=0.8)
+        bad = load_model(fixture_path("increasing_cost.json"))
+        assert structure.stack_key(bad) == structure.stack_key(tp2)
+        stream = [bad if i in (3, 7) else tp2 for i in range(10)]
+        sizes = {}
+        summary = conjecture_probe(stream.__getitem__, 10, resolution=100, sizes=sizes)
+        assert summary["counterexample_found"] and summary["model_index"] == 3
+        grid = build_grid(2, 100)
+        alone = solve_discounted(bad, grid, tol=structure.PROBE_SOLVER_TOL)
+        tolerance = structure.PROBE_TOLERANCE_SCALE * max(1.0, alone.value.scale())
+        assert summary["report"] == verify_mlr_monotone_value(alone.value, tolerance).to_dict()
+        assert summary == probe_one_at_a_time(stream.__getitem__, 10, 100)
+        assert sizes["models"] == 10 and sizes["grid_points"] == 101
+        assert sizes["unconverged"] == 0 and sizes["sweeps"] > 10
+
+    def test_first_counterexample_in_model_order_across_stacks(self):
+        """Stacks group models by key, but reports are read in model order."""
+        tp2 = two_state_general(discount=0.8)
+        bad2 = load_model(fixture_path("increasing_cost.json"))
+        bad3 = PomdpModel(
+            num_states=2,
+            num_actions=2,
+            num_observations=(3, 3),
+            transition=bad2.transition,
+            observation=([[0.6, 0.3, 0.1], [0.1, 0.3, 0.6]],) * 2,
+            linear_cost=bad2.linear_cost,
+            discount=0.8,
+        )
+        stream = [tp2, bad3, bad2]  # stacks: [0, 2] of width 4, [1] of width 6
+        summary = conjecture_probe(stream.__getitem__, 3, resolution=50)
+        assert summary["model_index"] == 1
+        assert summary == probe_one_at_a_time(stream.__getitem__, 3, 50)
+
+    def test_stream_that_changes_states_and_discount(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        stream = (
+            [random_a1a2_non_tp2_model(rng) for _ in range(3)]
+            + [random_a1a2_non_tp2_model(rng, discount=0.6) for _ in range(3)]
+            + [random_model(rng, num_states=3, num_actions=2) for _ in range(3)]
+            + [random_a1a2_non_tp2_model(rng) for _ in range(2)]
+        )
+        stacks = []
+        solve_stack = structure.solve_stack
+
+        def recording_solve_stack(models, grid, tol, max_iters):
+            stacks.append(len(models))
+            return solve_stack(models, grid, tol, max_iters)
+
+        monkeypatch.setattr(structure, "solve_stack", recording_solve_stack)
+        # six 21-point grids and one 231-point grid fill the first window
+        monkeypatch.setattr(structure, "TABLE_BLOCK", 400)
+        sizes = {}
+        summary = conjecture_probe(stream.__getitem__, len(stream), resolution=20, sizes=sizes)
+        assert summary == probe_one_at_a_time(stream.__getitem__, len(stream), 20)
+        # the first three-state model, which has no TP2 structure, is a counterexample
+        assert summary["model_index"] == 6
+        # keys in the window: Y = 3 at 0.8; Y = 2 at 0.6; Y = 3 at 0.6; three states
+        assert stacks == [3, 2, 1, 1]
+        assert sizes["models"] == 7 and sizes["grid_points"] == 231
+
+    def test_stopping_model_in_stream_raises(self):
+        stream = [two_state_general(discount=0.8), qd_model()]
+        with pytest.raises(PreconditionFailed, match="solve_stopping"):
+            conjecture_probe(stream.__getitem__, 2, resolution=20)
 
     def test_injected_tp2_model_never_flagged(self):
         model = two_state_general()  # satisfies A1-A3 outright

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from beliefpomdp import solver
 from beliefpomdp.grid import build_grid
 from beliefpomdp.model import Belief, PomdpModel, fixture_path, load_model
+from beliefpomdp.structure import random_a1a2_non_tp2_model
 from beliefpomdp.solver import (
     ValueFunction,
     bellman_backup,
@@ -164,3 +165,108 @@ def test_blocked_build_matches_a_single_block(monkeypatch):
     blocked = build_tables(model, grid)
     for name in ("cost", "sigma", "vert_idx", "vert_w"):
         np.testing.assert_array_equal(getattr(blocked, name), getattr(whole, name))
+
+
+# ---------------------------------------------------------------------------
+# stacked solves against one-at-a-time solves
+# ---------------------------------------------------------------------------
+
+
+def assert_stack_matches_single(models, grid, tol=1e-9, max_iters=100_000):
+    """Tables, values, actions and change logs of a stack equal each model's own."""
+    n = grid.num_points
+    stacked = solver.stack_tables(models, grid)
+    assert stacked.num_models == len(models)
+    for b, model in enumerate(models):
+        single = build_tables(model, grid)
+        rows = slice(b * n, (b + 1) * n)
+        ys, width = single.sigma.shape[1], single.vert_w.shape[2]
+        np.testing.assert_array_equal(stacked.cost[:, rows], single.cost)
+        np.testing.assert_array_equal(stacked.sigma[:, :ys, rows], single.sigma)
+        np.testing.assert_array_equal(stacked.vert_w[:, rows, :width], single.vert_w)
+        live = single.vert_w != 0.0
+        np.testing.assert_array_equal(
+            stacked.vert_idx[:, rows, :width][live], single.vert_idx[live] + b * n
+        )
+        assert not np.any(stacked.vert_w[:, rows, width:])  # padding
+    results = solver.solve_stack(models, grid, tol, max_iters)
+    assert len(results) == len(models)
+    for model, got in zip(models, results):
+        want = solver._solve(model, grid, tol, max_iters)
+        assert np.array_equal(got.value.values, want.value.values)
+        assert np.array_equal(got.policy.actions, want.policy.actions)
+        assert got.log.changes == want.log.changes
+        assert got.log.converged == want.log.converged
+    return results
+
+
+def probe_models(seed, count):
+    rng = np.random.default_rng(seed)
+    return [random_a1a2_non_tp2_model(rng, num_obs=2 + i % 2) for i in range(count)]
+
+
+def by_stack_key(models):
+    stacks = {}
+    for model in models:
+        stacks.setdefault(solver.stack_key(model), []).append(model)
+    return list(stacks.values())
+
+
+def test_stacks_of_probe_models_with_mixed_alphabets():
+    stacks = by_stack_key(probe_models(3, 7))
+    assert sorted(len(s) for s in stacks) == [3, 4]  # Y = 3 and Y = 2
+    for stack in stacks:
+        assert_stack_matches_single(stack, build_grid(2, 40))
+
+
+def test_stacks_of_random_three_state_models():
+    rng = np.random.default_rng(11)
+    stacks = by_stack_key([random_model(rng, num_states=3, num_actions=2) for _ in range(8)])
+    assert len(stacks) == 2 and min(map(len, stacks)) >= 2
+    for stack in stacks:
+        assert_stack_matches_single(stack, build_grid(3, 10))
+
+
+def test_stopping_stack():
+    models = [
+        qd_model(),
+        qd_model(persistence=0.8, delay=0.1),
+        qd_model(persistence=0.95, b=[[0.9, 0.1], [0.4, 0.6]]),
+    ]
+    assert_stack_matches_single(models, build_grid(2, 40))
+
+
+def test_stack_where_a_model_hits_max_iters():
+    models = probe_models(5, 10)[::2]
+    grid = build_grid(2, 40)
+    sweeps = [solver._solve(m, grid, 1e-9, 100_000).log.iterations for m in models]
+    cap = max(sweeps) - 1
+    results = assert_stack_matches_single(models, grid, max_iters=cap)
+    converged = [r.log.converged for r in results]
+    assert any(converged) and not all(converged)
+    assert all(r.log.iterations == cap for r in results if not r.log.converged)
+
+
+def test_stack_of_one():
+    assert_stack_matches_single([three_state_general()], build_grid(3, 10))
+
+
+def test_blocks_spanning_several_models(monkeypatch):
+    models = probe_models(9, 8)[1::2]
+    grid = build_grid(2, 20)  # 21 points per model
+    whole = solver.stack_tables(models, grid)
+    monkeypatch.setattr(solver, "TABLE_BLOCK", 16)  # blocks start mid-model
+    blocked = solver.stack_tables(models, grid)
+    for name in ("cost", "sigma", "vert_idx", "vert_w"):
+        np.testing.assert_array_equal(getattr(blocked, name), getattr(whole, name))
+
+
+def test_stack_rejects_models_that_differ_in_key():
+    grid = build_grid(2, 10)
+    with pytest.raises(ValueError, match="share"):
+        solver.stack_tables([two_state_general(discount=0.8), two_state_general()], grid)
+    with pytest.raises(ValueError, match="share"):
+        solver.stack_tables([two_state_general(discount=1.0), qd_model()], grid)
+    y2, y3 = probe_models(1, 2)  # one width is zero-padded past the other
+    with pytest.raises(ValueError, match="share"):
+        solver.stack_tables([y2, y3], grid)
