@@ -22,11 +22,26 @@ def row_sum(a: np.ndarray) -> np.ndarray:
     return total
 
 
+def sampling_table(probs: np.ndarray) -> np.ndarray:
+    """Cumulative sums along the last axis, ending in exactly 1.0.
+
+    A valid distribution may sum to 1 only within ``ROW_SUM_TOL``, so its
+    cumulative row can end below 1 and a draw above that end would make
+    ``inverse_cdf`` return one index past the last category.  Draws lie
+    in [0, 1), so a last entry of 1.0 is never exceeded; no draw at or
+    below the old last entry maps anywhere else.
+    """
+    cum = np.cumsum(probs, axis=-1)
+    cum[..., -1] = 1.0
+    return cum
+
+
 def inverse_cdf(draw: np.ndarray, cum: np.ndarray) -> np.ndarray:
     """Inverse-CDF samples: ``(draw[:, None] > cum).sum(axis=1)`` as intp.
 
     ``cum`` holds one cumulative distribution per draw, shaped (n, k), or
-    a single one of shape (k,) shared by every draw.
+    a single one of shape (k,) shared by every draw.  Build it with
+    ``sampling_table`` to keep every sample below k.
     """
     idx = np.zeros(draw.shape, dtype=np.intp)
     for j in range(cum.shape[-1]):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .columns import inverse_cdf
+from .columns import inverse_cdf, sampling_table
 from .costs import NonlinearCostSpec
 from .errors import PreconditionFailed, StructureViolation
 from .grid import build_grid
@@ -223,9 +223,9 @@ def ks_cost_estimate(
     if num_paths < 1:
         raise ValueError("num_paths must be >= 1")
     persistence = spec.persistence
-    b = spec.observation
+    b_post, b_pre = spec.observation
     d = spec.delay_weight
-    cum_b = np.cumsum(b, axis=1)
+    cum_b = sampling_table(spec.observation)
 
     def sim(rng, count):
         # pre marks paths still in the pre-change state; belief is pi(2)
@@ -243,9 +243,9 @@ def ks_cost_estimate(
             pre &= ~jump
             state_row = np.where(pre, 1, 0)  # observation row: 1 pre, 0 post
             draw = rng.random(count)
-            obs = inverse_cdf(draw, cum_b[state_row])
-            z1 = b[0, obs] * (1.0 - persistence * belief)
-            z2 = b[1, obs] * persistence * belief
+            obs = inverse_cdf(draw, cum_b.take(state_row, axis=0))
+            z1 = b_post.take(obs) * (1.0 - persistence * belief)
+            z2 = b_pre.take(obs) * persistence * belief
             belief = z2 / (z1 + z2)
             hit = ~announced & (belief < threshold)
             announce_time[hit] = k

@@ -16,6 +16,15 @@ step.  The columns are added left to right, as numpy's ``sum(axis=1)``
 adds rows shorter than 8, so paths are bit-identical to the row-wise
 form on such models; from width 8 up numpy's sum is unrolled and a cost
 or belief can differ in the last bit.
+
+Gather rule: rows come out of a 2-D array by ``take(rows, axis=0)``,
+never by fancy or boolean indexing.  At (8192, 2) float64, 2 CPUs and
+numpy 2.4, ``beliefs[rows]`` costs 8.3 ns per row and
+``beliefs.take(rows, axis=0)`` 0.67 ns.  Rows go back one column at a
+time (``beliefs[rows, j] = post[:, j]``, 4.4 ns per row against 8.9 ns
+for ``beliefs[rows] = post``).  A policy that computes every action's
+cost to choose (the myopic rule) hands the chosen cost to the loop, so
+no cost is computed twice.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .columns import inverse_cdf, row_sum
+from .columns import inverse_cdf, row_sum, sampling_table
 from .costs import instantaneous_cost_batch, max_cost_bound
 from .errors import (
     ZERO_LIKELIHOOD_THRESHOLD,
@@ -121,6 +130,14 @@ def constant_policy(action: int) -> FunctionPolicy:
     return FunctionPolicy(lambda pts: np.full(pts.shape[0], action, dtype=np.int32))
 
 
+class _CostedRule(FunctionPolicy):
+    """A rule whose ``fn`` returns the actions and, per row, the cost of
+    the chosen action, which it has computed to make its choice."""
+
+    def actions_at(self, points: np.ndarray) -> np.ndarray:
+        return np.asarray(self.fn(np.atleast_2d(points))[0], dtype=np.int32)
+
+
 def myopic_sensor_policy(model: PomdpModel) -> FunctionPolicy:
     """Pick sensor 2 wherever it is instantaneously cheaper, else sensor 1."""
     if model.num_actions != 2:
@@ -129,17 +146,22 @@ def myopic_sensor_policy(model: PomdpModel) -> FunctionPolicy:
     def rule(points):
         c1 = instantaneous_cost_batch(model, points, 1)
         c2 = instantaneous_cost_batch(model, points, 2)
-        return np.where(c2 < c1, 2, 1).astype(np.int32)
+        cheaper = c2 < c1
+        return np.where(cheaper, 2, 1), np.where(cheaper, c2, c1)
 
-    return FunctionPolicy(rule)
+    return _CostedRule(rule)
 
 
-def _policy_actions(policy, points: np.ndarray) -> np.ndarray:
+def _policy_actions(policy, points: np.ndarray) -> tuple:
+    """(actions, costs) at the points: ``costs`` holds the chosen action's
+    instantaneous cost per row when the policy computed it, else None."""
+    if isinstance(policy, _CostedRule):
+        actions, costs = policy.fn(points)
+        return np.asarray(actions, dtype=np.int64), costs
     if hasattr(policy, "actions_at"):
-        return np.asarray(policy.actions_at(points), dtype=np.int64)
-    return np.array(
-        [int(policy(Belief(row))) for row in points], dtype=np.int64
-    )
+        return np.asarray(policy.actions_at(points), dtype=np.int64), None
+    actions = [int(policy(Belief(row))) for row in points]
+    return np.array(actions, dtype=np.int64), None
 
 
 def discounted_horizon(model: PomdpModel, tolerance: float) -> tuple:
@@ -159,7 +181,7 @@ def _belief_step(model, beliefs, u, obs):
     observation has numerically no probability under its belief.
     """
     predicted = beliefs @ model.transition[u - 1]
-    z = predicted * model.observation[u - 1].T[obs]
+    z = predicted * model.observation[u - 1].T.take(obs, axis=0)
     sigma = row_sum(z)
     if np.any(sigma <= ZERO_LIKELIHOOD_THRESHOLD):
         row = int(np.argmin(sigma))
@@ -187,9 +209,10 @@ def simulate_path_costs(
     0/1 flag marking paths still running at the horizon.
     """
     rho = model.discount
-    cum_pi0 = np.cumsum(initial_belief.probs)
-    cum_p = [np.cumsum(p, axis=1) for p in model.transition]
-    cum_b = [np.cumsum(b, axis=1) for b in model.observation]
+    x = model.num_states
+    cum_pi0 = sampling_table(initial_belief.probs)
+    cum_p = [sampling_table(p) for p in model.transition]
+    cum_b = [sampling_table(b) for b in model.observation]
     continuing = [
         u for u in range(1, model.num_actions + 1) if not (model.is_stopping and u == 1)
     ]
@@ -203,12 +226,16 @@ def simulate_path_costs(
         for _ in range(horizon):
             if not np.any(active):
                 break
-            actions = _policy_actions(policy, beliefs)
+            actions, chosen = _policy_actions(policy, beliefs)
             if model.is_stopping:
                 stopping_now = active & (actions == 1)
                 if np.any(stopping_now):
-                    term = instantaneous_cost_batch(model, beliefs[stopping_now], 1)
-                    costs[stopping_now] += disc * term
+                    rows = np.flatnonzero(stopping_now)
+                    if chosen is None:
+                        term = instantaneous_cost_batch(model, beliefs.take(rows, axis=0), 1)
+                    else:
+                        term = chosen.take(rows)
+                    costs[rows] += disc * term
                     active = active & ~stopping_now
             step_u = rng.random(count)
             step_y = rng.random(count)
@@ -216,12 +243,18 @@ def simulate_path_costs(
                 rows = np.flatnonzero(active & (actions == u))
                 if rows.size == 0:
                     continue
-                here = beliefs[rows]
-                costs[rows] += disc * instantaneous_cost_batch(model, here, u)
-                nxt = inverse_cdf(step_u[rows], cum_p[u - 1][states[rows]])
-                obs = inverse_cdf(step_y[rows], cum_b[u - 1][nxt])
+                here = beliefs.take(rows, axis=0)
+                if chosen is None:
+                    cost = instantaneous_cost_batch(model, here, u)
+                else:
+                    cost = chosen.take(rows)
+                costs[rows] += disc * cost
+                nxt = inverse_cdf(step_u.take(rows), cum_p[u - 1].take(states.take(rows), axis=0))
+                obs = inverse_cdf(step_y.take(rows), cum_b[u - 1].take(nxt, axis=0))
                 states[rows] = nxt
-                beliefs[rows] = _belief_step(model, here, u, obs)
+                post = _belief_step(model, here, u, obs)
+                for j in range(x):
+                    beliefs[rows, j] = post[:, j]
             disc *= rho
         return np.stack([costs, active.astype(float)], axis=1)
 
@@ -230,7 +263,7 @@ def simulate_path_costs(
 
 def _check_stopping_evaluable(model: PomdpModel, policy) -> None:
     vertices = np.eye(model.num_states)
-    actions = _policy_actions(policy, vertices)
+    actions, _ = _policy_actions(policy, vertices)
     p_continue = model.transition[1]
     absorbing = np.isclose(np.diag(p_continue), 1.0)
     stops_somewhere = np.any(actions == 1)

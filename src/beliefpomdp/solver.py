@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .columns import row_sum
 from .costs import instantaneous_cost_batch
 from .errors import PreconditionFailed
 from .grid import TABLE_BLOCK, SimplexGrid
@@ -57,10 +58,18 @@ class RelaxedValueFunction:
 
     def at(self, alpha) -> float:
         w = alpha.weights if isinstance(alpha, RelaxedBelief) else np.asarray(alpha, float)
-        total = float(w.sum())
-        if total <= 0.0:
-            return 0.0
-        return total * self.base.at(w / total)
+        return float(self.at_many(w[None, :])[0])
+
+    def at_many(self, alphas: np.ndarray) -> np.ndarray:
+        """W at each row of an (n, X) array, with one grid lookup; 0 where
+        a row sums to 0 or less."""
+        w = np.atleast_2d(np.asarray(alphas, dtype=float))
+        total = row_sum(w)
+        positive = total > 0.0
+        out = np.zeros(w.shape[0])
+        t = total[positive]
+        out[positive] = t * self.base.at_many(w[positive] / t[:, None])
+        return out
 
     def scale(self) -> float:
         return self.base.scale()

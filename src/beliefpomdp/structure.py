@@ -39,6 +39,8 @@ from .solver import (
 
 MINOR_TOL = 1e-12
 MLR_TOL = 1e-12
+#: gaps this close to the worst, relative to max(1, |worst|), tie for the witness
+MLR_TIE_RTOL = 1e-12
 PAIR_CAP = 1_000_000
 #: pairs per vectorized MLR comparison; bounds the temporaries of one block
 PAIR_BLOCK = 1 << 16
@@ -301,16 +303,15 @@ def verify_homogeneity(
     scale = max(1.0, w.scale())
     rng = np.random.default_rng(seed)
     alphas = rng.uniform(0.05, 2.0, size=(num_samples, model.num_states))
-    worst = -np.inf
-    witness = None
-    for alpha in alphas:
-        base = w.at(alpha)
-        for kappa in kappas:
-            err = abs(w.at(kappa * alpha) - kappa * base)
-            rel = err / max(1.0, kappa * scale)
-            if rel > worst:
-                worst = rel
-                witness = {"alpha": alpha.tolist(), "kappa": float(kappa)}
+    base = w.at_many(alphas)
+    # rel[i, k]: alpha i at kappa k; argmax keeps the first of equal maxima
+    rel = np.column_stack([
+        np.abs(w.at_many(kappa * alphas) - kappa * base) / max(1.0, kappa * scale)
+        for kappa in kappas
+    ])
+    i, k = np.unravel_index(int(np.argmax(rel)), rel.shape)
+    worst = float(rel[i, k])
+    witness = {"alpha": alphas[i].tolist(), "kappa": kappas[k]}
     return make_report(
         "positive_homogeneity",
         worst,
@@ -372,31 +373,57 @@ def _mlr_pairs(grid: SimplexGrid, max_pairs: int, seed: int):
 
 
 def _mlr_report(value: ValueFunction, pairs, tolerance: float) -> OrderCheckReport:
-    """The MLR monotonicity report of ``value`` over ``_mlr_pairs`` blocks."""
-    worst = None
+    """The MLR monotonicity report of ``value`` over ``_mlr_pairs`` blocks.
+
+    The worst violation is the largest gap V(hi) - V(lo).  The witness is
+    canonical: among the pairs whose gap lies within
+    ``MLR_TIE_RTOL * max(1, |worst|)`` of the worst, the one with the
+    smallest (hi, lo) grid indices, so a roundoff-level change in the
+    values does not move it.  While the blocks stream past, only the
+    pairs that no larger gap with a smaller (hi, lo) beats are kept.
+    """
+    n = value.grid.num_points
+    worst = -np.inf
+    gaps = np.empty(0)
+    keys = np.empty(0, dtype=np.int64)  # hi * n + lo orders pairs as (hi, lo)
     samples = 0
     for hi, lo in pairs:
         gap = value.values[hi] - value.values[lo]
         samples += gap.size
         if gap.size == 0:
             continue
-        k = int(np.argmax(gap))
-        # strict: on ties the earliest pair stays the witness
-        if worst is None or gap[k] > worst[0]:
-            worst = (float(gap[k]), int(hi[k]), int(lo[k]))
-    if worst is None:
+        worst = max(worst, float(gap.max()))
+        floor = _tie_floor(worst)
+        near = gap >= floor
+        keep = gaps >= floor
+        gaps = np.concatenate([gaps[keep], gap[near]])
+        keys = np.concatenate([keys[keep], hi[near].astype(np.int64) * n + lo[near]])
+        # drop every pair that a pair with a gap at least as large and a
+        # smaller key beats, whatever the final tie band
+        order = np.lexsort((keys, -gaps))
+        gaps, keys = gaps[order], keys[order]
+        beaten = np.zeros(keys.size, dtype=bool)
+        beaten[1:] = keys[1:] >= np.minimum.accumulate(keys)[:-1]
+        gaps, keys = gaps[~beaten], keys[~beaten]
+    if samples == 0:
         return make_report("mlr_monotone_value", 0.0, tolerance, samples=0)
+    hi, lo = divmod(int(keys[gaps >= _tie_floor(worst)].min()), n)
     grid = value.grid
     return make_report(
         "mlr_monotone_value",
-        worst[0],
+        worst,
         tolerance,
         witness={
-            "pi_high": grid.points[worst[1]].tolist(),
-            "pi_low": grid.points[worst[2]].tolist(),
+            "pi_high": grid.points[hi].tolist(),
+            "pi_low": grid.points[lo].tolist(),
         },
         samples=samples,
     )
+
+
+def _tie_floor(worst: float) -> float:
+    """Smallest gap that ties with ``worst`` for the MLR witness."""
+    return worst - MLR_TIE_RTOL * max(1.0, abs(worst))
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,13 @@ def cost_family_spec(family, num_actions=2, num_states=2):
     return NonlinearCostSpec(family, alpha=alpha, beta=beta)
 
 
+class LargestDraws:
+    """Generator stand-in: every uniform draw is the largest double below 1."""
+
+    def random(self, count):
+        return np.full(count, 1.0 - 2.0**-53)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

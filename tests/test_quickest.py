@@ -16,6 +16,8 @@ from beliefpomdp.quickest import (
     spec_from_model,
 )
 
+from conftest import LargestDraws
+
 SPEC = QdSpec(persistence=0.9, delay_weight=0.05, observation=[[0.8, 0.2], [0.3, 0.7]])
 
 
@@ -174,6 +176,17 @@ def reference_ks_paths(spec, threshold, num_paths, horizon_cap, seed):
         return np.stack([c.astype(float) for c in columns], axis=1)
 
     return quickest.run_chunked(sim, seed, num_paths)
+
+
+def test_rows_summing_below_one_never_sample_past_the_last_observation(monkeypatch):
+    monkeypatch.setattr(
+        quickest, "run_chunked", lambda sim, seed, num_paths, workers=1: sim(LargestDraws(), num_paths)
+    )
+    short = QdSpec(0.9, 0.05, [[0.8, 0.2 - 5e-13], [0.3, 0.7 - 5e-13]])
+    exact = QdSpec(0.9, 0.05, [[0.8, 0.2], [0.3, 0.7]])
+    a = ks_cost_estimate(short, 0.2, num_paths=10, horizon_cap=30)
+    b = ks_cost_estimate(exact, 0.2, num_paths=10, horizon_cap=30)
+    assert a.to_dict() == b.to_dict()
 
 
 class TestKsOracle:

@@ -1,8 +1,11 @@
 """Monte Carlo policy evaluation and paired comparisons."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from beliefpomdp import simulate
 from beliefpomdp.costs import NonlinearCostSpec, instantaneous_cost, instantaneous_cost_batch
 from beliefpomdp.errors import HorizonUnbounded, PreconditionFailed, ZeroLikelihood
 from beliefpomdp.filtering import filter_update
@@ -27,7 +30,13 @@ from beliefpomdp.simulate import (
     standard_error,
 )
 from beliefpomdp.solver import Policy, solve_discounted, solve_stopping
-from conftest import qd_model, random_model, three_state_general, two_state_general
+from conftest import (
+    LargestDraws,
+    qd_model,
+    random_model,
+    three_state_general,
+    two_state_general,
+)
 
 DISCOUNTED_FIXTURES = [
     "filter_vs_predictor",
@@ -156,6 +165,23 @@ class TestStepOracle:
         model = load_model(fixture_path("filter_vs_predictor.json"))
         self.check(model, myopic_sensor_policy(model), uniform_belief(2), horizon=40)
 
+    def test_stopping_model_under_myopic_rule(self):
+        # the rule hands its stop and continue costs to the loop
+        base = qd_model(b=[[0.6, 0.3, 0.1], [0.2, 0.3, 0.5]])
+        model = dataclasses.replace(base, nonlinear_cost=ENTROPY)
+        out = self.check(model, myopic_sensor_policy(model), unit_belief(2, 2), horizon=30)
+        assert 0 < out[:, 1].sum() < out.shape[0]  # some paths stop, some run on
+
+    def test_myopic_rule_with_different_alphabets(self):
+        # sensor 2 is cheaper near the vertices and dearer inside
+        spec = NonlinearCostSpec("entropy", alpha=[0.1, 0.9], beta=[0.0, 0.0])
+        model = three_state_general(nonlinear=spec)
+        assert model.num_observations == (2, 3)
+        rule = myopic_sensor_policy(model)
+        assert rule.actions_at(np.eye(3)).tolist() == [2, 2, 2]
+        assert rule.action_at(interior_belief(3)) == 1
+        self.check(model, rule, interior_belief(3), horizon=30)
+
     def test_two_workers_over_several_chunks(self):
         model = three_state_general(nonlinear=ENTROPY)
         policy = random_grid_policy(model, 9, seed=2)
@@ -172,6 +198,54 @@ class TestStepOracle:
         ref = reference_path_costs(model, policy, pi0, 600, 20, seed=5)
         np.testing.assert_allclose(new, ref, rtol=1e-15, atol=0)
         np.testing.assert_array_equal(new[:, 1], ref[:, 1])
+
+
+def count_cost_rows(monkeypatch):
+    """Wrap the simulator's cost function; the list collects rows per call."""
+    rows = []
+
+    def counting(model, beliefs, u):
+        rows.append(np.atleast_2d(beliefs).shape[0])
+        return instantaneous_cost_batch(model, beliefs, u)
+
+    monkeypatch.setattr(simulate, "instantaneous_cost_batch", counting)
+    return rows
+
+
+def test_myopic_rule_costs_each_action_once_per_path_step(monkeypatch):
+    model = load_model(fixture_path("filter_vs_predictor.json"))
+    rows = count_cost_rows(monkeypatch)
+    num_paths, horizon = 500, 12
+    out = simulate_path_costs(
+        model, myopic_sensor_policy(model), uniform_belief(2), num_paths, horizon, seed=3
+    )
+    assert np.all(out[:, 1] == 1.0)  # discounted: every path is active at every step
+    assert sum(rows) == 2 * num_paths * horizon
+
+
+def test_grid_policy_costs_its_action_once_per_path_step(monkeypatch):
+    model = three_state_general(nonlinear=ENTROPY)
+    rows = count_cost_rows(monkeypatch)
+    simulate_path_costs(model, random_grid_policy(model, 9), interior_belief(3), 400, 10)
+    assert sum(rows) == 400 * 10
+
+
+def test_rows_summing_below_one_never_sample_past_the_last_category(monkeypatch):
+    # rows may sum to 1 within ROW_SUM_TOL = 1e-12, so a cumulative row can
+    # end below the largest draw; without the exact last entry of 1 this
+    # run samples state and observation 3 of 2 and raises IndexError
+    monkeypatch.setattr(
+        simulate, "run_chunked", lambda sim, seed, num_paths, workers=1: sim(LargestDraws(), num_paths)
+    )
+    outs = []
+    for row in ([0.5, 0.5 - 5e-13], [0.5, 0.5]):
+        matrix = [row, row]
+        model = dataclasses.replace(
+            two_state_general(), transition=(matrix, matrix), observation=(matrix, matrix)
+        )
+        outs.append(simulate_path_costs(model, constant_policy(2), Belief(row), 20, 15))
+    assert np.all(np.isfinite(outs[0]))
+    np.testing.assert_allclose(outs[0], outs[1], rtol=1e-11)
 
 
 class TestEvaluatePolicy:

@@ -9,9 +9,12 @@ from beliefpomdp import structure
 from beliefpomdp.costs import NonlinearCostSpec
 from beliefpomdp.errors import NegativeEigenvalue, PreconditionFailed
 from beliefpomdp.grid import build_grid
+from beliefpomdp.grid import SimplexGrid
 from beliefpomdp.model import Belief, PomdpModel, fixture_path, load_model, unit_belief
+from beliefpomdp.reports import make_report
 from beliefpomdp.solver import (
     Policy,
+    RelaxedValueFunction,
     ValueFunction,
     solve_discounted,
     solve_relaxed,
@@ -261,7 +264,53 @@ def materialized_convexity_scan(policy, block):
     return checked, None
 
 
+def homogeneity_one_point_at_a_time(model, value, kappas, num_samples=50, seed=0):
+    """The homogeneity report from one ``at`` lookup per orthant point."""
+    w = RelaxedValueFunction(value)
+    scale = max(1.0, w.scale())
+    rng = np.random.default_rng(seed)
+    alphas = rng.uniform(0.05, 2.0, size=(num_samples, model.num_states))
+    worst, witness = -np.inf, None
+    for alpha in alphas:
+        base = w.at(alpha)
+        for kappa in kappas:
+            rel = abs(w.at(kappa * alpha) - kappa * base) / max(1.0, kappa * scale)
+            if rel > worst:
+                worst, witness = rel, {"alpha": alpha.tolist(), "kappa": float(kappa)}
+    return make_report(
+        "positive_homogeneity", worst, 1e-10, witness=witness, samples=num_samples * len(kappas)
+    )
+
+
 class TestHomogeneity:
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("fixture", ["linear_x3", "monotone_a123"])
+    def test_batched_lookups_match_one_point_at_a_time(self, monkeypatch, fixture, seed):
+        model = load_model(fixture_path(f"{fixture}.json"))
+        value = solve_relaxed(model, build_grid(model.num_states, 30), tol=1e-9).value
+        kappas = (0.001, 0.5, 1.0, 2.0, 7.3)
+        expected = homogeneity_one_point_at_a_time(model, value, kappas, seed=seed)
+        lookups = []
+        barycentric = SimplexGrid.barycentric
+
+        def counting(grid, queries):
+            lookups.append(len(queries))
+            return barycentric(grid, queries)
+
+        monkeypatch.setattr(SimplexGrid, "barycentric", counting)
+        report = verify_homogeneity(model, value, kappas=kappas, seed=seed)
+        assert report.to_dict() == expected.to_dict()
+        assert lookups == [50] * (1 + len(kappas))  # the alphas, then one per kappa
+
+    def test_relaxed_at_many_matches_at(self, rng):
+        model = load_model(fixture_path("linear_x3.json"))
+        w = RelaxedValueFunction(solve_relaxed(model, build_grid(3, 20), tol=1e-9).value)
+        alphas = rng.uniform(0.0, 3.0, size=(40, 3))
+        alphas[7] = 0.0
+        expected = [w.at(alpha) for alpha in alphas]
+        assert w.at_many(alphas).tolist() == expected
+        assert expected[7] == 0.0
+
     def test_linear_fixture_passes(self):
         model = two_state_general()
         relaxed = solve_relaxed(model, build_grid(2, 60), tol=1e-9)
@@ -326,7 +375,7 @@ class TestMlrMonotoneValue:
     @pytest.mark.parametrize("tied", [False, True])
     def test_blocked_pairs_match_one_block(self, monkeypatch, max_pairs, tied):
         grid = build_grid(3, 20)
-        if tied:  # every comparable pair has gap 0, so the first is the witness
+        if tied:  # every comparable pair has gap 0: the smallest (hi, lo) is the witness
             value = ValueFunction(grid, np.zeros(grid.num_points))
         else:
             value = solve_discounted(three_state_general(), grid, tol=1e-10).value
@@ -335,6 +384,56 @@ class TestMlrMonotoneValue:
         blocked = verify_mlr_monotone_value(value, 1e-9, max_pairs=max_pairs, seed=3)
         assert whole.samples > 7
         assert blocked.to_dict() == whole.to_dict()
+
+    @staticmethod
+    def tied_pairs(value, pairs):
+        """(gap, hi, lo) over all pairs; which tie with the worst; argmax's pick."""
+        hi = np.concatenate([h for h, _ in pairs])
+        lo = np.concatenate([l for _, l in pairs])
+        gap = value.values[hi] - value.values[lo]
+        worst = gap.max()
+        tied = gap >= worst - structure.MLR_TIE_RTOL * max(1.0, abs(worst))
+        first = int(np.argmax(gap))
+        return hi, lo, tied, (int(hi[first]), int(lo[first]))
+
+    def witness_indices(self, grid, report):
+        return (
+            grid.index_of(np.rint(np.array([report.witness["pi_high"]]) * grid.resolution))[0],
+            grid.index_of(np.rint(np.array([report.witness["pi_low"]]) * grid.resolution))[0],
+        )
+
+    @pytest.mark.parametrize("block", [structure.PAIR_BLOCK, 7])
+    def test_witness_is_the_smallest_tied_pair(self, monkeypatch, block):
+        # a linear value ties every adjacent pair up to roundoff
+        grid = build_grid(3, 12)
+        value = ValueFunction(grid, grid.points @ np.array([0.9, 0.5, 0.2]))
+        pairs = list(structure._mlr_pairs(grid, structure.PAIR_CAP, seed=0))
+        hi, lo, tied, _ = self.tied_pairs(value, pairs)
+        assert tied.sum() > 1
+        smallest = min(zip(hi[tied].tolist(), lo[tied].tolist()))
+        monkeypatch.setattr(structure, "PAIR_BLOCK", block)
+        report = verify_mlr_monotone_value(value, 1e-9)
+        assert self.witness_indices(grid, report) == smallest
+        assert report.worst_violation == pytest.approx(-0.3 / 12, rel=1e-12)
+
+    def test_last_bit_perturbation_keeps_the_witness(self):
+        grid = build_grid(2, 40)
+        value = ValueFunction(grid, grid.points @ np.array([0.9, 0.2]))
+        pairs = list(structure._mlr_pairs(grid, structure.PAIR_CAP, seed=0))
+        hi, lo, tied, first = self.tied_pairs(value, pairs)
+        before = verify_mlr_monotone_value(value, 1e-9)
+        # raise the last tied pair's high value bit by bit until argmax picks it
+        last = (int(hi[tied][-1]), int(lo[tied][-1]))
+        values = value.values.copy()
+        for _ in range(64):
+            values[last[0]] = np.nextafter(values[last[0]], np.inf)
+            nudged = ValueFunction(grid, values)
+            if self.tied_pairs(nudged, pairs)[3] == last:
+                break
+        assert self.tied_pairs(nudged, pairs)[3] != first  # argmax's witness moved
+        after = verify_mlr_monotone_value(nudged, 1e-9)
+        assert after.witness == before.witness
+        assert after.worst_violation == pytest.approx(before.worst_violation, rel=1e-12)
 
     def test_pair_sampling_cap(self):
         model = two_state_general()
