@@ -1,9 +1,23 @@
 """Batch command line front end.
 
-Every command loads a model file, runs one computation, and writes its
-artifacts plus a manifest into the output directory.  Exit codes: 0 on
-success, 1 on input errors, 2 when a verifier found a violation or a
-solve failed to converge (artifacts are still written).
+Every command runs inside one lifecycle, ``with Run(out) as run:``.  It
+runs one computation and writes its artifacts plus a manifest into the
+output directory.  Exit codes:
+
+- 0 on success;
+- 1 on an input error: a model file that does not load, a count option
+  (``--grid``, ``--paths``, ``--num-models``, ``--root-degree``) below 1,
+  checked before anything is loaded or solved, or any other
+  ``BeliefPomdpError``.  The message goes to stderr as ``error: ...``;
+- 2 when a verifier found a violation or a solve failed to converge.
+  Every command that solves (``solve``, ``solve-relaxed``, ``verify``,
+  ``evaluate``, ``compare``, ``qd-threshold``, ``qd-simulate`` and
+  ``conjecture-probe``) applies the convergence rule, and its artifacts
+  are still written.
+
+Each of these writes ``manifest.json``.  Click's own usage errors (a
+missing option, a ``--model`` that does not exist) exit 2 before any
+manifest exists.
 
 All numbers in artifacts are formatted to 12 significant digits, and a
 fixed seed makes reruns byte-identical regardless of worker count (the
@@ -12,6 +26,7 @@ manifest is the one exception: it records wall time).
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 import time
@@ -21,12 +36,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .errors import (
-    BeliefPomdpError,
-    ModelFormatError,
-    PreconditionFailed,
-    StructureViolation,
-)
+from .errors import BeliefPomdpError, PreconditionFailed, StructureViolation
 from .grid import build_grid
 from .model import Belief, load_model, uniform_belief, unit_belief, validate_model
 from .quickest import ks_cost_estimate, qd_threshold, spec_from_model
@@ -44,16 +54,8 @@ EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_VIOLATION = 2
 
-PREDICATES = (
-    "tp2",
-    "fosd-cost",
-    "concavity",
-    "stopping-convex",
-    "mlr-monotone",
-    "homogeneity",
-    "myopic-bound",
-    "ultrametric",
-)
+#: click parameters that count something: below 1 a run is empty or vacuous
+COUNT_OPTIONS = ("resolution", "paths", "num_models", "root_degree")
 
 
 def fmt(x) -> str:
@@ -96,27 +98,45 @@ def write_csv(path: Path, header, columns) -> None:
 
 
 class Run:
-    """Output directory, manifest bookkeeping, and exit status for a command.
+    """The lifecycle of one command: ``with Run(out) as run:``.
 
-    The manifest records the invoking click command's name and its
+    Entering makes the output directory and rejects a count option below
+    1.  Leaving writes the manifest and exits with the run's status; a
+    ``BeliefPomdpError`` raised in the block is printed as ``error: ...``
+    on stderr and exits 1, and any other exception propagates.  The
+    manifest records the invoking click command's name and its
     parameters under their click names, plus the problem ``sizes`` a
     command reports (empty for commands that report none).
     """
 
     def __init__(self, out):
         self.dir = Path(out)
-        self.dir.mkdir(parents=True, exist_ok=True)
         ctx = click.get_current_context()
         self.command = ctx.info_name
         self.options = dict(ctx.params)
+        self.counts = [
+            (p.opts[0], ctx.params[p.name]) for p in ctx.command.params if p.name in COUNT_OPTIONS
+        ]
         self.started = time.monotonic()
         self.status = EXIT_OK
         self.sizes = {}
 
-    def violation(self):
-        self.status = EXIT_VIOLATION
+    def __enter__(self):
+        self.dir.mkdir(parents=True, exist_ok=True)
+        for option, value in self.counts:
+            if value < 1:
+                self._end(f"{option} must be at least 1, got {value}")
+        return self
 
-    def finish(self):
+    def __exit__(self, exc_type, exc, traceback):
+        if exc is None or isinstance(exc, BeliefPomdpError):
+            self._end(exc)
+
+    def _end(self, error=None):
+        """Write the manifest and exit; an ``error`` is printed and exits 1."""
+        if error is not None:
+            click.echo(f"error: {error}", err=True)
+            self.status = EXIT_INPUT_ERROR
         write_json(
             self.dir / "manifest.json",
             {
@@ -130,17 +150,42 @@ class Run:
         )
         sys.exit(self.status)
 
+    def violation(self):
+        self.status = EXIT_VIOLATION
 
-def fail(run: Run, message: str):
-    click.echo(f"error: {message}", err=True)
-    run.status = EXIT_INPUT_ERROR
-    run.finish()
+    def solve(self, model, resolution, tol, max_iters, solver=None):
+        """Solve ``model`` on the grid at ``resolution`` and record the solve.
 
+        ``solver`` defaults to ``solve_stopping`` or ``solve_discounted``
+        by model kind, looked up when called.
+        """
+        grid = build_grid(model.num_states, resolution)
+        if solver is None:
+            solver = solve_stopping if model.is_stopping else solve_discounted
+        result = solver(model, grid, tol=tol, max_iters=max_iters)
+        self.record_solve(grid.num_points, result.log.iterations, result.log.converged)
+        return result
 
-def require_positive(run: Run, option: str, value: int):
-    """Fail on a count below one, which would make a vacuous or empty run."""
-    if value < 1:
-        fail(run, f"{option} must be at least 1, got {value}")
+    def record_solve(self, grid_points, iterations, converged):
+        """Record a solve's sizes; a solve that did not converge exits 2."""
+        self.sizes.update(grid_points=grid_points, iterations=iterations)
+        if not converged:
+            self.violation()
+
+    def record_paths(self, paths, horizon, start_beliefs, policies, horizon_key="horizon"):
+        """Record Monte Carlo sizes.
+
+        ``path_steps`` is paths x horizon x start beliefs x policies, the
+        steps budgeted; a chunk whose paths have all stopped ends early.
+        """
+        self.sizes.update(
+            {
+                "paths": paths,
+                horizon_key: horizon,
+                "start_beliefs": start_beliefs,
+                "path_steps": paths * horizon * start_beliefs * policies,
+            }
+        )
 
 
 model_option = click.option("--model", "model_path", required=True, type=click.Path(exists=True))
@@ -164,34 +209,19 @@ def main():
     """Solve, verify, and simulate belief-space POMDP models."""
 
 
-def _load(run, model_path, require_valid=True):
-    try:
-        return load_model(model_path, require_valid=require_valid)
-    except ModelFormatError as exc:
-        fail(run, str(exc))
-
-
-def _solve_any(model, resolution, tol, max_iters):
-    grid = build_grid(model.num_states, resolution)
-    solver = solve_stopping if model.is_stopping else solve_discounted
-    return solver(model, grid, tol=tol, max_iters=max_iters)
-
-
 @main.command()
 @model_option
 @out_option
 def validate(model_path, out):
     """Report every model-invariant violation in a model file."""
-    run = Run(out)
-    model = _load(run, model_path, require_valid=False)
-    violations = validate_model(model)
-    write_json(
-        run.dir / "validation.json",
-        {"valid": not violations, "violations": [v.to_dict() for v in violations]},
-    )
-    if violations:
-        run.violation()
-    run.finish()
+    with Run(out) as run:
+        violations = validate_model(load_model(model_path, require_valid=False))
+        write_json(
+            run.dir / "validation.json",
+            {"valid": not violations, "violations": [v.to_dict() for v in violations]},
+        )
+        if violations:
+            run.violation()
 
 
 @main.command()
@@ -202,22 +232,9 @@ def validate(model_path, out):
 @out_option
 def solve(model_path, resolution, tol, max_iters, out):
     """Run value iteration and export the value function and policy."""
-    run = Run(out)
-    model = _load(run, model_path)
-    try:
-        result = _solve_any(model, resolution, tol, max_iters)
-    except BeliefPomdpError as exc:
-        fail(run, str(exc))
-    _write_solution(run, model, result)
-    if not result.log.converged:
-        run.violation()
-    run.finish()
-
-
-def _record_solve_sizes(run, result):
-    run.sizes.update(
-        {"grid_points": result.policy.grid.num_points, "iterations": result.log.iterations}
-    )
+    with Run(out) as run:
+        model = load_model(model_path)
+        _write_solution(run, model, run.solve(model, resolution, tol, max_iters))
 
 
 def _write_solution(run, model, result, filename="value_policy.csv"):
@@ -237,7 +254,6 @@ def _write_solution(run, model, result, filename="value_policy.csv"):
     log = result.log
     sweeps = list(map(str, range(1, log.iterations + 1)))
     write_csv(run.dir / "convergence.csv", ["iteration", "change"], [sweeps, log.changes])
-    _record_solve_sizes(run, result)
     threshold = None
     if model.num_states == 2 and model.is_stopping:
         t = extract_threshold(result.policy)
@@ -256,17 +272,57 @@ def _write_solution(run, model, result, filename="value_policy.csv"):
 @out_option
 def solve_relaxed_cmd(model_path, resolution, tol, max_iters, out):
     """Solve the orthant-relaxed recursion of a linear-cost model."""
-    run = Run(out)
-    model = _load(run, model_path)
-    try:
-        grid = build_grid(model.num_states, resolution)
-        result = solve_relaxed(model, grid, tol=tol, max_iters=max_iters)
-    except BeliefPomdpError as exc:
-        fail(run, str(exc))
-    _write_solution(run, model, result, filename="relaxed_values.csv")
-    if not result.log.converged:
-        run.violation()
-    run.finish()
+    with Run(out) as run:
+        model = load_model(model_path)
+        result = run.solve(model, resolution, tol, max_iters, solver=solve_relaxed)
+        _write_solution(run, model, result, filename="relaxed_values.csv")
+
+
+def _tp2(model, solve, seed, kappas):
+    reports = []
+    for u in range(1, model.num_actions + 1):
+        for kind in ("transition", "observation"):
+            report = structure.is_tp2(getattr(model, kind)[u - 1])
+            report.details["matrix"] = f"{kind}[{u}]"
+            reports.append(report)
+    return reports
+
+
+def _stopping_convex(model, solve, seed, kappas):
+    if not model.is_stopping:
+        raise PreconditionFailed("stopping-convex needs a stopping_time model")
+    return [structure.verify_stopping_set_convex(solve().policy)]
+
+
+def _value_tolerance(result):
+    return 1e-6 * max(1e-12, result.value.scale())
+
+
+#: verify's predicates by name: each maps (model, solve, seed, kappas) to
+#: its reports, where ``solve()`` returns the command's one solution
+PREDICATES = {
+    "tp2": _tp2,
+    "fosd-cost": lambda model, solve, seed, kappas: [
+        structure.fosd_decreasing_cost(model, u, seed=seed)
+        for u in range(1, model.num_actions + 1)
+    ],
+    "concavity": lambda model, solve, seed, kappas: [
+        structure.verify_concavity(solve().value, tolerance=_value_tolerance(solve()), seed=seed)
+    ],
+    "stopping-convex": _stopping_convex,
+    "mlr-monotone": lambda model, solve, seed, kappas: [
+        structure.verify_mlr_monotone_value(solve().value, _value_tolerance(solve()), seed=seed)
+    ],
+    "homogeneity": lambda model, solve, seed, kappas: [
+        structure.verify_homogeneity(model, solve().value, kappas=kappas, seed=seed)
+    ],
+    "myopic-bound": lambda model, solve, seed, kappas: [
+        structure.verify_myopic_bound(model, solve())
+    ],
+    "ultrametric": lambda model, solve, seed, kappas: [
+        structure.is_ultrametric(model.observation[0])
+    ],
+}
 
 
 @main.command()
@@ -280,76 +336,27 @@ def solve_relaxed_cmd(model_path, resolution, tol, max_iters, out):
 @out_option
 def verify(model_path, resolution, tol, max_iters, seed, predicates, kappa, out):
     """Run structural verifier predicates and write one report each."""
-    run = Run(out)
-    names = [p.strip() for p in predicates.split(",") if p.strip()]
-    unknown = [p for p in names if p not in PREDICATES]
-    if unknown:
-        fail(run, f"unknown predicates {unknown}; choose from {list(PREDICATES)}")
-    model = _load(run, model_path)
-    try:
-        kappas = tuple(float(k) for k in kappa.split(","))
-    except ValueError:
-        fail(run, f"--kappa needs comma-separated numbers, got {kappa!r}")
-
-    solved = None
-
-    def solution():
-        nonlocal solved
-        if solved is None:
-            solved = _solve_any(model, resolution, tol, max_iters)
-            _record_solve_sizes(run, solved)
-        return solved
-
-    try:
+    with Run(out) as run:
+        names = [p.strip() for p in predicates.split(",") if p.strip()]
+        unknown = [p for p in names if p not in PREDICATES]
+        if unknown:
+            raise PreconditionFailed(
+                f"unknown predicates {unknown}; choose from {list(PREDICATES)}"
+            )
+        model = load_model(model_path)
+        try:
+            kappas = tuple(float(k) for k in kappa.split(","))
+        except ValueError:
+            raise PreconditionFailed(
+                f"--kappa needs comma-separated numbers, got {kappa!r}"
+            ) from None
+        solution = functools.cache(lambda: run.solve(model, resolution, tol, max_iters))
         for name in names:
-            reports = _run_predicate(model, name, solution, seed, kappas)
+            reports = PREDICATES[name](model, solution, seed, kappas)
             payload = [r.to_dict() for r in reports]
             write_json(run.dir / f"verify_{name.replace('-', '_')}.json", payload)
             if any(not r.holds for r in reports):
                 run.violation()
-    except BeliefPomdpError as exc:
-        fail(run, str(exc))
-    run.finish()
-
-
-def _run_predicate(model, name, solution, seed, kappas):
-    """Reports of one predicate; ``solution()`` is the command's one solve."""
-    if name == "tp2":
-        out = []
-        for u in range(1, model.num_actions + 1):
-            r = structure.is_tp2(model.transition[u - 1])
-            r.details["matrix"] = f"transition[{u}]"
-            out.append(r)
-            r = structure.is_tp2(model.observation[u - 1])
-            r.details["matrix"] = f"observation[{u}]"
-            out.append(r)
-        return out
-    if name == "fosd-cost":
-        return [
-            structure.fosd_decreasing_cost(model, u, seed=seed)
-            for u in range(1, model.num_actions + 1)
-        ]
-    if name == "concavity":
-        result = solution()
-        tolerance = 1e-6 * max(1e-12, result.value.scale())
-        return [structure.verify_concavity(result.value, tolerance=tolerance, seed=seed)]
-    if name == "stopping-convex":
-        if not model.is_stopping:
-            raise PreconditionFailed("stopping-convex needs a stopping_time model")
-        result = solution()
-        return [structure.verify_stopping_set_convex(result.policy)]
-    if name == "mlr-monotone":
-        result = solution()
-        tolerance = 1e-6 * max(1e-12, result.value.scale())
-        return [structure.verify_mlr_monotone_value(result.value, tolerance, seed=seed)]
-    if name == "homogeneity":
-        value = solution().value
-        return [structure.verify_homogeneity(model, value, kappas=kappas, seed=seed)]
-    if name == "myopic-bound":
-        return [structure.verify_myopic_bound(model, solution())]
-    if name == "ultrametric":
-        return [structure.is_ultrametric(model.observation[0])]
-    raise AssertionError(name)
 
 
 @main.command("qd-threshold")
@@ -360,25 +367,16 @@ def _run_predicate(model, name, solution, seed, kappas):
 @out_option
 def qd_threshold_cmd(model_path, resolution, tol, max_iters, out):
     """Solve a quickest-detection model and extract the threshold."""
-    run = Run(out)
-    model = _load(run, model_path)
-    try:
-        spec = spec_from_model(model)
-    except BeliefPomdpError as exc:
-        fail(run, str(exc))
-    try:
-        result = qd_threshold(spec, resolution=resolution, tol=tol, max_iters=max_iters)
-    except StructureViolation as exc:
-        write_json(run.dir / "qd_threshold.json", {"error": str(exc)})
-        run.violation()
-        run.finish()
-    _record_qd_sizes(run, result)
-    write_json(run.dir / "qd_threshold.json", result.to_dict())
-    run.finish()
-
-
-def _record_qd_sizes(run, result):
-    run.sizes.update({"grid_points": result.grid_points, "iterations": result.iterations})
+    with Run(out) as run:
+        spec = spec_from_model(load_model(model_path))
+        try:
+            result = qd_threshold(spec, resolution=resolution, tol=tol, max_iters=max_iters)
+        except StructureViolation as exc:
+            write_json(run.dir / "qd_threshold.json", {"error": str(exc)})
+            run.violation()
+            return
+        run.record_solve(result.grid_points, result.iterations, result.converged)
+        write_json(run.dir / "qd_threshold.json", result.to_dict())
 
 
 @main.command("qd-simulate")
@@ -392,26 +390,18 @@ def _record_qd_sizes(run, result):
 @out_option
 def qd_simulate(model_path, resolution, tol, max_iters, paths, seed, workers, out):
     """Monte Carlo delay/false-alarm cost of the solved threshold rule."""
-    run = Run(out)
-    require_positive(run, "--paths", paths)
-    model = _load(run, model_path)
-    try:
-        spec = spec_from_model(model)
+    with Run(out) as run:
+        spec = spec_from_model(load_model(model_path))
         solved = qd_threshold(spec, resolution=resolution, tol=tol, max_iters=max_iters)
-        _record_qd_sizes(run, solved)
+        run.record_solve(solved.grid_points, solved.iterations, solved.converged)
         estimate = ks_cost_estimate(
             spec, solved.threshold, num_paths=paths, seed=seed, workers=workers
         )
-    except BeliefPomdpError as exc:
-        fail(run, str(exc))
-    _record_mc_sizes(
-        run, paths, estimate.horizon_cap, 1, policies=1, horizon_key="horizon_cap"
-    )
-    payload = estimate.to_dict()
-    payload["value_at_start"] = solved.value_at_start
-    payload["solver"] = solved.to_dict()
-    write_json(run.dir / "qd_simulate.json", payload)
-    run.finish()
+        run.record_paths(paths, estimate.horizon_cap, 1, policies=1, horizon_key="horizon_cap")
+        payload = estimate.to_dict()
+        payload["value_at_start"] = solved.value_at_start
+        payload["solver"] = solved.to_dict()
+        write_json(run.dir / "qd_simulate.json", payload)
 
 
 @main.command()
@@ -419,15 +409,14 @@ def qd_simulate(model_path, resolution, tol, max_iters, paths, seed, workers, ou
 @out_option
 def blackwell(model_path, out):
     """Factorize sensor 1's observation matrix through sensor 2's."""
-    run = Run(out)
-    model = _load(run, model_path)
-    if model.num_actions != 2:
-        fail(run, "blackwell factorization needs a two-action model")
-    fac = structure.blackwell_factorize(model.observation[0], model.observation[1])
-    write_json(run.dir / "blackwell.json", fac.to_dict())
-    if not fac.dominates:
-        run.violation()
-    run.finish()
+    with Run(out) as run:
+        model = load_model(model_path)
+        if model.num_actions != 2:
+            raise PreconditionFailed("blackwell factorization needs a two-action model")
+        fac = structure.blackwell_factorize(model.observation[0], model.observation[1])
+        write_json(run.dir / "blackwell.json", fac.to_dict())
+        if not fac.dominates:
+            run.violation()
 
 
 @main.command("ultrametric-root")
@@ -436,47 +425,22 @@ def blackwell(model_path, out):
 @out_option
 def ultrametric_root(model_path, root_degree, out):
     """Stochastic root of sensor 1's matrix plus its dominance chain."""
-    run = Run(out)
-    model = _load(run, model_path)
-    base = model.observation[0]
-    report = structure.is_ultrametric(base)
-    payload = {"ultrametric": report.to_dict(), "degree": root_degree}
-    if not report.holds:
+    with Run(out) as run:
+        base = load_model(model_path).observation[0]
+        report = structure.is_ultrametric(base)
+        payload = {"ultrametric": report.to_dict(), "degree": root_degree}
+        holds = report.holds
+        if holds:
+            root = structure.matrix_root(base, root_degree)
+            powers = [np.linalg.matrix_power(root, k) for k in range(1, root_degree + 1)]
+            chain = [structure.blackwell_factorize(hi, lo) for lo, hi in zip(powers, powers[1:])]
+            holds = all(fac.dominates for fac in chain)
+            payload.update(
+                root=root, chain_residuals=[fac.residual for fac in chain], chain_holds=holds
+            )
         write_json(run.dir / "ultrametric_root.json", payload)
-        run.violation()
-        run.finish()
-    try:
-        root = structure.matrix_root(base, root_degree)
-    except BeliefPomdpError as exc:
-        fail(run, str(exc))
-    powers = [np.linalg.matrix_power(root, k) for k in range(1, root_degree + 1)]
-    residuals = []
-    for k in range(len(powers) - 1):
-        fac = structure.blackwell_factorize(powers[k + 1], powers[k])
-        residuals.append(fac.residual)
-    payload["root"] = root
-    payload["chain_residuals"] = residuals
-    payload["chain_holds"] = all(r <= 1e-6 for r in residuals)
-    write_json(run.dir / "ultrametric_root.json", payload)
-    if not payload["chain_holds"]:
-        run.violation()
-    run.finish()
-
-
-def _record_mc_sizes(run, paths, horizon, start_beliefs, policies, horizon_key="horizon"):
-    """Monte Carlo sizes for the manifest.
-
-    ``path_steps`` is paths x horizon x start beliefs x policies, the
-    steps budgeted; a chunk whose paths have all stopped ends early.
-    """
-    run.sizes.update(
-        {
-            "paths": paths,
-            horizon_key: horizon,
-            "start_beliefs": start_beliefs,
-            "path_steps": paths * horizon * start_beliefs * policies,
-        }
-    )
+        if not holds:
+            run.violation()
 
 
 def _initial_belief_set(num_states):
@@ -486,6 +450,15 @@ def _initial_belief_set(num_states):
     beliefs.append(Belief(w / w.sum()))
     beliefs.append(Belief(w[::-1] / w.sum()))
     return beliefs[:5] if num_states == 2 else beliefs
+
+
+def _write_policy_costs(path, model, rows):
+    """Write one ``pi1..piX,policy,mean,std_error,paths,horizon`` row per
+    (start belief, policy label, mean, std_error, paths, horizon)."""
+    header = [f"pi{i}" for i in range(1, model.num_states + 1)]
+    header += ["policy", "mean", "std_error", "paths", "horizon"]
+    table = [[*belief, label, mean, se, str(n), str(h)] for belief, label, mean, se, n, h in rows]
+    write_csv(path, header, zip(*table))
 
 
 @main.command()
@@ -499,34 +472,21 @@ def _initial_belief_set(num_states):
 @out_option
 def evaluate(model_path, resolution, tol, max_iters, paths, seed, workers, out):
     """Monte Carlo cost of the grid-optimal policy from standard start beliefs."""
-    run = Run(out)
-    require_positive(run, "--paths", paths)
-    model = _load(run, model_path)
-    try:
-        result = _solve_any(model, resolution, tol, max_iters)
-        rows = []
+    with Run(out) as run:
+        model = load_model(model_path)
+        policy = run.solve(model, resolution, tol, max_iters).policy
         beliefs = _initial_belief_set(model.num_states)
         seeds = np.random.SeedSequence(seed).spawn(len(beliefs))
-        for i, pi0 in enumerate(beliefs):
+        rows = []
+        for pi0, pi0_seed in zip(beliefs, seeds):
             ev = evaluate_policy(
-                model, result.policy, pi0, num_paths=paths, seed=seeds[i], workers=workers
+                model, policy, pi0, num_paths=paths, seed=pi0_seed, workers=workers
             )
             rows.append(
-                list(pi0.probs)
-                + ["grid_optimal", ev.mean, ev.std_error, str(ev.num_paths), str(ev.horizon)]
+                (pi0.probs, "grid_optimal", ev.mean, ev.std_error, ev.num_paths, ev.horizon)
             )
-    except BeliefPomdpError as exc:
-        fail(run, str(exc))
-    _record_mc_sizes(run, paths, ev.horizon, len(beliefs), policies=1)
-    header = [f"pi{i}" for i in range(1, model.num_states + 1)] + [
-        "policy",
-        "mean",
-        "std_error",
-        "paths",
-        "horizon",
-    ]
-    write_csv(run.dir / "evaluate.csv", header, zip(*rows))
-    run.finish()
+        run.record_paths(paths, ev.horizon, len(beliefs), policies=1)
+        _write_policy_costs(run.dir / "evaluate.csv", model, rows)
 
 
 @main.command()
@@ -540,46 +500,31 @@ def evaluate(model_path, resolution, tol, max_iters, paths, seed, workers, out):
 @out_option
 def compare(model_path, resolution, tol, max_iters, paths, seed, workers, out):
     """Paired comparison: grid-optimal policy against the myopic sensor rule."""
-    run = Run(out)
-    require_positive(run, "--paths", paths)
-    model = _load(run, model_path)
-    try:
-        result = _solve_any(model, resolution, tol, max_iters)
+    with Run(out) as run:
+        model = load_model(model_path)
         comparison = compare_policies(
             model,
-            result.policy,
+            run.solve(model, resolution, tol, max_iters).policy,
             myopic_sensor_policy(model),
             _initial_belief_set(model.num_states),
             num_paths=paths,
             seed=seed,
             workers=workers,
         )
-    except BeliefPomdpError as exc:
-        fail(run, str(exc))
-    horizon = comparison.rows[0]["horizon"]
-    _record_mc_sizes(run, paths, horizon, comparison.num_beliefs, policies=2)
-    header = [f"pi{i}" for i in range(1, model.num_states + 1)] + [
-        "policy",
-        "mean",
-        "std_error",
-        "paths",
-        "horizon",
-    ]
-    rows = []
-    for row in comparison.rows:
-        for label, mean, se in (
-            ("grid_optimal", row["mean_a"], row["se_a"]),
-            ("myopic_bound", row["mean_b"], row["se_b"]),
-        ):
-            rows.append(
-                row["initial_belief"]
-                + [label, mean, se, str(row["num_paths"]), str(row["horizon"])]
+        horizon = comparison.rows[0]["horizon"]
+        run.record_paths(paths, horizon, comparison.num_beliefs, policies=2)
+        rows = [
+            (row["initial_belief"], label, mean, se, row["num_paths"], row["horizon"])
+            for row in comparison.rows
+            for label, mean, se in (
+                ("grid_optimal", row["mean_a"], row["se_a"]),
+                ("myopic_bound", row["mean_b"], row["se_b"]),
             )
-    write_csv(run.dir / "compare.csv", header, zip(*rows))
-    write_json(run.dir / "compare_summary.json", comparison.to_dict())
-    if comparison.a_not_worse != comparison.num_beliefs:
-        run.violation()
-    run.finish()
+        ]
+        _write_policy_costs(run.dir / "compare.csv", model, rows)
+        write_json(run.dir / "compare_summary.json", comparison.to_dict())
+        if comparison.a_not_worse != comparison.num_beliefs:
+            run.violation()
 
 
 @main.command("conjecture-probe")
@@ -589,20 +534,18 @@ def compare(model_path, resolution, tol, max_iters, paths, seed, workers, out):
 @out_option
 def conjecture_probe_cmd(num_models, resolution, seed, out):
     """Random search for a monotonicity counterexample without TP2 sensors."""
-    run = Run(out)
-    require_positive(run, "--num-models", num_models)
-    streams = np.random.SeedSequence(seed).spawn(num_models)
+    with Run(out) as run:
+        streams = np.random.SeedSequence(seed).spawn(num_models)
 
-    def generator(index):
-        return structure.random_a1a2_non_tp2_model(np.random.default_rng(streams[index]))
+        def generator(index):
+            return structure.random_a1a2_non_tp2_model(np.random.default_rng(streams[index]))
 
-    summary = structure.conjecture_probe(
-        generator, num_models, resolution=resolution, sizes=run.sizes
-    )
-    write_json(run.dir / "conjecture_probe.json", summary)
-    if summary["counterexample_found"]:
-        run.violation()
-    run.finish()
+        summary = structure.conjecture_probe(
+            generator, num_models, resolution=resolution, sizes=run.sizes
+        )
+        write_json(run.dir / "conjecture_probe.json", summary)
+        if summary["counterexample_found"] or run.sizes["unconverged"]:
+            run.violation()
 
 
 if __name__ == "__main__":

@@ -158,10 +158,7 @@ def _policy_actions(policy, points: np.ndarray) -> tuple:
     if isinstance(policy, _CostedRule):
         actions, costs = policy.fn(points)
         return np.asarray(actions, dtype=np.int64), costs
-    if hasattr(policy, "actions_at"):
-        return np.asarray(policy.actions_at(points), dtype=np.int64), None
-    actions = [int(policy(Belief(row))) for row in points]
-    return np.array(actions, dtype=np.int64), None
+    return np.asarray(policy.actions_at(points), dtype=np.int64), None
 
 
 def discounted_horizon(model: PomdpModel, tolerance: float) -> tuple:
@@ -275,6 +272,26 @@ def _check_stopping_evaluable(model: PomdpModel, policy) -> None:
         )
 
 
+def _evaluation_horizon(model: PomdpModel, policies, num_paths, tolerance, horizon_cap):
+    """(horizon, truncation bound) for evaluating the policies on the model.
+
+    Discounted models take the horizon whose truncation bound is within
+    ``tolerance``, capped at ``horizon_cap``.  Undiscounted stopping
+    models run to ``horizon_cap`` with no bound, and only for policies
+    that stop at some absorbing state's vertex.
+    """
+    if num_paths < 1:
+        raise ValueError("num_paths must be >= 1")
+    if model.discount < 1.0:
+        horizon, bound = discounted_horizon(model, tolerance)
+        return min(horizon, horizon_cap), bound
+    if not model.is_stopping:
+        raise HorizonUnbounded("undiscounted general models cannot be evaluated")
+    for policy in policies:
+        _check_stopping_evaluable(model, policy)
+    return horizon_cap, None
+
+
 def standard_error(samples: np.ndarray) -> float:
     """Standard error of the sample mean; 0.0 for fewer than two samples."""
     n = samples.size
@@ -297,16 +314,7 @@ def evaluate_policy(
     ``tolerance``; undiscounted stopping runs use ``horizon_cap`` and
     report how many paths were cut off.
     """
-    if num_paths < 1:
-        raise ValueError("num_paths must be >= 1")
-    if model.discount < 1.0:
-        horizon, bound = discounted_horizon(model, tolerance)
-        horizon = min(horizon, horizon_cap)
-    else:
-        if not model.is_stopping:
-            raise HorizonUnbounded("undiscounted general models cannot be evaluated")
-        _check_stopping_evaluable(model, policy)
-        horizon, bound = horizon_cap, None
+    horizon, bound = _evaluation_horizon(model, (policy,), num_paths, tolerance, horizon_cap)
     table = simulate_path_costs(
         model, policy, initial_belief, num_paths, horizon, seed=seed, workers=workers
     )
@@ -355,17 +363,8 @@ def compare_policies(
     difference (a minus b); ``a_not_worse`` counts beliefs where the
     difference is within three standard errors of nonpositive.
     """
-    if num_paths < 1:
-        raise ValueError("num_paths must be >= 1")
-    if model.discount < 1.0:
-        horizon, _ = discounted_horizon(model, tolerance)
-        horizon = min(horizon, horizon_cap)
-    else:
-        if not model.is_stopping:
-            raise HorizonUnbounded("undiscounted general models cannot be evaluated")
-        _check_stopping_evaluable(model, policy_a)
-        _check_stopping_evaluable(model, policy_b)
-        horizon = horizon_cap
+    policies = (policy_a, policy_b)
+    horizon, _ = _evaluation_horizon(model, policies, num_paths, tolerance, horizon_cap)
     initial_beliefs = [b if isinstance(b, Belief) else Belief(b) for b in initial_beliefs]
     if not initial_beliefs:
         raise PreconditionFailed("compare_policies needs at least one initial belief")

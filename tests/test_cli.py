@@ -75,6 +75,25 @@ def assert_convergence_trace(folder, summary):
     assert float(lines[-1].split(",")[1]) == summary["final_change"]
 
 
+#: input errors for the commands that take no ``--model``
+BAD_INPUT = {"conjecture-probe": ["--num-models", "0"]}
+#: required options besides ``--model``
+REQUIRED_ARGS = {"verify": ["--predicates", "concavity"]}
+#: options that count something, which must be at least 1
+COUNT_FLAGS = ("--grid", "--paths", "--num-models", "--root-degree")
+
+
+def count_options():
+    """(command, flag) for every count option of every command."""
+    return [
+        (name, flag)
+        for name, command in sorted(main.commands.items())
+        for param in command.params
+        for flag in param.opts
+        if flag in COUNT_FLAGS
+    ]
+
+
 def artifact_hashes(folder):
     return {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest()
@@ -171,6 +190,79 @@ class TestExitCodes:
             "wall_time_s",
             "exit_status",
         }
+
+    @pytest.mark.parametrize("name", sorted(main.commands))
+    def test_every_command_writes_a_manifest_on_an_input_error(self, tmp_path, name):
+        """A model file that is not JSON, or an empty probe, exits 1 with a
+        manifest; a new command fails here until it is given a bad input."""
+        bad = tmp_path / "bad.json"
+        bad.write_text("{nope")
+        params = {p.name for p in main.commands[name].params}
+        args = ["--model", str(bad)] if "model_path" in params else BAD_INPUT[name]
+        result = run([name, *args, *REQUIRED_ARGS.get(name, []), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 1, result.output
+        assert "error: " in error_text(result)
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert manifest["command"] == name and manifest["exit_status"] == 1
+
+    def test_count_options_cover_every_grid_command(self):
+        flags = [flag for _, flag in count_options()]
+        assert flags.count("--grid") == 8
+        assert set(flags) == set(COUNT_FLAGS)
+
+    @pytest.mark.parametrize("name,flag", count_options())
+    def test_count_below_one_exits_one_before_loading(self, tmp_path, name, flag):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{nope")
+        params = {p.name for p in main.commands[name].params}
+        args = ["--model", str(bad)] if "model_path" in params else []
+        args += [*REQUIRED_ARGS.get(name, []), flag, "0", "--out", str(tmp_path / "o")]
+        result = run([name, *args])
+        assert result.exit_code == 1, result.output
+        assert f"{flag} must be at least 1, got 0" in error_text(result)
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert manifest["exit_status"] == 1 and manifest["sizes"] == {}
+        assert [p.name for p in (tmp_path / "o").iterdir()] == ["manifest.json"]
+
+    @pytest.mark.parametrize("max_iters", [0, 1])
+    def test_unconverged_verify_exits_two_and_writes_reports(self, tmp_path, max_iters):
+        """A report on an unconverged iterate (V = 0 at no sweeps) is no
+        report on V*, however well it holds."""
+        args = ["--model", LINEAR_X3, "--grid", "20", "--predicates", "concavity"]
+        result = run(["verify", *args, "--max-iters", str(max_iters), "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        [report] = json.loads((tmp_path / "verify_concavity.json").read_text())
+        assert report["holds"]
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["exit_status"] == 2
+        assert manifest["sizes"] == {"grid_points": 231, "iterations": max_iters}
+
+    @pytest.mark.parametrize(
+        "name,args",
+        [
+            ("solve", ["--model", QD, "--grid", "20"]),
+            ("solve-relaxed", ["--model", MONO, "--grid", "20"]),
+            ("evaluate", ["--model", FVP, "--grid", "20", "--paths", "10"]),
+            ("compare", ["--model", FVP, "--grid", "20", "--paths", "10"]),
+            ("qd-threshold", ["--model", QD, "--grid", "50"]),
+            ("qd-simulate", ["--model", QD, "--grid", "50", "--paths", "10"]),
+        ],
+    )
+    def test_unconverged_solve_exits_two(self, tmp_path, name, args):
+        result = run([name, *args, "--max-iters", "2", "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["exit_status"] == 2 and manifest["sizes"]["iterations"] == 2
+        assert len(list(tmp_path.iterdir())) > 1
+
+    def test_unconverged_probe_exits_two(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(structure, "PROBE_MAX_ITERS", 2)
+        args = ["--num-models", "2", "--grid", "20", "--out", str(tmp_path)]
+        result = run(["conjecture-probe", *args])
+        assert result.exit_code == 2, result.output
+        assert manifest_sizes(tmp_path)["unconverged"] == 2
+        payload = json.loads((tmp_path / "conjecture_probe.json").read_text())
+        assert not payload["counterexample_found"]
 
 
 class TestVerify:
@@ -326,7 +418,8 @@ class TestCommands:
         result = run(["ultrametric-root", "--model", FVP, "--out", str(tmp_path)])
         assert result.exit_code == 2
 
-    def test_evaluate_and_compare(self, tmp_path):
+    def test_evaluate_and_compare(self, tmp_path, monkeypatch):
+        work = count_solver_work(monkeypatch)
         result = run(
             [
                 "evaluate",
@@ -346,6 +439,8 @@ class TestCommands:
         assert len(lines) == 6
         horizon = int(lines[1].split(",")[-1])
         assert manifest_sizes(tmp_path) == {
+            "grid_points": 61,
+            "iterations": work["sweeps"][0],
             "paths": 300,
             "horizon": horizon,
             "start_beliefs": 5,
@@ -368,7 +463,10 @@ class TestCommands:
         assert result.exit_code == 0
         summary = json.loads((tmp_path / "cmp" / "compare_summary.json").read_text())
         assert summary["num_beliefs"] == 5
+        assert work["sweeps"][1] == work["sweeps"][0]
         assert manifest_sizes(tmp_path / "cmp") == {
+            "grid_points": 61,
+            "iterations": work["sweeps"][1],
             "paths": 500,
             "horizon": horizon,
             "start_beliefs": 5,
@@ -516,7 +614,7 @@ class TestCsvOracle:
         """``relaxed`` writes the table under ``solve-relaxed``'s file name."""
         result = synthetic_solution(num_states, resolution)
         model = SimpleNamespace(num_states=num_states, is_stopping=False)
-        run_stub = SimpleNamespace(dir=tmp_path, sizes={})
+        run_stub = SimpleNamespace(dir=tmp_path)
         filename = "relaxed_values.csv" if relaxed else "value_policy.csv"
         cli._write_solution(run_stub, model, result, filename=filename)
 
@@ -533,7 +631,25 @@ class TestCsvOracle:
         reference_write_csv(tmp_path / "reference_trace.csv", ["iteration", "change"], trace)
         got = (tmp_path / "convergence.csv").read_bytes()
         assert got == (tmp_path / "reference_trace.csv").read_bytes()
-        assert run_stub.sizes == {"grid_points": grid.num_points, "iterations": 5}
+
+    @pytest.mark.parametrize(
+        "command,solver_name,filename",
+        [
+            ("solve", "solve_discounted", "value_policy.csv"),
+            ("solve-relaxed", "solve_relaxed", "relaxed_values.csv"),
+        ],
+    )
+    def test_solve_commands_record_the_written_solution(
+        self, tmp_path, monkeypatch, command, solver_name, filename
+    ):
+        """The manifest records the sizes of the solution the table holds."""
+        result = synthetic_solution(3, 7)
+        monkeypatch.setattr(cli, solver_name, lambda *args, **kwargs: result)
+        args = ["--model", LINEAR_X3, "--grid", "7", "--out", str(tmp_path)]
+        assert run([command, *args]).exit_code == 0
+        grid = result.policy.grid
+        assert (tmp_path / filename).read_bytes().count(b"\n") == grid.num_points + 1
+        assert manifest_sizes(tmp_path) == {"grid_points": grid.num_points, "iterations": 5}
 
     def test_coordinate_labels_are_the_grid_division(self):
         """``k / M`` in Python is the same IEEE quotient as the grid's ``coords / M``."""
