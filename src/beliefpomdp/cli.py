@@ -7,8 +7,9 @@ output directory.  Exit codes:
 - 0 on success;
 - 1 on an input error: a model file that does not load, a count option
   (``--grid``, ``--paths``, ``--num-models``, ``--root-degree``) below 1,
-  checked before anything is loaded or solved, or any other
-  ``BeliefPomdpError``.  The message goes to stderr as ``error: ...``;
+  checked before anything is loaded or solved, ``ultrametric-root``
+  with ``--root-degree`` 1 (a chain of one power checks nothing), or any
+  other ``BeliefPomdpError``.  The message goes to stderr as ``error: ...``;
 - 2 when a verifier found a violation or a solve failed to converge.
   Every command that solves (``solve``, ``solve-relaxed``, ``verify``,
   ``evaluate``, ``compare``, ``qd-threshold``, ``qd-simulate`` and
@@ -39,7 +40,7 @@ from . import __version__
 from .errors import BeliefPomdpError, PreconditionFailed, StructureViolation
 from .grid import build_grid
 from .model import Belief, load_model, uniform_belief, unit_belief, validate_model
-from .quickest import ks_cost_estimate, qd_threshold, spec_from_model
+from .quickest import initial_belief, ks_cost_estimate, qd_threshold, spec_from_model
 from .simulate import compare_policies, evaluate_policy, myopic_sensor_policy
 from .solver import (
     NotThreshold,
@@ -157,20 +158,18 @@ class Run:
         """Solve ``model`` on the grid at ``resolution`` and record the solve.
 
         ``solver`` defaults to ``solve_stopping`` or ``solve_discounted``
-        by model kind, looked up when called.
+        by model kind, looked up when called.  The solve's
+        ``grid_points`` and ``iterations`` go into the manifest's sizes,
+        and a solve that did not converge exits 2.
         """
         grid = build_grid(model.num_states, resolution)
         if solver is None:
             solver = solve_stopping if model.is_stopping else solve_discounted
         result = solver(model, grid, tol=tol, max_iters=max_iters)
-        self.record_solve(grid.num_points, result.log.iterations, result.log.converged)
-        return result
-
-    def record_solve(self, grid_points, iterations, converged):
-        """Record a solve's sizes; a solve that did not converge exits 2."""
-        self.sizes.update(grid_points=grid_points, iterations=iterations)
-        if not converged:
+        self.sizes.update(grid_points=grid.num_points, iterations=result.log.iterations)
+        if not result.log.converged:
             self.violation()
+        return result
 
     def record_paths(self, paths, horizon, start_beliefs, policies, horizon_key="horizon"):
         """Record Monte Carlo sizes.
@@ -359,6 +358,21 @@ def verify(model_path, resolution, tol, max_iters, seed, predicates, kappa, out)
                 run.violation()
 
 
+def _qd_summary(result):
+    """The ``qd_threshold.json`` payload of a solved detection model;
+    raises StructureViolation when its policy has no single threshold."""
+    log = result.log
+    return {
+        "threshold": qd_threshold(result),
+        "resolution": result.policy.grid.resolution,
+        "iterations": log.iterations,
+        "final_change": log.final_change,
+        "converged": log.converged,
+        "value_at_start": result.value.at(initial_belief()),
+        "stop_points": int(np.count_nonzero(result.policy.actions == 1)),
+    }
+
+
 @main.command("qd-threshold")
 @model_option
 @click.option("--grid", "resolution", default=1000, show_default=True, type=int)
@@ -368,15 +382,15 @@ def verify(model_path, resolution, tol, max_iters, seed, predicates, kappa, out)
 def qd_threshold_cmd(model_path, resolution, tol, max_iters, out):
     """Solve a quickest-detection model and extract the threshold."""
     with Run(out) as run:
-        spec = spec_from_model(load_model(model_path))
+        model = load_model(model_path)
+        spec_from_model(model)  # rejects a model without the detection structure
+        result = run.solve(model, resolution, tol, max_iters)
         try:
-            result = qd_threshold(spec, resolution=resolution, tol=tol, max_iters=max_iters)
+            payload = _qd_summary(result)
         except StructureViolation as exc:
-            write_json(run.dir / "qd_threshold.json", {"error": str(exc)})
+            payload = {"error": str(exc)}
             run.violation()
-            return
-        run.record_solve(result.grid_points, result.iterations, result.converged)
-        write_json(run.dir / "qd_threshold.json", result.to_dict())
+        write_json(run.dir / "qd_threshold.json", payload)
 
 
 @main.command("qd-simulate")
@@ -391,16 +405,16 @@ def qd_threshold_cmd(model_path, resolution, tol, max_iters, out):
 def qd_simulate(model_path, resolution, tol, max_iters, paths, seed, workers, out):
     """Monte Carlo delay/false-alarm cost of the solved threshold rule."""
     with Run(out) as run:
-        spec = spec_from_model(load_model(model_path))
-        solved = qd_threshold(spec, resolution=resolution, tol=tol, max_iters=max_iters)
-        run.record_solve(solved.grid_points, solved.iterations, solved.converged)
+        model = load_model(model_path)
+        spec = spec_from_model(model)
+        solved = _qd_summary(run.solve(model, resolution, tol, max_iters))
         estimate = ks_cost_estimate(
-            spec, solved.threshold, num_paths=paths, seed=seed, workers=workers
+            spec, solved["threshold"], num_paths=paths, seed=seed, workers=workers
         )
         run.record_paths(paths, estimate.horizon_cap, 1, policies=1, horizon_key="horizon_cap")
         payload = estimate.to_dict()
-        payload["value_at_start"] = solved.value_at_start
-        payload["solver"] = solved.to_dict()
+        payload["value_at_start"] = solved["value_at_start"]
+        payload["solver"] = solved
         write_json(run.dir / "qd_simulate.json", payload)
 
 
@@ -426,6 +440,11 @@ def blackwell(model_path, out):
 def ultrametric_root(model_path, root_degree, out):
     """Stochastic root of sensor 1's matrix plus its dominance chain."""
     with Run(out) as run:
+        if root_degree < 2:
+            raise PreconditionFailed(
+                f"--root-degree must be at least 2 for a dominance chain to check, "
+                f"got {root_degree}"
+            )
         base = load_model(model_path).observation[0]
         report = structure.is_ultrametric(base)
         payload = {"ultrametric": report.to_dict(), "degree": root_degree}

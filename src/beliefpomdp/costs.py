@@ -105,9 +105,6 @@ class NonlinearCostSpec:
             out.append(f"family {self.family!r} takes no weight_matrix")
         return out
 
-    def num_actions_hint(self):
-        return None if self.alpha is None else int(self.alpha.size)
-
     def to_dict(self) -> dict:
         d = {"family": self.family}
         if self.epsilon is not None:

@@ -6,6 +6,12 @@ distribution shifts at the jump.  Announcing too early incurs a false
 alarm penalty; announcing late pays a per-step delay weight.  The
 resulting stopping problem is undiscounted with a single-threshold
 optimal policy in the post-change probability.
+
+The module holds what is specific to detection: the model built
+from a spec (``build_qd_model``), the structure check of a loaded model
+(``spec_from_model``), the threshold of a solved detection model
+(``qd_threshold``; the solve itself is the ordinary ``solve_stopping``)
+and the Monte Carlo cost of the threshold rule (``ks_cost_estimate``).
 """
 
 from __future__ import annotations
@@ -17,12 +23,9 @@ import numpy as np
 from .columns import inverse_cdf, sampling_table
 from .costs import NonlinearCostSpec
 from .errors import PreconditionFailed, StructureViolation
-from .grid import build_grid
 from .model import STOPPING_TIME, Belief, PomdpModel, unit_belief
-from .simulate import run_chunked, standard_error
-from .solver import NotThreshold, extract_threshold, solve_stopping
-
-DEFAULT_HORIZON_CAP = 10_000
+from .simulate import DEFAULT_HORIZON_CAP, run_chunked, standard_error
+from .solver import NotThreshold, SolveResult, extract_threshold
 
 
 @dataclass(frozen=True)
@@ -112,63 +115,20 @@ def spec_from_model(model: PomdpModel) -> QdSpec:
     )
 
 
-@dataclass
-class QdThresholdResult:
-    """The solved threshold and its solve; ``to_dict`` leaves out
-    ``grid_points``, which the CLI records in the manifest's sizes."""
-
-    threshold: float
-    resolution: int
-    iterations: int
-    final_change: float
-    converged: bool
-    value_at_start: float
-    stop_points: int
-    grid_points: int
-
-    def to_dict(self) -> dict:
-        return {
-            "threshold": float(self.threshold),
-            "resolution": int(self.resolution),
-            "iterations": int(self.iterations),
-            "final_change": float(self.final_change),
-            "converged": bool(self.converged),
-            "value_at_start": float(self.value_at_start),
-            "stop_points": int(self.stop_points),
-        }
-
-
-def qd_threshold(
-    spec: QdSpec,
-    resolution: int = 1000,
-    tol: float = 1e-9,
-    max_iters: int = 100_000,
-) -> QdThresholdResult:
-    """Solve the detection problem and extract the announcement threshold.
+def qd_threshold(result: SolveResult) -> float:
+    """The announcement threshold of a solved detection model.
 
     The solved policy must stop at pi(2) = 0 and switch exactly once to
     continue; anything else signals a misconfigured solve and raises
     StructureViolation.
     """
-    model = build_qd_model(spec)
-    grid = build_grid(2, resolution)
-    result = solve_stopping(model, grid, tol=tol, max_iters=max_iters)
     threshold = extract_threshold(result.policy)
     if isinstance(threshold, NotThreshold):
         raise StructureViolation(
             f"policy is not a single stop-to-continue switch "
             f"({threshold.switch_count} switches; {threshold.reason})"
         )
-    return QdThresholdResult(
-        threshold=float(threshold),
-        resolution=resolution,
-        iterations=result.log.iterations,
-        final_change=float(result.log.final_change),
-        converged=result.log.converged,
-        value_at_start=result.value.at(initial_belief()),
-        stop_points=int(np.count_nonzero(result.policy.actions == 1)),
-        grid_points=grid.num_points,
-    )
+    return float(threshold)
 
 
 @dataclass

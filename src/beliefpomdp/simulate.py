@@ -6,6 +6,9 @@ therefore identical for any worker count.  Every step draws one
 transition uniform and one observation uniform for every path in the
 chunk, whether or not the path is still active, so two policies
 evaluated with the same seed see common random numbers path by path.
+A path that has stopped is neither looked up nor priced: each step
+gathers the beliefs of the active paths once, and the policy lookup,
+the costs and the per-action rows all come out of that gather.
 
 Short-axis rule: a chunk holds thousands of paths but only X states and
 Y observations, so no step reduces along a state or observation axis.
@@ -49,14 +52,14 @@ CHUNK_SIZE = 8192
 DEFAULT_HORIZON_CAP = 10_000
 
 
-def chunk_seeds(seed, num_paths: int, chunk_size: int = CHUNK_SIZE):
+def chunk_seeds(seed, num_paths: int):
     """Deterministic (generator, count) list covering num_paths paths.
 
     The passed seed (int or SeedSequence) is copied before spawning:
     SeedSequence.spawn advances an internal counter, and reruns from the
     same seed must produce the same chunk streams.
     """
-    n_chunks = (num_paths + chunk_size - 1) // chunk_size
+    n_chunks = (num_paths + CHUNK_SIZE - 1) // CHUNK_SIZE
     if isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key)
     else:
@@ -64,7 +67,7 @@ def chunk_seeds(seed, num_paths: int, chunk_size: int = CHUNK_SIZE):
     seqs = seed.spawn(n_chunks)
     out = []
     for i, seq in enumerate(seqs):
-        count = min(chunk_size, num_paths - i * chunk_size)
+        count = min(CHUNK_SIZE, num_paths - i * CHUNK_SIZE)
         out.append((seq, count))
     return out
 
@@ -221,30 +224,34 @@ def simulate_path_costs(
         active = np.ones(count, dtype=bool)
         disc = 1.0
         for _ in range(horizon):
-            if not np.any(active):
+            live = np.flatnonzero(active)
+            if live.size == 0:
                 break
-            actions, chosen = _policy_actions(policy, beliefs)
+            # points, actions and chosen costs are indexed by position in live
+            points = beliefs.take(live, axis=0)
+            actions, chosen = _policy_actions(policy, points)
             if model.is_stopping:
-                stopping_now = active & (actions == 1)
-                if np.any(stopping_now):
-                    rows = np.flatnonzero(stopping_now)
+                stop = np.flatnonzero(actions == 1)
+                if stop.size:
+                    rows = live.take(stop)
                     if chosen is None:
-                        term = instantaneous_cost_batch(model, beliefs.take(rows, axis=0), 1)
+                        term = instantaneous_cost_batch(model, points.take(stop, axis=0), 1)
                     else:
-                        term = chosen.take(rows)
+                        term = chosen.take(stop)
                     costs[rows] += disc * term
-                    active = active & ~stopping_now
+                    active[rows] = False
             step_u = rng.random(count)
             step_y = rng.random(count)
             for u in continuing:
-                rows = np.flatnonzero(active & (actions == u))
-                if rows.size == 0:
+                picked = np.flatnonzero(actions == u)
+                if picked.size == 0:
                     continue
-                here = beliefs.take(rows, axis=0)
+                rows = live.take(picked)
+                here = points.take(picked, axis=0)
                 if chosen is None:
                     cost = instantaneous_cost_batch(model, here, u)
                 else:
-                    cost = chosen.take(rows)
+                    cost = chosen.take(picked)
                 costs[rows] += disc * cost
                 nxt = inverse_cdf(step_u.take(rows), cum_p[u - 1].take(states.take(rows), axis=0))
                 obs = inverse_cdf(step_y.take(rows), cum_b[u - 1].take(nxt, axis=0))
@@ -397,11 +404,11 @@ def compare_policies(
     return PolicyComparison(rows=rows, a_not_worse=wins, num_beliefs=len(rows))
 
 
-def default_initial_beliefs(num_states: int, extra: int = 3):
-    """Vertices, centroid, and a few deterministic interior mixtures."""
+def default_initial_beliefs(num_states: int):
+    """Vertices, centroid, and three deterministic interior mixtures."""
     beliefs = [unit_belief(i, num_states) for i in range(1, num_states + 1)]
     beliefs.append(Belief(np.full(num_states, 1.0 / num_states)))
-    for j in range(1, extra + 1):
+    for j in range(1, 4):
         w = np.arange(1, num_states + 1, dtype=float) ** j
         beliefs.append(Belief(w / w.sum()))
     return beliefs

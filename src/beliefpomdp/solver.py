@@ -97,9 +97,6 @@ class Policy:
     def actions_at(self, points: np.ndarray) -> np.ndarray:
         return self.actions[self.grid.nearest_index(points)]
 
-    def threshold(self):
-        return extract_threshold(self)
-
 
 @dataclass
 class IterationLog:

@@ -15,7 +15,7 @@ from beliefpomdp.costs import NonlinearCostSpec
 from beliefpomdp.filtering import exact_posterior_oracle, filter_update
 from beliefpomdp.grid import build_grid
 from beliefpomdp.model import Belief, fixture_path, load_model
-from beliefpomdp.quickest import ks_cost_estimate, qd_threshold, spec_from_model
+from beliefpomdp.quickest import initial_belief, ks_cost_estimate, qd_threshold, spec_from_model
 from beliefpomdp.simulate import compare_policies, default_initial_beliefs, myopic_sensor_policy
 from beliefpomdp.solver import (
     NotThreshold,
@@ -132,14 +132,16 @@ def test_acceptance_03_stopping_set_convexity():
 
 def test_acceptance_04_threshold_consistency():
     budget = Budget(120)
-    spec = spec_from_model(load_model(fixture_path("quickest_detection_x2.json")))
-    fine = qd_threshold(spec, resolution=2000, tol=1e-9)
-    coarse = qd_threshold(spec, resolution=1000, tol=1e-9)
-    assert abs(fine.threshold - coarse.threshold) <= 2.0 / 1000
+    model = load_model(fixture_path("quickest_detection_x2.json"))
+    spec = spec_from_model(model)
+    fine = solve_stopping(model, build_grid(2, 2000), tol=1e-9)
+    coarse = solve_stopping(model, build_grid(2, 1000), tol=1e-9)
+    assert abs(qd_threshold(fine) - qd_threshold(coarse)) <= 2.0 / 1000
 
-    estimate = ks_cost_estimate(spec, fine.threshold, num_paths=100_000, seed=404)
-    grid_error = abs(fine.value_at_start - coarse.value_at_start) + 1.0 / 1000
-    assert abs(estimate.ks_cost - fine.value_at_start) <= estimate.ci_halfwidth + grid_error
+    estimate = ks_cost_estimate(spec, qd_threshold(fine), num_paths=100_000, seed=404)
+    fine_start, coarse_start = (r.value.at(initial_belief()) for r in (fine, coarse))
+    grid_error = abs(fine_start - coarse_start) + 1.0 / 1000
+    assert abs(estimate.ks_cost - fine_start) <= estimate.ci_halfwidth + grid_error
     assert estimate.cap_hits == 0
     budget.done("4 threshold grid agreement + solver-vs-simulation cost")
 

@@ -10,8 +10,10 @@ from click.testing import CliRunner
 
 from beliefpomdp import cli, solver, structure
 from beliefpomdp.cli import main
+from beliefpomdp.costs import NonlinearCostSpec
 from beliefpomdp.grid import build_grid
-from beliefpomdp.model import fixture_path
+from beliefpomdp.model import fixture_path, load_model, save_model
+from beliefpomdp.quickest import QdSpec, build_qd_model
 from beliefpomdp.simulate import EvalResult, PolicyComparison
 from beliefpomdp.solver import (
     IterationLog,
@@ -254,6 +256,61 @@ class TestExitCodes:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["exit_status"] == 2 and manifest["sizes"]["iterations"] == 2
         assert len(list(tmp_path.iterdir())) > 1
+
+    @pytest.mark.parametrize(
+        "name,args",
+        [
+            ("solve", ["--model", QD, "--grid", "20"]),
+            ("solve-relaxed", ["--model", MONO, "--grid", "20"]),
+            ("verify", ["--model", QD, "--grid", "20", "--predicates", "concavity,stopping-convex"]),
+            ("evaluate", ["--model", FVP, "--grid", "20", "--paths", "10"]),
+            ("compare", ["--model", FVP, "--grid", "20", "--paths", "10"]),
+            ("qd-threshold", ["--model", QD, "--grid", "50"]),
+            ("qd-simulate", ["--model", QD, "--grid", "50", "--paths", "10"]),
+        ],
+    )
+    def test_each_solving_command_solves_the_loaded_model_once(
+        self, tmp_path, monkeypatch, name, args
+    ):
+        models = []
+
+        def counting(solve):
+            def wrapper(model, grid, **kwargs):
+                models.append(model)
+                return solve(model, grid, **kwargs)
+
+            return wrapper
+
+        for solve_name in ("solve_discounted", "solve_stopping", "solve_relaxed"):
+            monkeypatch.setattr(cli, solve_name, counting(getattr(cli, solve_name)))
+        result = run([name, *args, "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        [model] = models
+        assert model.to_dict() == load_model(args[1]).to_dict()
+
+    def test_qd_threshold_without_a_threshold_records_the_solve(self, tmp_path):
+        loss = NonlinearCostSpec("entropy", alpha=[0.02, 0.02], beta=[2.0, 2.0])
+        model = build_qd_model(QdSpec(0.9, 0.05, [[0.8, 0.2], [0.3, 0.7]], continue_loss=loss))
+        path = tmp_path / "stops_everywhere.json"
+        save_model(model, path)
+        out = tmp_path / "o"
+        result = run(["qd-threshold", "--model", str(path), "--grid", "100", "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        payload = json.loads((out / "qd_threshold.json").read_text())
+        assert set(payload) == {"error"} and "0 switches" in payload["error"]
+        sweeps = solver.solve_stopping(model, build_grid(2, 100), tol=1e-9).log.iterations
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["exit_status"] == 2
+        assert manifest["sizes"] == {"grid_points": 101, "iterations": sweeps}
+
+    def test_root_degree_one_exits_one(self, tmp_path):
+        """A chain of one power checks no factorization, so it has no verdict."""
+        result = run(["ultrametric-root", "--model", CHAIN, "--root-degree", "1", "--out", str(tmp_path)])
+        assert result.exit_code == 1, result.output
+        assert "--root-degree must be at least 2" in error_text(result)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["exit_status"] == 1 and manifest["options"]["root_degree"] == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
 
     def test_unconverged_probe_exits_two(self, tmp_path, monkeypatch):
         monkeypatch.setattr(structure, "PROBE_MAX_ITERS", 2)

@@ -5,7 +5,8 @@ import pytest
 
 from beliefpomdp import quickest
 from beliefpomdp.costs import NonlinearCostSpec
-from beliefpomdp.errors import PreconditionFailed
+from beliefpomdp.errors import PreconditionFailed, StructureViolation
+from beliefpomdp.grid import build_grid
 from beliefpomdp.model import fixture_path, load_model, validate_model
 from beliefpomdp.quickest import (
     QdSpec,
@@ -15,10 +16,15 @@ from beliefpomdp.quickest import (
     qd_threshold,
     spec_from_model,
 )
+from beliefpomdp.solver import solve_stopping
 
 from conftest import LargestDraws
 
 SPEC = QdSpec(persistence=0.9, delay_weight=0.05, observation=[[0.8, 0.2], [0.3, 0.7]])
+
+
+def solve_spec(spec, resolution):
+    return solve_stopping(build_qd_model(spec), build_grid(2, resolution), tol=1e-9)
 
 
 class TestSpecAndModel:
@@ -60,24 +66,21 @@ class TestSpecAndModel:
 
 class TestThreshold:
     def test_threshold_in_unit_interval(self):
-        result = qd_threshold(SPEC, resolution=400, tol=1e-9)
-        assert 0.0 < result.threshold < 1.0
-        assert result.converged
-        assert result.stop_points > 0
+        result = solve_spec(SPEC, 400)
+        assert 0.0 < qd_threshold(result) < 1.0
+        assert result.log.converged
+        assert np.count_nonzero(result.policy.actions == 1) > 0
 
     def test_threshold_monotone_in_delay_weight(self):
         thresholds = [
-            qd_threshold(
-                QdSpec(0.9, d, [[0.8, 0.2], [0.3, 0.7]]), resolution=400, tol=1e-9
-            ).threshold
+            qd_threshold(solve_spec(QdSpec(0.9, d, [[0.8, 0.2], [0.3, 0.7]]), 400))
             for d in (0.01, 0.05, 0.2)
         ]
         assert thresholds[0] < thresholds[1] < thresholds[2]
 
     def test_noninformative_sensor_still_single_switch(self):
         spec = QdSpec(0.9, 0.05, [[0.5, 0.5], [0.5, 0.5]])
-        result = qd_threshold(spec, resolution=400, tol=1e-9)
-        assert 0.0 < result.threshold < 1.0
+        assert 0.0 < qd_threshold(solve_spec(spec, 400)) < 1.0
 
     def test_nonlinear_continue_cost_keeps_threshold(self):
         spec = QdSpec(
@@ -88,13 +91,20 @@ class TestThreshold:
                 "entropy", alpha=[0.02, 0.02], beta=[0.0, 0.0]
             ),
         )
-        result = qd_threshold(spec, resolution=400, tol=1e-9)
-        assert 0.0 < result.threshold < 1.0
+        assert 0.0 < qd_threshold(solve_spec(spec, 400)) < 1.0
 
     def test_grid_refinement_agreement(self):
-        t1 = qd_threshold(SPEC, resolution=500, tol=1e-9).threshold
-        t2 = qd_threshold(SPEC, resolution=1000, tol=1e-9).threshold
+        t1 = qd_threshold(solve_spec(SPEC, 500))
+        t2 = qd_threshold(solve_spec(SPEC, 1000))
         assert abs(t1 - t2) <= 2.0 / 500
+
+    def test_policy_stopping_everywhere_has_no_threshold(self):
+        loss = NonlinearCostSpec("entropy", alpha=[0.02, 0.02], beta=[2.0, 2.0])
+        spec = QdSpec(0.9, 0.05, [[0.8, 0.2], [0.3, 0.7]], continue_loss=loss)
+        result = solve_spec(spec, 400)
+        assert np.all(result.policy.actions == 1)
+        with pytest.raises(StructureViolation, match="0 switches"):
+            qd_threshold(result)
 
 
 class TestKsCostEstimate:
@@ -118,19 +128,18 @@ class TestKsCostEstimate:
         assert abs(est.mean_change_time - 10.0) <= 3 * se * 1.2
 
     def test_threshold_locally_optimal(self):
-        solved = qd_threshold(SPEC, resolution=1000, tol=1e-9)
-        best = ks_cost_estimate(SPEC, solved.threshold, num_paths=30_000, seed=5)
+        threshold = qd_threshold(solve_spec(SPEC, 1000))
+        best = ks_cost_estimate(SPEC, threshold, num_paths=30_000, seed=5)
         for delta in (-0.05, 0.05):
-            other = ks_cost_estimate(
-                SPEC, solved.threshold + delta, num_paths=30_000, seed=5
-            )
+            other = ks_cost_estimate(SPEC, threshold + delta, num_paths=30_000, seed=5)
             assert best.ks_cost <= other.ks_cost + best.ci_halfwidth + other.ci_halfwidth
 
     def test_solver_value_matches_simulation(self):
-        solved = qd_threshold(SPEC, resolution=1000, tol=1e-9)
-        est = ks_cost_estimate(SPEC, solved.threshold, num_paths=60_000, seed=6)
+        solved = solve_spec(SPEC, 1000)
+        est = ks_cost_estimate(SPEC, qd_threshold(solved), num_paths=60_000, seed=6)
         grid_error = 2.0 / 1000
-        assert abs(est.ks_cost - solved.value_at_start) <= est.ci_halfwidth + grid_error
+        value_at_start = solved.value.at(initial_belief())
+        assert abs(est.ks_cost - value_at_start) <= est.ci_halfwidth + grid_error
 
     def test_deterministic_across_workers(self):
         a = ks_cost_estimate(SPEC, 0.13, num_paths=20_000, seed=9, workers=1)
