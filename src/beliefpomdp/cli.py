@@ -14,15 +14,18 @@ output directory.  Exit codes:
   Every command that solves (``solve``, ``solve-relaxed``, ``verify``,
   ``evaluate``, ``compare``, ``qd-threshold``, ``qd-simulate`` and
   ``conjecture-probe``) applies the convergence rule, and its artifacts
-  are still written.
+  are still written.  ``qd-threshold`` and ``qd-simulate`` also exit 2,
+  writing ``{"error": ...}`` as their artifact, when the solved policy
+  has no single threshold.
 
 Each of these writes ``manifest.json``.  Click's own usage errors (a
 missing option, a ``--model`` that does not exist) exit 2 before any
 manifest exists.
 
 All numbers in artifacts are formatted to 12 significant digits, and a
-fixed seed makes reruns byte-identical regardless of worker count (the
-manifest is the one exception: it records wall time).
+fixed seed makes reruns byte-identical regardless of worker or CPU count
+(the manifest is the one exception: it records wall time and the sweep
+threads).
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from .solver import (
     solve_discounted,
     solve_relaxed,
     solve_stopping,
+    sweep_threads,
 )
 from . import structure
 
@@ -57,6 +61,10 @@ EXIT_VIOLATION = 2
 
 #: click parameters that count something: below 1 a run is empty or vacuous
 COUNT_OPTIONS = ("resolution", "paths", "num_models", "root_degree")
+
+
+#: rows that ``write_csv`` formats and writes at a time
+CSV_BLOCK = 1 << 12
 
 
 def fmt(x) -> str:
@@ -89,13 +97,21 @@ def write_csv(path: Path, header, columns) -> None:
 
     ``columns`` holds one cell sequence per header name, all of one
     length (the row count); a shorter or longer column raises
-    ``ValueError``.  String cells are written as they are and every
-    other cell through ``fmt``.  Lines end in a newline, the last one
-    included.
+    ``ValueError`` before the file is opened.  A column holds strings,
+    written as they are, or numbers, written through ``fmt``.  Lines end
+    in a newline, the last one included.  The file is written CSV_BLOCK
+    rows at a time, so the text of the whole table is never held.
     """
-    cells = [[x if isinstance(x, str) else fmt(x) for x in col] for col in columns]
-    rows = map(",".join, zip(*cells, strict=True))
-    path.write_text("\n".join([",".join(header), *rows]) + "\n")
+    columns = list(columns)
+    lengths = {len(col) for col in columns}
+    if len(lengths) > 1:
+        raise ValueError(f"columns differ in length: {sorted(lengths)}")
+    with path.open("w") as f:
+        f.write(",".join(header) + "\n")
+        for lo in range(0, min(lengths, default=0), CSV_BLOCK):
+            cells = [col[lo : lo + CSV_BLOCK] for col in columns]
+            cells = [c if isinstance(c[0], str) else map(fmt, c) for c in cells]
+            f.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 class Run:
@@ -159,14 +175,20 @@ class Run:
 
         ``solver`` defaults to ``solve_stopping`` or ``solve_discounted``
         by model kind, looked up when called.  The solve's
-        ``grid_points`` and ``iterations`` go into the manifest's sizes,
-        and a solve that did not converge exits 2.
+        ``grid_points``, ``iterations`` and ``sweep_threads`` go into the
+        manifest's sizes, and a solve that did not converge exits 2.
+        ``sweep_threads`` depends on the machine's CPUs, so it is recorded
+        nowhere else.
         """
         grid = build_grid(model.num_states, resolution)
         if solver is None:
             solver = solve_stopping if model.is_stopping else solve_discounted
         result = solver(model, grid, tol=tol, max_iters=max_iters)
-        self.sizes.update(grid_points=grid.num_points, iterations=result.log.iterations)
+        self.sizes.update(
+            grid_points=grid.num_points,
+            iterations=result.log.iterations,
+            sweep_threads=sweep_threads(grid.num_points),
+        )
         if not result.log.converged:
             self.violation()
         return result
@@ -358,12 +380,21 @@ def verify(model_path, resolution, tol, max_iters, seed, predicates, kappa, out)
                 run.violation()
 
 
-def _qd_summary(result):
-    """The ``qd_threshold.json`` payload of a solved detection model;
-    raises StructureViolation when its policy has no single threshold."""
+def _qd_solve(run, model_path, resolution, tol, max_iters):
+    """Load and solve a detection model: its spec and the
+    ``qd_threshold.json`` payload, which is ``{"error": ...}``, exiting 2,
+    when the solved policy has no single threshold."""
+    model = load_model(model_path)
+    spec = spec_from_model(model)  # rejects a model without the detection structure
+    result = run.solve(model, resolution, tol, max_iters)
+    try:
+        threshold = qd_threshold(result)
+    except StructureViolation as exc:
+        run.violation()
+        return spec, {"error": str(exc)}
     log = result.log
-    return {
-        "threshold": qd_threshold(result),
+    return spec, {
+        "threshold": threshold,
         "resolution": result.policy.grid.resolution,
         "iterations": log.iterations,
         "final_change": log.final_change,
@@ -382,14 +413,7 @@ def _qd_summary(result):
 def qd_threshold_cmd(model_path, resolution, tol, max_iters, out):
     """Solve a quickest-detection model and extract the threshold."""
     with Run(out) as run:
-        model = load_model(model_path)
-        spec_from_model(model)  # rejects a model without the detection structure
-        result = run.solve(model, resolution, tol, max_iters)
-        try:
-            payload = _qd_summary(result)
-        except StructureViolation as exc:
-            payload = {"error": str(exc)}
-            run.violation()
+        _, payload = _qd_solve(run, model_path, resolution, tol, max_iters)
         write_json(run.dir / "qd_threshold.json", payload)
 
 
@@ -405,16 +429,18 @@ def qd_threshold_cmd(model_path, resolution, tol, max_iters, out):
 def qd_simulate(model_path, resolution, tol, max_iters, paths, seed, workers, out):
     """Monte Carlo delay/false-alarm cost of the solved threshold rule."""
     with Run(out) as run:
-        model = load_model(model_path)
-        spec = spec_from_model(model)
-        solved = _qd_summary(run.solve(model, resolution, tol, max_iters))
-        estimate = ks_cost_estimate(
-            spec, solved["threshold"], num_paths=paths, seed=seed, workers=workers
-        )
-        run.record_paths(paths, estimate.horizon_cap, 1, policies=1, horizon_key="horizon_cap")
-        payload = estimate.to_dict()
-        payload["value_at_start"] = solved["value_at_start"]
-        payload["solver"] = solved
+        spec, solved = _qd_solve(run, model_path, resolution, tol, max_iters)
+        payload = solved
+        if "error" not in solved:
+            estimate = ks_cost_estimate(
+                spec, solved["threshold"], num_paths=paths, seed=seed, workers=workers
+            )
+            run.record_paths(paths, estimate.horizon_cap, 1, policies=1, horizon_key="horizon_cap")
+            payload = {
+                **estimate.to_dict(),
+                "value_at_start": solved["value_at_start"],
+                "solver": solved,
+            }
         write_json(run.dir / "qd_simulate.json", payload)
 
 

@@ -125,8 +125,8 @@ def qd_threshold(result: SolveResult) -> float:
     threshold = extract_threshold(result.policy)
     if isinstance(threshold, NotThreshold):
         raise StructureViolation(
-            f"policy is not a single stop-to-continue switch "
-            f"({threshold.switch_count} switches; {threshold.reason})"
+            f"solved policy has no threshold: {threshold.reason} "
+            f"({threshold.switch_count} switches)"
         )
     return float(threshold)
 

@@ -14,10 +14,24 @@ Operations Research 39(1), 1991), and one sweep is a gather and a row
 sum per action followed by the minimum over actions.  Models that share
 ``stack_key`` stack into one block-diagonal operator, so one sweep
 advances all of them; a single model is a stack of one.
+
+A sweep splits the B * N stacked rows into contiguous parts, one per
+usable CPU (``os.sched_getaffinity``, else ``os.cpu_count``) but never
+more than one per TABLE_BLOCK rows, so a stack of at most TABLE_BLOCK
+rows is swept inline on the calling thread.  Each part walks its rows
+in TABLE_BLOCK blocks (gather, row sums, ``cost + rho * cont``, running
+minimum over actions) through buffers it allocates once per solve.  The
+calling thread sweeps the first part and one thread pool per solve the
+others; ``take`` and ``einsum`` release the GIL.  Every row's arithmetic
+is the same whichever part or block holds it, so values, actions and
+change logs are bit-identical for any thread count.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -228,6 +242,9 @@ def stack_tables(models: list, grid: SimplexGrid) -> BackupTables:
                 if np.any(live):
                     idx, w = grid.barycentric(z[live] / s[live, None])
                     idx += n * owner[live, None]
+                    # the sweep gathers with mode="wrap", which checks no bounds
+                    if idx.min() < 0 or idx.max() >= rows:
+                        raise ValueError("a barycentric vertex lies outside the stacked rows")
                     cols = slice(y * x, (y + 1) * x)
                     vert_idx[u - 1, block, cols][live] = idx
                     vert_w[u - 1, block, cols][live] = s[live, None] * w
@@ -255,17 +272,92 @@ def q_values(tables: BackupTables, values: np.ndarray) -> np.ndarray:
     return q
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def sweep_threads(rows: int) -> int:
+    """Threads that sweep ``rows`` stacked rows: one per usable CPU and
+    at most one per TABLE_BLOCK rows, so 1 (inline) up to TABLE_BLOCK."""
+    return max(1, min(usable_cpus(), -(-rows // TABLE_BLOCK)))
+
+
+class _Part:
+    """Stacked rows [start, stop) of a sweep, with the block buffers it
+    reuses for every sweep of one solve."""
+
+    def __init__(self, tables: BackupTables, start: int, stop: int):
+        self.tables, self.start, self.stop = tables, start, stop
+        block = min(TABLE_BLOCK, stop - start)
+        self.gathered = np.empty((block, tables.vert_idx.shape[2]))
+        self.cont = np.empty(block)
+        self.q = np.empty(block)
+        self.less = np.empty(block, dtype=bool)
+
+    def __call__(self, values, new_values, actions, change):
+        """Write this part's rows of one sweep into new_values and actions,
+        ties to the smaller action, and |new_values - values| into change."""
+        t = self.tables
+        for lo in range(self.start, self.stop, TABLE_BLOCK):
+            hi = min(lo + TABLE_BLOCK, self.stop)
+            m = hi - lo
+            best, act, less = new_values[lo:hi], actions[lo:hi], self.less[:m]
+            # a running minimum over the few actions; min/argmin along a
+            # (U, rows) axis take several times longer
+            for u in range(t.cost.shape[0]):
+                q = best if u == 0 else self.q[:m]
+                if t.has_continuation[u]:
+                    gathered, cont = self.gathered[:m], self.cont[:m]
+                    np.take(values, t.vert_idx[u, lo:hi], out=gathered, mode="wrap")
+                    np.einsum("nk,nk->n", t.vert_w[u, lo:hi], gathered, out=cont)
+                    np.multiply(cont, t.discount, out=cont)
+                    np.add(t.cost[u, lo:hi], cont, out=q)
+                else:
+                    np.copyto(q, t.cost[u, lo:hi])
+                if u == 0:
+                    act.fill(1)
+                    continue
+                np.less(q, best, out=less)
+                np.copyto(act, u + 1, where=less)
+                np.minimum(best, q, out=best)
+            np.subtract(best, values[lo:hi], out=change[lo:hi])
+            np.abs(change[lo:hi], out=change[lo:hi])
+
+
+@contextmanager
+def _sweeper(tables: BackupTables):
+    """Yield ``sweep(values) -> (new values, 1-based actions, each model's
+    sup-norm change)``, one backup sweep, with the parts' buffers and the
+    thread pool open until the block ends."""
+    rows = tables.cost.shape[1]
+    threads = sweep_threads(rows)
+    parts = [_Part(tables, rows * i // threads, rows * (i + 1) // threads) for i in range(threads)]
+    change = np.empty(rows)
+
+    # the calling thread sweeps the first part, the pool the others
+    with ThreadPoolExecutor(threads - 1) if threads > 1 else nullcontext() as pool:
+
+        def sweep(values):
+            new_values = np.empty(rows)
+            actions = np.empty(rows, dtype=np.int32)
+            args = (values, new_values, actions, change)
+            others = [pool.submit(part, *args) for part in parts[1:]]
+            parts[0](*args)
+            for other in others:
+                other.result()
+            return new_values, actions, change.reshape(tables.num_models, -1).max(axis=1).tolist()
+
+        yield sweep
+
+
 def sweep_once(tables: BackupTables, values: np.ndarray):
     """Apply one backup sweep; returns (new values, 1-based actions), ties to smaller u."""
-    q = q_values(tables, values)
-    # a running minimum over the few action rows; min/argmin along axis 0
-    # take several times longer because they reduce across the strided axis
-    best = q[0].copy()
-    actions = np.ones(best.size, dtype=np.int32)
-    for u in range(1, q.shape[0]):
-        actions[q[u] < best] = u + 1
-        np.minimum(best, q[u], out=best)
-    return best, actions
+    with _sweeper(tables) as sweep:
+        return sweep(values)[:2]
 
 
 def _iterate(tables: BackupTables, tol: float, max_iters: int):
@@ -280,23 +372,22 @@ def _iterate(tables: BackupTables, tol: float, max_iters: int):
     values = np.zeros(tables.cost.shape[1])
     actions = np.ones(values.size, dtype=np.int32)
     logs = [IterationLog(tol=tol) for _ in range(count)]
-    # each model's rows of the last sweep it took part in; sweep_once
+    # each model's rows of the last sweep it took part in; every sweep
     # returns fresh arrays, so no later sweep writes into them
     kept_values = list(values.reshape(count, -1))
     kept_actions = list(actions.reshape(count, -1))
     running = range(count)
-    for _ in range(max_iters):
-        new_values, actions = sweep_once(tables, values)
-        change = np.abs(new_values - values).reshape(count, -1).max(axis=1).tolist()
-        values = new_values
-        value_rows, action_rows = values.reshape(count, -1), actions.reshape(count, -1)
-        for b in running:
-            logs[b].changes.append(change[b])
-            logs[b].converged = change[b] < tol
-            kept_values[b], kept_actions[b] = value_rows[b], action_rows[b]
-        running = [b for b in running if not logs[b].converged]
-        if not running:
-            break
+    with _sweeper(tables) as sweep:
+        for _ in range(max_iters):
+            values, actions, change = sweep(values)
+            value_rows, action_rows = values.reshape(count, -1), actions.reshape(count, -1)
+            for b in running:
+                logs[b].changes.append(change[b])
+                logs[b].converged = change[b] < tol
+                kept_values[b], kept_actions[b] = value_rows[b], action_rows[b]
+            running = [b for b in running if not logs[b].converged]
+            if not running:
+                break
     return kept_values, kept_actions, logs
 
 

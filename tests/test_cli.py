@@ -104,6 +104,16 @@ def artifact_hashes(folder):
     }
 
 
+def save_stops_everywhere(folder):
+    """A well-formed detection model whose solved policy at grid 100 stops
+    everywhere, so it has no threshold; returns (model, saved path)."""
+    loss = NonlinearCostSpec("entropy", alpha=[0.02, 0.02], beta=[2.0, 2.0])
+    model = build_qd_model(QdSpec(0.9, 0.05, [[0.8, 0.2], [0.3, 0.7]], continue_loss=loss))
+    path = folder / "stops_everywhere.json"
+    save_model(model, path)
+    return model, path
+
+
 class TestExitCodes:
     def test_validate_ok(self, tmp_path):
         result = run(["validate", "--model", QD, "--out", str(tmp_path)])
@@ -237,7 +247,11 @@ class TestExitCodes:
         assert report["holds"]
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["exit_status"] == 2
-        assert manifest["sizes"] == {"grid_points": 231, "iterations": max_iters}
+        assert manifest["sizes"] == {
+            "grid_points": 231,
+            "iterations": max_iters,
+            "sweep_threads": 1,
+        }
 
     @pytest.mark.parametrize(
         "name,args",
@@ -289,10 +303,7 @@ class TestExitCodes:
         assert model.to_dict() == load_model(args[1]).to_dict()
 
     def test_qd_threshold_without_a_threshold_records_the_solve(self, tmp_path):
-        loss = NonlinearCostSpec("entropy", alpha=[0.02, 0.02], beta=[2.0, 2.0])
-        model = build_qd_model(QdSpec(0.9, 0.05, [[0.8, 0.2], [0.3, 0.7]], continue_loss=loss))
-        path = tmp_path / "stops_everywhere.json"
-        save_model(model, path)
+        model, path = save_stops_everywhere(tmp_path)
         out = tmp_path / "o"
         result = run(["qd-threshold", "--model", str(path), "--grid", "100", "--out", str(out)])
         assert result.exit_code == 2, result.output
@@ -301,7 +312,31 @@ class TestExitCodes:
         sweeps = solver.solve_stopping(model, build_grid(2, 100), tol=1e-9).log.iterations
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["exit_status"] == 2
-        assert manifest["sizes"] == {"grid_points": 101, "iterations": sweeps}
+        assert manifest["sizes"] == {
+            "grid_points": 101,
+            "iterations": sweeps,
+            "sweep_threads": 1,
+        }
+
+    def test_qd_simulate_without_a_threshold_exits_two(self, tmp_path):
+        """Like ``qd-threshold``: exit 2 with the error as the artifact, and
+        nothing simulated."""
+        model, path = save_stops_everywhere(tmp_path)
+        out = tmp_path / "o"
+        args = ["--model", str(path), "--grid", "100", "--paths", "10", "--out", str(out)]
+        result = run(["qd-simulate", *args])
+        assert result.exit_code == 2, result.output
+        payload = json.loads((out / "qd_simulate.json").read_text())
+        assert set(payload) == {"error"} and "0 switches" in payload["error"]
+        assert payload["error"].count("stop-to-continue") == 1
+        sweeps = solver.solve_stopping(model, build_grid(2, 100), tol=1e-9).log.iterations
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["exit_status"] == 2
+        assert manifest["sizes"] == {
+            "grid_points": 101,
+            "iterations": sweeps,
+            "sweep_threads": 1,
+        }
 
     def test_root_degree_one_exits_one(self, tmp_path):
         """A chain of one power checks no factorization, so it has no verdict."""
@@ -347,6 +382,7 @@ class TestVerify:
         assert manifest_sizes(tmp_path) == {
             "grid_points": (resolution + 1) * (resolution + 2) // 2,
             "iterations": work["sweeps"][0],
+            "sweep_threads": 1,
         }
 
     @pytest.mark.parametrize(
@@ -391,6 +427,7 @@ class TestCommands:
         assert manifest_sizes(tmp_path) == {
             "grid_points": 101,
             "iterations": summary["iterations"],
+            "sweep_threads": 1,
         }
 
     def test_solve_relaxed_rejects_nonlinear(self, tmp_path):
@@ -408,6 +445,7 @@ class TestCommands:
         assert manifest_sizes(tmp_path) == {
             "grid_points": summary["grid_points"],
             "iterations": summary["iterations"],
+            "sweep_threads": 1,
         }
 
     def test_qd_threshold_and_simulate(self, tmp_path):
@@ -417,7 +455,11 @@ class TestCommands:
         assert result.exit_code == 0
         payload = json.loads((tmp_path / "qd_threshold.json").read_text())
         assert 0.0 < payload["threshold"] < 1.0
-        assert manifest_sizes(tmp_path) == {"grid_points": 401, "iterations": payload["iterations"]}
+        assert manifest_sizes(tmp_path) == {
+            "grid_points": 401,
+            "iterations": payload["iterations"],
+            "sweep_threads": 1,
+        }
         result = run(
             [
                 "qd-simulate",
@@ -440,6 +482,7 @@ class TestCommands:
         assert manifest_sizes(tmp_path / "sim") == {
             "grid_points": 401,
             "iterations": sim["solver"]["iterations"],
+            "sweep_threads": 1,
             "paths": 2000,
             "horizon_cap": sim["horizon_cap"],
             "start_beliefs": 1,
@@ -498,6 +541,7 @@ class TestCommands:
         assert manifest_sizes(tmp_path) == {
             "grid_points": 61,
             "iterations": work["sweeps"][0],
+            "sweep_threads": 1,
             "paths": 300,
             "horizon": horizon,
             "start_beliefs": 5,
@@ -524,6 +568,7 @@ class TestCommands:
         assert manifest_sizes(tmp_path / "cmp") == {
             "grid_points": 61,
             "iterations": work["sweeps"][1],
+            "sweep_threads": 1,
             "paths": 500,
             "horizon": horizon,
             "start_beliefs": 5,
@@ -597,6 +642,20 @@ class TestCommands:
 
 
 class TestDeterminism:
+    @pytest.mark.parametrize("command", ["solve", "qd-threshold"])
+    def test_sweep_threads_show_only_in_the_manifest(self, tmp_path, monkeypatch, command):
+        """Artifacts do not depend on how many threads swept the grid."""
+        model = QD if command == "qd-threshold" else LINEAR_X3
+        args = [command, "--model", model, "--grid", "30"]
+        assert run([*args, "--out", str(tmp_path / "inline")]).exit_code == 0
+        monkeypatch.setattr(solver, "TABLE_BLOCK", 12)
+        monkeypatch.setattr(solver, "usable_cpus", lambda: 3)
+        assert run([*args, "--out", str(tmp_path / "threaded")]).exit_code == 0
+        inline, threaded = manifest_sizes(tmp_path / "inline"), manifest_sizes(tmp_path / "threaded")
+        assert (inline.pop("sweep_threads"), threaded.pop("sweep_threads")) == (1, 3)
+        assert inline == threaded
+        assert artifact_hashes(tmp_path / "inline") == artifact_hashes(tmp_path / "threaded")
+
     def test_rerun_is_byte_identical(self, tmp_path):
         args = [
             "qd-simulate",
@@ -706,7 +765,11 @@ class TestCsvOracle:
         assert run([command, *args]).exit_code == 0
         grid = result.policy.grid
         assert (tmp_path / filename).read_bytes().count(b"\n") == grid.num_points + 1
-        assert manifest_sizes(tmp_path) == {"grid_points": grid.num_points, "iterations": 5}
+        assert manifest_sizes(tmp_path) == {
+            "grid_points": grid.num_points,
+            "iterations": 5,
+            "sweep_threads": 1,
+        }
 
     def test_coordinate_labels_are_the_grid_division(self):
         """``k / M`` in Python is the same IEEE quotient as the grid's ``coords / M``."""

@@ -1,4 +1,8 @@
-"""The vectorized backup sweep against a per-point loop and bellman_backup."""
+"""The vectorized backup sweep against a per-point loop and bellman_backup,
+stacked solves against single ones, and threaded row parts against the
+inline sweep."""
+
+import threading
 
 import numpy as np
 import pytest
@@ -6,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beliefpomdp import solver
-from beliefpomdp.grid import build_grid
+from beliefpomdp.grid import SimplexGrid, build_grid
 from beliefpomdp.model import Belief, PomdpModel, fixture_path, load_model
 from beliefpomdp.structure import random_a1a2_non_tp2_model
 from beliefpomdp.solver import (
@@ -270,3 +274,126 @@ def test_stack_rejects_models_that_differ_in_key():
     y2, y3 = probe_models(1, 2)  # one width is zero-padded past the other
     with pytest.raises(ValueError, match="share"):
         solver.stack_tables([y2, y3], grid)
+
+
+# ---------------------------------------------------------------------------
+# row parts on several threads against the inline sweep
+# ---------------------------------------------------------------------------
+
+
+def iterate_with(monkeypatch, tables, cpus, tol=1e-9, max_iters=100_000):
+    """_iterate with ``cpus`` usable CPUs: (its result, threads that ran parts)."""
+    monkeypatch.setattr(solver, "usable_cpus", lambda: cpus)
+    threads = set()
+    part_call = solver._Part.__call__
+
+    def recording_call(self, *args):
+        threads.add(threading.get_ident())
+        return part_call(self, *args)
+
+    monkeypatch.setattr(solver._Part, "__call__", recording_call)
+    try:
+        return solver._iterate(tables, tol, max_iters), len(threads)
+    finally:
+        monkeypatch.setattr(solver._Part, "__call__", part_call)
+
+
+def assert_threads_match_inline(monkeypatch, tables, cpus, **kwargs):
+    """Values, actions and change logs of a solve on ``cpus`` threads equal
+    the inline solve's bit for bit; returns the logs."""
+    (want_v, want_a, want_logs), inline = iterate_with(monkeypatch, tables, 1, **kwargs)
+    (got_v, got_a, got_logs), used = iterate_with(monkeypatch, tables, cpus, **kwargs)
+    assert inline == 1
+    assert used == solver.sweep_threads(tables.cost.shape[1]) == cpus
+    for b in range(tables.num_models):
+        assert np.array_equal(got_v[b], want_v[b])
+        assert np.array_equal(got_a[b], want_a[b])
+        assert got_logs[b].changes == want_logs[b].changes
+        assert got_logs[b].converged == want_logs[b].converged
+    return got_logs
+
+
+def test_sweep_threads_rule(monkeypatch):
+    monkeypatch.setattr(solver, "usable_cpus", lambda: 4)
+    block = solver.TABLE_BLOCK
+    assert solver.sweep_threads(1) == solver.sweep_threads(block) == 1
+    assert solver.sweep_threads(block + 1) == 2
+    assert solver.sweep_threads(3 * block) == 3
+    assert solver.sweep_threads(100 * block) == 4
+    monkeypatch.setattr(solver, "usable_cpus", lambda: 1)
+    assert solver.sweep_threads(100 * block) == 1
+    assert solver.usable_cpus() == 1
+    monkeypatch.undo()
+    assert solver.usable_cpus() >= 1
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_threaded_stack_matches_inline(monkeypatch, cpus):
+    """Five 41-point models in 205 rows: with blocks of 16, parts of 102 or
+    68 rows start mid-block and mid-model."""
+    monkeypatch.setattr(solver, "TABLE_BLOCK", 16)
+    tables = solver.stack_tables(probe_models(3, 10)[::2], build_grid(2, 40))
+    assert tables.cost.shape[1] == 205
+    assert_threads_match_inline(monkeypatch, tables, cpus)
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_threaded_stack_where_a_model_hits_max_iters(monkeypatch, cpus):
+    models = probe_models(5, 10)[::2]
+    grid = build_grid(2, 40)
+    cap = max(solver._solve(m, grid, 1e-9, 100_000).log.iterations for m in models) - 1
+    monkeypatch.setattr(solver, "TABLE_BLOCK", 16)
+    tables = solver.stack_tables(models, grid)
+    logs = assert_threads_match_inline(monkeypatch, tables, cpus, max_iters=cap)
+    converged = [log.converged for log in logs]
+    assert any(converged) and not all(converged)
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize(
+    "model", [duplicate_actions(), qd_model()], ids=["ties", "stopping"]
+)
+def test_threaded_single_models_match_inline(monkeypatch, cpus, model):
+    """Every Q of the tie model ties, so every row must pick action 1; the
+    stopping model's stop action has no continuation."""
+    monkeypatch.setattr(solver, "TABLE_BLOCK", 7)
+    grid = build_grid(model.num_states, RESOLUTION[model.num_states])
+    tables = build_tables(model, grid)
+    assert_threads_match_inline(monkeypatch, tables, cpus)
+    if model.num_states == 3:
+        (_, [actions], _), _ = iterate_with(monkeypatch, tables, cpus)
+        assert np.all(actions == 1)
+
+
+def test_threaded_sweep_once_matches_inline(monkeypatch):
+    model = three_state_general()
+    grid = build_grid(3, 10)
+    tables = build_tables(model, grid)
+    values = np.random.default_rng(4).normal(size=grid.num_points)
+    want = sweep_once(tables, values)
+    monkeypatch.setattr(solver, "TABLE_BLOCK", 5)
+    monkeypatch.setattr(solver, "usable_cpus", lambda: 3)
+    got = sweep_once(tables, values)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_no_thread_outlives_a_solve(monkeypatch):
+    monkeypatch.setattr(solver, "TABLE_BLOCK", 16)
+    tables = solver.stack_tables(probe_models(3, 10)[::2], build_grid(2, 40))
+    before = threading.active_count()
+    _, used = iterate_with(monkeypatch, tables, 3)
+    assert used == 3
+    assert threading.active_count() == before
+
+
+def test_vertex_outside_the_stack_raises_at_table_build(monkeypatch):
+    grid = build_grid(2, 10)
+    barycentric = SimplexGrid.barycentric
+
+    def shifted(self, queries):
+        idx, w = barycentric(self, queries)
+        return idx + self.num_points, w
+
+    monkeypatch.setattr(SimplexGrid, "barycentric", shifted)
+    with pytest.raises(ValueError, match="outside the stacked rows"):
+        build_tables(qd_model(), grid)
