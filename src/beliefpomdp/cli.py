@@ -42,17 +42,15 @@ import numpy as np
 from . import __version__
 from .errors import BeliefPomdpError, PreconditionFailed, StructureViolation
 from .grid import build_grid
-from .model import Belief, load_model, uniform_belief, unit_belief, validate_model
+from .model import load_model, validate_model
 from .quickest import initial_belief, ks_cost_estimate, qd_threshold, spec_from_model
-from .simulate import compare_policies, evaluate_policy, myopic_sensor_policy
-from .solver import (
-    NotThreshold,
-    extract_threshold,
-    solve_discounted,
-    solve_relaxed,
-    solve_stopping,
-    sweep_threads,
+from .simulate import (
+    compare_policies,
+    evaluate_policy,
+    initial_belief_set,
+    myopic_sensor_policy,
 )
+from .solver import solve_discounted, solve_relaxed, solve_stopping, sweep_threads
 from . import structure
 
 EXIT_OK = 0
@@ -277,8 +275,10 @@ def _write_solution(run, model, result, filename="value_policy.csv"):
     write_csv(run.dir / "convergence.csv", ["iteration", "change"], [sweeps, log.changes])
     threshold = None
     if model.num_states == 2 and model.is_stopping:
-        t = extract_threshold(result.policy)
-        threshold = None if isinstance(t, NotThreshold) else t
+        try:
+            threshold = qd_threshold(result.policy)
+        except StructureViolation:
+            pass
     write_json(
         run.dir / "solve_summary.json",
         {**log.to_dict(), "threshold": threshold, "grid_points": grid.num_points},
@@ -381,19 +381,19 @@ def verify(model_path, resolution, tol, max_iters, seed, predicates, kappa, out)
 
 
 def _qd_solve(run, model_path, resolution, tol, max_iters):
-    """Load and solve a detection model: its spec and the
+    """Load and solve a detection model: the model and the
     ``qd_threshold.json`` payload, which is ``{"error": ...}``, exiting 2,
     when the solved policy has no single threshold."""
     model = load_model(model_path)
-    spec = spec_from_model(model)  # rejects a model without the detection structure
+    spec_from_model(model)  # rejects a model without the detection structure
     result = run.solve(model, resolution, tol, max_iters)
     try:
-        threshold = qd_threshold(result)
+        threshold = qd_threshold(result.policy)
     except StructureViolation as exc:
         run.violation()
-        return spec, {"error": str(exc)}
+        return model, {"error": str(exc)}
     log = result.log
-    return spec, {
+    return model, {
         "threshold": threshold,
         "resolution": result.policy.grid.resolution,
         "iterations": log.iterations,
@@ -429,11 +429,11 @@ def qd_threshold_cmd(model_path, resolution, tol, max_iters, out):
 def qd_simulate(model_path, resolution, tol, max_iters, paths, seed, workers, out):
     """Monte Carlo delay/false-alarm cost of the solved threshold rule."""
     with Run(out) as run:
-        spec, solved = _qd_solve(run, model_path, resolution, tol, max_iters)
+        model, solved = _qd_solve(run, model_path, resolution, tol, max_iters)
         payload = solved
         if "error" not in solved:
             estimate = ks_cost_estimate(
-                spec, solved["threshold"], num_paths=paths, seed=seed, workers=workers
+                model, solved["threshold"], num_paths=paths, seed=seed, workers=workers
             )
             run.record_paths(paths, estimate.horizon_cap, 1, policies=1, horizon_key="horizon_cap")
             payload = {
@@ -488,15 +488,6 @@ def ultrametric_root(model_path, root_degree, out):
             run.violation()
 
 
-def _initial_belief_set(num_states):
-    beliefs = [unit_belief(i, num_states) for i in range(1, num_states + 1)]
-    beliefs.append(uniform_belief(num_states))
-    w = np.arange(1, num_states + 1, dtype=float)
-    beliefs.append(Belief(w / w.sum()))
-    beliefs.append(Belief(w[::-1] / w.sum()))
-    return beliefs[:5] if num_states == 2 else beliefs
-
-
 def _write_policy_costs(path, model, rows):
     """Write one ``pi1..piX,policy,mean,std_error,paths,horizon`` row per
     (start belief, policy label, mean, std_error, paths, horizon)."""
@@ -520,7 +511,7 @@ def evaluate(model_path, resolution, tol, max_iters, paths, seed, workers, out):
     with Run(out) as run:
         model = load_model(model_path)
         policy = run.solve(model, resolution, tol, max_iters).policy
-        beliefs = _initial_belief_set(model.num_states)
+        beliefs = initial_belief_set(model.num_states)
         seeds = np.random.SeedSequence(seed).spawn(len(beliefs))
         rows = []
         for pi0, pi0_seed in zip(beliefs, seeds):
@@ -551,7 +542,7 @@ def compare(model_path, resolution, tol, max_iters, paths, seed, workers, out):
             model,
             run.solve(model, resolution, tol, max_iters).policy,
             myopic_sensor_policy(model),
-            _initial_belief_set(model.num_states),
+            initial_belief_set(model.num_states),
             num_paths=paths,
             seed=seed,
             workers=workers,

@@ -9,23 +9,31 @@ optimal policy in the post-change probability.
 
 The module holds what is specific to detection: the model built
 from a spec (``build_qd_model``), the structure check of a loaded model
-(``spec_from_model``), the threshold of a solved detection model
+(``spec_from_model``), the threshold of a solved detection policy
 (``qd_threshold``; the solve itself is the ordinary ``solve_stopping``)
 and the Monte Carlo cost of the threshold rule (``ks_cost_estimate``).
+The rule runs on ``simulate``'s path loop, which draws every random
+number; its table's stop-cost column splits the cost into false alarm
+and delay.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .columns import inverse_cdf, sampling_table
 from .costs import NonlinearCostSpec
 from .errors import PreconditionFailed, StructureViolation
-from .model import STOPPING_TIME, Belief, PomdpModel, unit_belief
-from .simulate import DEFAULT_HORIZON_CAP, run_chunked, standard_error
-from .solver import NotThreshold, SolveResult, extract_threshold
+from .model import CONTINUE, STOP, STOPPING_TIME, Belief, PomdpModel, unit_belief
+from .simulate import (
+    DEFAULT_HORIZON_CAP,
+    FunctionPolicy,
+    path_simulator,
+    run_chunked,
+    standard_error,
+)
+from .solver import Policy
 
 
 @dataclass(frozen=True)
@@ -115,20 +123,29 @@ def spec_from_model(model: PomdpModel) -> QdSpec:
     )
 
 
-def qd_threshold(result: SolveResult) -> float:
-    """The announcement threshold of a solved detection model.
+def qd_threshold(policy: Policy) -> float:
+    """The announcement threshold of a solved two-state detection policy.
 
-    The solved policy must stop at pi(2) = 0 and switch exactly once to
-    continue; anything else signals a misconfigured solve and raises
-    StructureViolation.
+    The policy must stop at pi(2) = 0 and switch exactly once to
+    continue; the threshold is the midpoint (k - 1/2) / M between the
+    last stop point and the first continue point k.  Anything else
+    signals a misconfigured solve and raises StructureViolation with the
+    switch count; a grid of more than two states raises
+    PreconditionFailed.
     """
-    threshold = extract_threshold(result.policy)
-    if isinstance(threshold, NotThreshold):
-        raise StructureViolation(
-            f"solved policy has no threshold: {threshold.reason} "
-            f"({threshold.switch_count} switches)"
-        )
-    return float(threshold)
+    if policy.grid.num_states != 2:
+        raise PreconditionFailed("threshold extraction needs a two-state grid")
+    actions = policy.actions
+    up = int(np.count_nonzero((actions[:-1] == STOP) & (actions[1:] == CONTINUE)))
+    down = int(np.count_nonzero((actions[:-1] == CONTINUE) & (actions[1:] == STOP)))
+    if up != 1 or down != 0:
+        reason = "not a single stop-to-continue switch"
+    elif actions[0] != STOP:
+        reason = "policy does not stop at pi(2) = 0"
+    else:
+        first_continue = int(np.argmax(actions == CONTINUE))
+        return (first_continue - 0.5) / policy.grid.resolution
+    raise StructureViolation(f"solved policy has no threshold: {reason} ({up} switches)")
 
 
 @dataclass
@@ -162,81 +179,44 @@ class KsCostEstimate:
 
 
 def ks_cost_estimate(
-    spec: QdSpec,
+    model: PomdpModel,
     threshold: float,
     num_paths: int,
     horizon_cap: int = DEFAULT_HORIZON_CAP,
     seed: int = 0,
     workers: int = 1,
 ) -> KsCostEstimate:
-    """Simulate the threshold rule: announce at the first step whose
-    posterior change probability drops strictly below ``threshold``.
+    """Price the threshold rule on a detection model: announce at the
+    first step whose posterior pre-change probability pi(2) is strictly
+    below ``threshold``, the start belief included.
 
-    Returns the estimated delay term, false alarm probability, their
-    weighted sum, and a 95 percent normal-approximation half width.
-    Paths hitting the horizon cap are treated as announcing there and
-    counted in ``cap_hits``.  ``mean_change_time`` is a diagnostic; it is
-    exact only when the simulation runs to the cap (pass a threshold
-    below 0 to disable announcements), since chunks stop stepping once
-    every path has announced.
+    The rule runs on ``simulate``'s path loop from the pre-change vertex,
+    on the model without its continue loss, so each path's cost is its
+    Kolmogorov-Shiryaev cost: the false alarm priced at announcement by
+    pi(2), plus the delay weight times pi(1) at each step before.  Priced
+    costs in place of 0/1 indicators make the standard error smaller.
+    Returns the delay term, the false alarm probability, their sum and a
+    95 percent normal-approximation half width.  Paths still running at
+    the horizon cap are counted in ``cap_hits`` and accrue delay up to
+    it; ``mean_change_time`` is the exact mean of the geometric change
+    time.
     """
     if num_paths < 1:
         raise ValueError("num_paths must be >= 1")
-    persistence = spec.persistence
-    b_post, b_pre = spec.observation
-    d = spec.delay_weight
-    cum_b = sampling_table(spec.observation)
-
-    def sim(rng, count):
-        # pre marks paths still in the pre-change state; belief is pi(2)
-        pre = np.ones(count, dtype=bool)
-        belief = np.ones(count)
-        announced = np.zeros(count, dtype=bool)
-        announce_time = np.full(count, horizon_cap)
-        change_time = np.full(count, horizon_cap + 1)
-        for k in range(1, horizon_cap + 1):
-            if np.all(announced):
-                break
-            jump = rng.random(count) >= persistence
-            newly_changed = pre & jump
-            change_time[newly_changed] = k
-            pre &= ~jump
-            state_row = np.where(pre, 1, 0)  # observation row: 1 pre, 0 post
-            draw = rng.random(count)
-            obs = inverse_cdf(draw, cum_b.take(state_row, axis=0))
-            z1 = b_post.take(obs) * (1.0 - persistence * belief)
-            z2 = b_pre.take(obs) * persistence * belief
-            belief = z2 / (z1 + z2)
-            hit = ~announced & (belief < threshold)
-            announce_time[hit] = k
-            announced |= hit
-        delay = np.maximum(announce_time - change_time, 0)
-        false_alarm = announce_time < change_time
-        capped = ~announced
-        return np.stack(
-            [
-                delay.astype(float),
-                false_alarm.astype(float),
-                capped.astype(float),
-                change_time.astype(float),
-            ],
-            axis=1,
-        )
-
-    table = run_chunked(sim, seed, num_paths, workers=workers)
-    delay, fa, capped, change = table.T
-    per_path = d * delay + fa
-    mean = float(per_path.mean())
-    se = standard_error(per_path)
+    spec = spec_from_model(model)
+    rule = FunctionPolicy(lambda points: np.where(points[:, 1] < threshold, STOP, CONTINUE))
+    priced = replace(model, nonlinear_cost=NonlinearCostSpec())
+    sim = path_simulator(priced, rule, initial_belief(), horizon_cap)
+    cost, running, stop = run_chunked(sim, seed, num_paths, workers=workers).T
     return KsCostEstimate(
-        delay_term=float(d * delay.mean()),
-        false_alarm=float(fa.mean()),
-        ks_cost=mean,
-        ci_halfwidth=1.96 * se,
+        delay_term=float((cost - stop).mean()),
+        false_alarm=float(stop.mean()),
+        ks_cost=float(cost.mean()),
+        ci_halfwidth=1.96 * standard_error(cost),
         num_paths=num_paths,
-        cap_hits=int(capped.sum()),
+        cap_hits=int(running.sum()),
         horizon_cap=horizon_cap,
         seed=seed,
         threshold=float(threshold),
-        mean_change_time=float(change.mean()),
+        mean_change_time=spec.mean_change_time,
     )

@@ -10,6 +10,12 @@ A path that has stopped is neither looked up nor priced: each step
 gathers the beliefs of the active paths once, and the policy lookup,
 the costs and the per-action rows all come out of that gather.
 
+``path_simulator`` is the one path loop; ``simulate_path_costs`` runs it
+over the chunks.  Its table keeps the discounted stop cost in a column
+of its own, within the total, so a stopping model's cost splits into
+what continuing and what stopping accrued.  Quickest detection prices
+its threshold rule this way (``quickest.ks_cost_estimate``).
+
 Short-axis rule: a chunk holds thousands of paths but only X states and
 Y observations, so no step reduces along a state or observation axis.
 Sampling, filter normalizers, costs and the policy lookup loop over the
@@ -46,7 +52,7 @@ from .errors import (
     PreconditionFailed,
     ZeroLikelihood,
 )
-from .model import Belief, PomdpModel, unit_belief
+from .model import Belief, PomdpModel, uniform_belief, unit_belief
 
 CHUNK_SIZE = 8192
 DEFAULT_HORIZON_CAP = 10_000
@@ -194,19 +200,14 @@ def _belief_step(model, beliefs, u, obs):
     return post
 
 
-def simulate_path_costs(
-    model: PomdpModel,
-    policy,
-    initial_belief: Belief,
-    num_paths: int,
-    horizon: int,
-    seed=0,
-    workers: int = 1,
-):
-    """Per-path discounted costs (and stop flags for stopping models).
+def path_simulator(model: PomdpModel, policy, initial_belief: Belief, horizon: int):
+    """The path loop of one chunk: ``sim(rng, count)`` for ``run_chunked``.
 
-    Returns an array of shape (num_paths, 2): accumulated cost and a
-    0/1 flag marking paths still running at the horizon.
+    ``sim`` returns a (count, 3) table, one row per path: the accumulated
+    discounted cost, a 0/1 flag marking paths still running at the
+    horizon, and the discounted stop cost, which is part of the first
+    column and zero for a path that never stopped (always, on a general
+    model).
     """
     rho = model.discount
     x = model.num_states
@@ -221,6 +222,7 @@ def simulate_path_costs(
         states = inverse_cdf(rng.random(count), cum_pi0)
         beliefs = np.tile(initial_belief.probs, (count, 1))
         costs = np.zeros(count)
+        stops = np.zeros(count)
         active = np.ones(count, dtype=bool)
         disc = 1.0
         for _ in range(horizon):
@@ -238,7 +240,9 @@ def simulate_path_costs(
                         term = instantaneous_cost_batch(model, points.take(stop, axis=0), 1)
                     else:
                         term = chosen.take(stop)
-                    costs[rows] += disc * term
+                    priced = disc * term
+                    costs[rows] += priced
+                    stops[rows] = priced
                     active[rows] = False
             step_u = rng.random(count)
             step_y = rng.random(count)
@@ -260,8 +264,22 @@ def simulate_path_costs(
                 for j in range(x):
                     beliefs[rows, j] = post[:, j]
             disc *= rho
-        return np.stack([costs, active.astype(float)], axis=1)
+        return np.stack([costs, active.astype(float), stops], axis=1)
 
+    return sim
+
+
+def simulate_path_costs(
+    model: PomdpModel,
+    policy,
+    initial_belief: Belief,
+    num_paths: int,
+    horizon: int,
+    seed=0,
+    workers: int = 1,
+):
+    """The (num_paths, 3) table of ``path_simulator`` over every chunk."""
+    sim = path_simulator(model, policy, initial_belief, horizon)
     return run_chunked(sim, seed, num_paths, workers=workers)
 
 
@@ -404,11 +422,12 @@ def compare_policies(
     return PolicyComparison(rows=rows, a_not_worse=wins, num_beliefs=len(rows))
 
 
-def default_initial_beliefs(num_states: int):
-    """Vertices, centroid, and three deterministic interior mixtures."""
+def initial_belief_set(num_states: int) -> list:
+    """The start beliefs of ``evaluate`` and ``compare``: the vertices, the
+    centroid, and the beliefs proportional to (1, ..., X) and (X, ..., 1)."""
     beliefs = [unit_belief(i, num_states) for i in range(1, num_states + 1)]
-    beliefs.append(Belief(np.full(num_states, 1.0 / num_states)))
-    for j in range(1, 4):
-        w = np.arange(1, num_states + 1, dtype=float) ** j
-        beliefs.append(Belief(w / w.sum()))
+    beliefs.append(uniform_belief(num_states))
+    w = np.arange(1, num_states + 1, dtype=float)
+    beliefs.append(Belief(w / w.sum()))
+    beliefs.append(Belief(w[::-1] / w.sum()))
     return beliefs

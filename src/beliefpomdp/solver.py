@@ -90,14 +90,6 @@ class RelaxedValueFunction:
 
 
 @dataclass
-class NotThreshold:
-    """Diagnostic returned when a policy is not a single-switch threshold."""
-
-    switch_count: int
-    reason: str = ""
-
-
-@dataclass
 class Policy:
     """1-based action per grid point; beliefs map to the nearest cell vertex."""
 
@@ -511,25 +503,3 @@ def bellman_backup(model: PomdpModel, value: ValueFunction, belief: Belief):
     best = int(np.argmin(qs))
     return qs, float(qs[best]), best + 1
 
-
-def extract_threshold(policy: Policy):
-    """Threshold location of a two-state stopping policy.
-
-    Expects stop (1) at pi(2) = 0 switching once to continue (2);
-    returns the grid midpoint between the last stop point and the first
-    continue point, or a NotThreshold diagnostic with the switch count.
-    """
-    if policy.grid.num_states != 2:
-        raise PreconditionFailed("threshold extraction needs a two-state grid")
-    actions = policy.actions
-    up = int(np.count_nonzero((actions[:-1] == 1) & (actions[1:] == 2)))
-    down = int(np.count_nonzero((actions[:-1] == 2) & (actions[1:] == 1)))
-    if up != 1 or down != 0:
-        return NotThreshold(switch_count=up, reason="not a single stop-to-continue switch")
-    if actions[0] != 1:
-        return NotThreshold(
-            switch_count=up, reason="policy does not stop at pi(2) = 0"
-        )
-    first_continue = int(np.argmax(actions == 2))
-    m = policy.grid.resolution
-    return (first_continue - 0.5) / m

@@ -15,15 +15,9 @@ from beliefpomdp.costs import NonlinearCostSpec
 from beliefpomdp.filtering import exact_posterior_oracle, filter_update
 from beliefpomdp.grid import build_grid
 from beliefpomdp.model import Belief, fixture_path, load_model
-from beliefpomdp.quickest import initial_belief, ks_cost_estimate, qd_threshold, spec_from_model
-from beliefpomdp.simulate import compare_policies, default_initial_beliefs, myopic_sensor_policy
-from beliefpomdp.solver import (
-    NotThreshold,
-    extract_threshold,
-    solve_discounted,
-    solve_relaxed,
-    solve_stopping,
-)
+from beliefpomdp.quickest import initial_belief, ks_cost_estimate, qd_threshold
+from beliefpomdp.simulate import compare_policies, initial_belief_set, myopic_sensor_policy
+from beliefpomdp.solver import solve_discounted, solve_relaxed, solve_stopping
 from beliefpomdp.structure import (
     blackwell_factorize,
     conjecture_probe,
@@ -118,8 +112,7 @@ def test_acceptance_03_stopping_set_convexity():
     report2 = verify_stopping_set_convex(sol2.policy)
     assert report2.holds
 
-    threshold = extract_threshold(sol2.policy)
-    assert not isinstance(threshold, NotThreshold)
+    threshold = qd_threshold(sol2.policy)  # raises StructureViolation without one
     assert 0.0 < threshold < 1.0
     assert sol2.policy.actions[0] == 1  # stop at pi(2) = 0
 
@@ -133,12 +126,11 @@ def test_acceptance_03_stopping_set_convexity():
 def test_acceptance_04_threshold_consistency():
     budget = Budget(120)
     model = load_model(fixture_path("quickest_detection_x2.json"))
-    spec = spec_from_model(model)
     fine = solve_stopping(model, build_grid(2, 2000), tol=1e-9)
     coarse = solve_stopping(model, build_grid(2, 1000), tol=1e-9)
-    assert abs(qd_threshold(fine) - qd_threshold(coarse)) <= 2.0 / 1000
+    assert abs(qd_threshold(fine.policy) - qd_threshold(coarse.policy)) <= 2.0 / 1000
 
-    estimate = ks_cost_estimate(spec, qd_threshold(fine), num_paths=100_000, seed=404)
+    estimate = ks_cost_estimate(model, qd_threshold(fine.policy), num_paths=100_000, seed=404)
     fine_start, coarse_start = (r.value.at(initial_belief()) for r in (fine, coarse))
     grid_error = abs(fine_start - coarse_start) + 1.0 / 1000
     assert abs(estimate.ks_cost - fine_start) <= estimate.ci_halfwidth + grid_error
@@ -197,7 +189,7 @@ def test_acceptance_08_blackwell_myopic_bound():
         assert report.details["jensen_tolerance"] == 1e-8 * max(1.0, sol.value.scale())
         assert report.details["q_tolerance"] == 1e-9
 
-        beliefs = default_initial_beliefs(2)[:5]
+        beliefs = initial_belief_set(2)
         comparison = compare_policies(
             model,
             sol.policy,

@@ -14,7 +14,7 @@ from beliefpomdp.costs import NonlinearCostSpec
 from beliefpomdp.grid import build_grid
 from beliefpomdp.model import fixture_path, load_model, save_model
 from beliefpomdp.quickest import QdSpec, build_qd_model
-from beliefpomdp.simulate import EvalResult, PolicyComparison
+from beliefpomdp.simulate import EvalResult, PolicyComparison, initial_belief_set
 from beliefpomdp.solver import (
     IterationLog,
     Policy,
@@ -317,6 +317,13 @@ class TestExitCodes:
             "iterations": sweeps,
             "sweep_threads": 1,
         }
+
+    def test_solve_without_a_threshold_writes_null(self, tmp_path):
+        _, path = save_stops_everywhere(tmp_path)
+        out = tmp_path / "o"
+        result = run(["solve", "--model", str(path), "--grid", "100", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert json.loads((out / "solve_summary.json").read_text())["threshold"] is None
 
     def test_qd_simulate_without_a_threshold_exits_two(self, tmp_path):
         """Like ``qd-threshold``: exit 2 with the error as the artifact, and
@@ -788,7 +795,7 @@ class TestCsvOracle:
         assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "r.csv").read_bytes() == b"a,b\n"
 
     def test_evaluate_table(self, tmp_path, monkeypatch):
-        beliefs = cli._initial_belief_set(3)
+        beliefs = initial_belief_set(3)
         evals = [
             EvalResult(mean=m, std_error=se, num_paths=300, horizon=41, truncation_bound=None)
             for m, se in zip(SPECIAL_VALUES, reversed(SPECIAL_VALUES))
@@ -810,7 +817,7 @@ class TestCsvOracle:
         assert got == (tmp_path / "reference.csv").read_bytes()
 
     def test_compare_table(self, tmp_path, monkeypatch):
-        beliefs = cli._initial_belief_set(3)
+        beliefs = initial_belief_set(3)
         rows = [
             {
                 "initial_belief": [float(p) for p in pi0.probs],

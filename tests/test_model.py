@@ -1,5 +1,8 @@
 """Model types, validation diagnostics, and file round trips."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from beliefpomdp.model import (
     Belief,
     PomdpModel,
     RelaxedBelief,
+    fixture_path,
     load_model,
     model_from_dict,
     save_model,
@@ -158,6 +162,19 @@ class TestSerialization:
         path.write_text("not json {")
         with pytest.raises(ModelFormatError, match="JSON"):
             load_model(path)
+
+    def test_fixture_script_reproduces_the_shipped_corpus(self, tmp_path, monkeypatch):
+        script = Path(__file__).resolve().parents[1] / "tools" / "make_fixtures.py"
+        spec = importlib.util.spec_from_file_location("make_fixtures", script)
+        make_fixtures = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(make_fixtures)
+        monkeypatch.setattr(make_fixtures, "OUT", tmp_path)
+        make_fixtures.main()
+        shipped = fixture_path("quickest_detection_x2.json").parent
+        emitted = sorted(path.name for path in tmp_path.iterdir())
+        assert emitted == sorted(path.name for path in shipped.glob("*.json"))
+        for name in emitted:
+            assert (tmp_path / name).read_bytes() == (shipped / name).read_bytes(), name
 
 
 def test_shape_errors_raise_at_construction():

@@ -1,5 +1,7 @@
 """Quickest-detection model construction, thresholds, and simulation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,11 +18,11 @@ from beliefpomdp.quickest import (
     qd_threshold,
     spec_from_model,
 )
+from beliefpomdp.simulate import simulate_path_costs
 from beliefpomdp.solver import solve_stopping
 
-from conftest import LargestDraws
-
 SPEC = QdSpec(persistence=0.9, delay_weight=0.05, observation=[[0.8, 0.2], [0.3, 0.7]])
+MODEL = build_qd_model(SPEC)
 
 
 def solve_spec(spec, resolution):
@@ -67,20 +69,20 @@ class TestSpecAndModel:
 class TestThreshold:
     def test_threshold_in_unit_interval(self):
         result = solve_spec(SPEC, 400)
-        assert 0.0 < qd_threshold(result) < 1.0
+        assert 0.0 < qd_threshold(result.policy) < 1.0
         assert result.log.converged
         assert np.count_nonzero(result.policy.actions == 1) > 0
 
     def test_threshold_monotone_in_delay_weight(self):
         thresholds = [
-            qd_threshold(solve_spec(QdSpec(0.9, d, [[0.8, 0.2], [0.3, 0.7]]), 400))
+            qd_threshold(solve_spec(QdSpec(0.9, d, [[0.8, 0.2], [0.3, 0.7]]), 400).policy)
             for d in (0.01, 0.05, 0.2)
         ]
         assert thresholds[0] < thresholds[1] < thresholds[2]
 
     def test_noninformative_sensor_still_single_switch(self):
         spec = QdSpec(0.9, 0.05, [[0.5, 0.5], [0.5, 0.5]])
-        assert 0.0 < qd_threshold(solve_spec(spec, 400)) < 1.0
+        assert 0.0 < qd_threshold(solve_spec(spec, 400).policy) < 1.0
 
     def test_nonlinear_continue_cost_keeps_threshold(self):
         spec = QdSpec(
@@ -91,11 +93,11 @@ class TestThreshold:
                 "entropy", alpha=[0.02, 0.02], beta=[0.0, 0.0]
             ),
         )
-        assert 0.0 < qd_threshold(solve_spec(spec, 400)) < 1.0
+        assert 0.0 < qd_threshold(solve_spec(spec, 400).policy) < 1.0
 
     def test_grid_refinement_agreement(self):
-        t1 = qd_threshold(solve_spec(SPEC, 500))
-        t2 = qd_threshold(solve_spec(SPEC, 1000))
+        t1 = qd_threshold(solve_spec(SPEC, 500).policy)
+        t2 = qd_threshold(solve_spec(SPEC, 1000).policy)
         assert abs(t1 - t2) <= 2.0 / 500
 
     def test_policy_stopping_everywhere_has_no_threshold(self):
@@ -104,112 +106,69 @@ class TestThreshold:
         result = solve_spec(spec, 400)
         assert np.all(result.policy.actions == 1)
         with pytest.raises(StructureViolation, match="0 switches"):
-            qd_threshold(result)
+            qd_threshold(result.policy)
 
 
 class TestKsCostEstimate:
     def test_sentinel_threshold_announces_at_step_one(self):
-        # always announcing at k = 1 gives a false alarm exactly when the
-        # change has not arrived yet, so the rate estimates persistence
-        est = ks_cost_estimate(SPEC, threshold=1.5, num_paths=40_000, seed=2)
+        # pi(2) < 1 after every observation, so announcing at k = 1 prices a
+        # false alarm by pi(2), whose mean is the persistence
+        est = ks_cost_estimate(MODEL, threshold=1.0, num_paths=40_000, seed=2)
         se = est.ci_halfwidth / 1.96
         assert est.delay_term == 0.0
         assert abs(est.false_alarm - SPEC.persistence) <= 3 * max(se, 1e-4)
 
     def test_zero_threshold_never_announces(self):
-        est = ks_cost_estimate(SPEC, threshold=0.0, num_paths=300, horizon_cap=300, seed=3)
+        est = ks_cost_estimate(MODEL, threshold=0.0, num_paths=300, horizon_cap=300, seed=3)
         assert est.false_alarm == 0.0
         assert est.cap_hits == 300
         assert est.delay_term > 0.05 * 200  # delay grows to the cap
 
     def test_change_times_match_geometric_mean(self):
-        est = ks_cost_estimate(SPEC, threshold=-1.0, num_paths=20_000, horizon_cap=400, seed=4)
+        est = ks_cost_estimate(MODEL, threshold=-1.0, num_paths=20_000, horizon_cap=400, seed=4)
         se = 10.0 / np.sqrt(20_000)  # geometric sd is close to its mean
         assert abs(est.mean_change_time - 10.0) <= 3 * se * 1.2
 
     def test_threshold_locally_optimal(self):
-        threshold = qd_threshold(solve_spec(SPEC, 1000))
-        best = ks_cost_estimate(SPEC, threshold, num_paths=30_000, seed=5)
+        threshold = qd_threshold(solve_spec(SPEC, 1000).policy)
+        best = ks_cost_estimate(MODEL, threshold, num_paths=30_000, seed=5)
         for delta in (-0.05, 0.05):
-            other = ks_cost_estimate(SPEC, threshold + delta, num_paths=30_000, seed=5)
+            other = ks_cost_estimate(MODEL, threshold + delta, num_paths=30_000, seed=5)
             assert best.ks_cost <= other.ks_cost + best.ci_halfwidth + other.ci_halfwidth
 
     def test_solver_value_matches_simulation(self):
         solved = solve_spec(SPEC, 1000)
-        est = ks_cost_estimate(SPEC, qd_threshold(solved), num_paths=60_000, seed=6)
+        est = ks_cost_estimate(MODEL, qd_threshold(solved.policy), num_paths=60_000, seed=6)
         grid_error = 2.0 / 1000
         value_at_start = solved.value.at(initial_belief())
         assert abs(est.ks_cost - value_at_start) <= est.ci_halfwidth + grid_error
 
     def test_deterministic_across_workers(self):
-        a = ks_cost_estimate(SPEC, 0.13, num_paths=20_000, seed=9, workers=1)
-        b = ks_cost_estimate(SPEC, 0.13, num_paths=20_000, seed=9, workers=8)
+        a = ks_cost_estimate(MODEL, 0.13, num_paths=20_000, seed=9, workers=1)
+        b = ks_cost_estimate(MODEL, 0.13, num_paths=20_000, seed=9, workers=8)
         assert a.ks_cost == b.ks_cost
         assert a.delay_term == b.delay_term
         assert a.false_alarm == b.false_alarm
 
     def test_path_count_validation(self):
         with pytest.raises(ValueError):
-            ks_cost_estimate(SPEC, 0.1, num_paths=0)
+            ks_cost_estimate(MODEL, 0.1, num_paths=0)
+
+    def test_rejects_a_model_without_the_detection_structure(self):
+        from conftest import two_state_general
+
+        with pytest.raises(PreconditionFailed):
+            ks_cost_estimate(two_state_general(), 0.1, num_paths=10)
+
+    def test_terms_add_up_to_the_cost(self):
+        est = ks_cost_estimate(MODEL, 0.13, num_paths=20_000, seed=9)
+        assert est.delay_term + est.false_alarm == pytest.approx(est.ks_cost, rel=1e-12)
 
 
-def reference_ks_paths(spec, threshold, num_paths, horizon_cap, seed):
-    """The row-wise detection loop: observation counts summed along axis 1."""
-    persistence = spec.persistence
-    b = spec.observation
-    cum_b = np.cumsum(b, axis=1)
+class TestEngineRoute:
+    """ks_cost_estimate is the solved threshold rule on simulate's path loop."""
 
-    def sim(rng, count):
-        pre = np.ones(count, dtype=bool)
-        belief = np.ones(count)
-        announced = np.zeros(count, dtype=bool)
-        announce_time = np.full(count, horizon_cap)
-        change_time = np.full(count, horizon_cap + 1)
-        for k in range(1, horizon_cap + 1):
-            if np.all(announced):
-                break
-            jump = rng.random(count) >= persistence
-            change_time[pre & jump] = k
-            pre &= ~jump
-            state_row = np.where(pre, 1, 0)
-            draw = rng.random(count)
-            obs = (draw[:, None] > cum_b[state_row]).sum(axis=1)
-            z1 = b[0, obs] * (1.0 - persistence * belief)
-            z2 = b[1, obs] * persistence * belief
-            belief = z2 / (z1 + z2)
-            hit = ~announced & (belief < threshold)
-            announce_time[hit] = k
-            announced |= hit
-        delay = np.maximum(announce_time - change_time, 0)
-        columns = (delay, announce_time < change_time, ~announced, change_time)
-        return np.stack([c.astype(float) for c in columns], axis=1)
-
-    return quickest.run_chunked(sim, seed, num_paths)
-
-
-def test_rows_summing_below_one_never_sample_past_the_last_observation(monkeypatch):
-    monkeypatch.setattr(
-        quickest, "run_chunked", lambda sim, seed, num_paths, workers=1: sim(LargestDraws(), num_paths)
-    )
-    short = QdSpec(0.9, 0.05, [[0.8, 0.2 - 5e-13], [0.3, 0.7 - 5e-13]])
-    exact = QdSpec(0.9, 0.05, [[0.8, 0.2], [0.3, 0.7]])
-    a = ks_cost_estimate(short, 0.2, num_paths=10, horizon_cap=30)
-    b = ks_cost_estimate(exact, 0.2, num_paths=10, horizon_cap=30)
-    assert a.to_dict() == b.to_dict()
-
-
-class TestKsOracle:
-    """ks_cost_estimate's per-path table is bit-identical to the row-wise loop."""
-
-    @pytest.mark.parametrize(
-        "spec, threshold, workers",
-        [
-            (spec_from_model(load_model(fixture_path("quickest_detection_x2.json"))), 0.2, 1),
-            (QdSpec(0.85, 0.05, [[0.6, 0.3, 0.1], [0.1, 0.3, 0.6]]), 0.3, 1),
-            (SPEC, 0.13, 2),
-        ],
-    )
-    def test_paths_match_reference(self, monkeypatch, spec, threshold, workers):
+    def recorded_table(self, monkeypatch, model, threshold, num_paths, seed):
         tables = []
         run_chunked = quickest.run_chunked
 
@@ -218,10 +177,27 @@ class TestKsOracle:
             return tables[-1]
 
         monkeypatch.setattr(quickest, "run_chunked", recording)
-        est = ks_cost_estimate(
-            spec, threshold, num_paths=9000, horizon_cap=150, seed=11, workers=workers
-        )
+        est = ks_cost_estimate(model, threshold, num_paths=num_paths, seed=seed)
         monkeypatch.undo()
-        ref = reference_ks_paths(spec, threshold, 9000, 150, seed=11)
-        assert np.array_equal(tables[0], ref)
-        assert est.cap_hits == int(ref[:, 2].sum())
+        return est, tables[0]
+
+    @pytest.mark.parametrize("seed", [0, 8])
+    @pytest.mark.parametrize("resolution", [200, 301])
+    def test_rule_table_is_the_grid_policy_table(self, monkeypatch, resolution, seed):
+        model = load_model(fixture_path("quickest_detection_x2.json"))
+        policy = solve_stopping(model, build_grid(2, resolution), tol=1e-9).policy
+        est, table = self.recorded_table(monkeypatch, model, qd_threshold(policy), 9000, seed)
+        grid_table = simulate_path_costs(
+            model, policy, initial_belief(), 9000, est.horizon_cap, seed=seed
+        )
+        assert np.array_equal(table, grid_table)
+        assert est.cap_hits == int(table[:, 1].sum())
+        assert est.false_alarm == table[:, 2].mean()
+        assert np.all(table[:, 2] > 0.0)  # every path announced, at a positive price
+
+    def test_continue_loss_is_not_priced(self):
+        loss = NonlinearCostSpec("entropy", alpha=[0.02, 0.02], beta=[0.1, 0.1])
+        lossy = dataclasses.replace(MODEL, nonlinear_cost=loss)
+        a = ks_cost_estimate(lossy, 0.13, num_paths=9000, seed=12)
+        b = ks_cost_estimate(MODEL, 0.13, num_paths=9000, seed=12)
+        assert a.to_dict() == b.to_dict()

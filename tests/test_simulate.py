@@ -22,8 +22,8 @@ from beliefpomdp.simulate import (
     _belief_step,
     compare_policies,
     constant_policy,
-    default_initial_beliefs,
     evaluate_policy,
+    initial_belief_set,
     myopic_sensor_policy,
     run_chunked,
     simulate_path_costs,
@@ -80,7 +80,9 @@ def reference_belief_step(model, beliefs, u, obs):
 
 
 def reference_path_costs(model, policy, initial_belief, num_paths, horizon, seed=0):
-    """The row-wise step loop: boolean row masks, sums and counts along axis 1."""
+    """The row-wise step loop: boolean row masks, sums and counts along axis 1.
+
+    Its columns are the cost, the still-running flag and the stop cost."""
     rho = model.discount
     pi0 = initial_belief.probs
 
@@ -88,6 +90,7 @@ def reference_path_costs(model, policy, initial_belief, num_paths, horizon, seed
         states = (rng.random(count)[:, None] > np.cumsum(pi0)[None, :]).sum(axis=1)
         beliefs = np.tile(pi0, (count, 1))
         costs = np.zeros(count)
+        stops = np.zeros(count)
         active = np.ones(count, dtype=bool)
         disc = 1.0
         for _ in range(horizon):
@@ -99,6 +102,7 @@ def reference_path_costs(model, policy, initial_belief, num_paths, horizon, seed
                 if np.any(stopping_now):
                     term = reference_cost(model, beliefs[stopping_now], 1)
                     costs[stopping_now] += disc * term
+                    stops[stopping_now] = disc * term
                     active = active & ~stopping_now
             step_u = rng.random(count)
             step_y = rng.random(count)
@@ -114,7 +118,7 @@ def reference_path_costs(model, policy, initial_belief, num_paths, horizon, seed
                 states[rows] = nxt
                 beliefs[rows] = reference_belief_step(model, beliefs[rows], u, obs)
             disc *= rho
-        return np.stack([costs, active.astype(float)], axis=1)
+        return np.stack([costs, active.astype(float), stops], axis=1)
 
     return run_chunked(sim, seed, num_paths)
 
@@ -391,7 +395,7 @@ class TestComparePolicies:
             discount=0.9,
         )
         sol = solve_discounted(model, build_grid(2, 200), tol=1e-9)
-        beliefs = default_initial_beliefs(2)[:5]
+        beliefs = initial_belief_set(2)
         for rival in (myopic_sensor_policy(model), constant_policy(1)):
             comparison = compare_policies(
                 model, sol.policy, rival, beliefs, num_paths=4000, seed=1
@@ -410,7 +414,7 @@ class TestComparePolicies:
 
 
 def test_default_initial_beliefs_cover_vertices():
-    beliefs = default_initial_beliefs(3)
+    beliefs = initial_belief_set(3)
     mat = np.array([b.probs for b in beliefs])
     assert mat.shape[1] == 3
     for i in range(3):

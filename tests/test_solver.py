@@ -5,7 +5,7 @@ import pytest
 
 from beliefpomdp import solver
 from beliefpomdp.costs import NonlinearCostSpec, instantaneous_cost
-from beliefpomdp.errors import PreconditionFailed
+from beliefpomdp.errors import PreconditionFailed, StructureViolation
 from beliefpomdp.filtering import filter_update
 from beliefpomdp.grid import build_grid
 from beliefpomdp.model import (
@@ -15,12 +15,11 @@ from beliefpomdp.model import (
     model_from_dict,
     unit_belief,
 )
+from beliefpomdp.quickest import qd_threshold
 from beliefpomdp.solver import (
-    NotThreshold,
     Policy,
     RelaxedValueFunction,
     bellman_backup,
-    extract_threshold,
     solve_discounted,
     solve_relaxed,
     solve_stopping,
@@ -183,8 +182,7 @@ class TestSolveStopping:
     def test_quickest_detection_fixture_structure(self):
         sol = solve_stopping(qd_model(), build_grid(2, 1000), tol=1e-9)
         assert sol.log.converged
-        threshold = extract_threshold(sol.policy)
-        assert not isinstance(threshold, NotThreshold)
+        threshold = qd_threshold(sol.policy)  # raises StructureViolation without one
         assert 0.0 < threshold < 1.0
         # concave in pi(2): discrete midpoint test along the line
         v = sol.value.values
@@ -255,22 +253,22 @@ class TestExtractThreshold:
 
     def test_single_switch(self):
         policy = self.grid_policy([1, 1, 2, 2, 2])
-        assert extract_threshold(policy) == pytest.approx((2 - 0.5) / 4)
+        assert qd_threshold(policy) == pytest.approx((2 - 0.5) / 4)
 
     def test_two_switches_reports_count(self):
-        result = extract_threshold(self.grid_policy([1, 2, 1, 2]))
-        assert isinstance(result, NotThreshold)
-        assert result.switch_count == 2
+        reason = r"not a single stop-to-continue switch \(2 switches\)"
+        with pytest.raises(StructureViolation, match=reason):
+            qd_threshold(self.grid_policy([1, 2, 1, 2]))
 
     def test_wrong_direction_is_not_threshold(self):
-        result = extract_threshold(self.grid_policy([2, 2, 1, 1]))
-        assert isinstance(result, NotThreshold)
+        with pytest.raises(StructureViolation, match="not a single stop-to-continue switch"):
+            qd_threshold(self.grid_policy([2, 2, 1, 1]))
 
     def test_requires_two_states(self):
         grid = build_grid(3, 4)
         policy = Policy(grid, np.ones(grid.num_points, dtype=np.int32))
         with pytest.raises(PreconditionFailed):
-            extract_threshold(policy)
+            qd_threshold(policy)
 
 
 def test_three_state_solve_smoke():
