@@ -15,7 +15,6 @@ out of scope.
 from .model import (
     Belief,
     PomdpModel,
-    RelaxedBelief,
     fixture_path,
     load_model,
     save_model,
@@ -33,7 +32,6 @@ __all__ = [
     "BACKEND",
     "Belief",
     "PomdpModel",
-    "RelaxedBelief",
     "__version__",
     "fixture_path",
     "load_model",

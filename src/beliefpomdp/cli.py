@@ -359,6 +359,8 @@ def verify(model_path, resolution, tol, max_iters, seed, predicates, kappa, out)
     """Run structural verifier predicates and write one report each."""
     with Run(out) as run:
         names = [p.strip() for p in predicates.split(",") if p.strip()]
+        if not names:
+            raise PreconditionFailed("no predicates given")
         unknown = [p for p in names if p not in PREDICATES]
         if unknown:
             raise PreconditionFailed(

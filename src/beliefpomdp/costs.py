@@ -14,10 +14,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .columns import row_sum
-from .reports import OrderCheckReport, make_report
 
 if TYPE_CHECKING:
-    from .model import Belief, PomdpModel
+    from .model import PomdpModel
 
 FAMILIES = ("none", "piecewise_linear", "mean_square", "l1", "linf", "entropy")
 
@@ -79,6 +78,10 @@ class NonlinearCostSpec:
                     out.append(f"piecewise_linear takes no parameter {name!r}")
             return out
         # weighted families
+        for name in ("alpha", "beta"):
+            v = getattr(self, name)
+            if v is not None and not np.all(np.isfinite(v)):
+                out.append(f"{name} must be finite")
         if self.alpha is None or np.any(self.alpha <= 0):
             out.append("alpha must be positive for every action")
         if self.beta is None or np.any(self.beta < 0):
@@ -93,6 +96,8 @@ class NonlinearCostSpec:
             m = self.weight_matrix
             if m is None or m.ndim != 2 or m.shape[0] != m.shape[1]:
                 out.append("mean_square requires a square weight_matrix")
+            elif not np.all(np.isfinite(m)):
+                out.append("weight_matrix must be finite")
             else:
                 asym = float(np.max(np.abs(m - m.T)))
                 if asym > SYMMETRY_TOL:
@@ -172,11 +177,6 @@ def _piecewise_linear_loss(p: np.ndarray, eps: float) -> np.ndarray:
     return total
 
 
-def performance_loss(spec: NonlinearCostSpec, belief: "Belief", u: int) -> float:
-    """Performance loss D(pi, u) for one belief and 1-based action ``u``."""
-    return float(performance_loss_batch(spec, belief.probs, u)[0])
-
-
 def instantaneous_cost_batch(model: "PomdpModel", beliefs: np.ndarray, u: int) -> np.ndarray:
     """Combined cost ``c_u' pi + D(pi, u)`` over a (N, X) array of beliefs.
 
@@ -192,10 +192,6 @@ def instantaneous_cost_batch(model: "PomdpModel", beliefs: np.ndarray, u: int) -
     if model.is_stopping and u == 1:
         return linear
     return linear + performance_loss_batch(model.nonlinear_cost, p, u)
-
-
-def instantaneous_cost(model: "PomdpModel", belief: "Belief", u: int) -> float:
-    return float(instantaneous_cost_batch(model, belief.probs, u)[0])
 
 
 def max_cost_bound(model: "PomdpModel") -> float:
@@ -223,53 +219,3 @@ def max_cost_bound(model: "PomdpModel") -> float:
                     loss = a + b
         bound = max(bound, lin + loss)
     return bound
-
-
-def concavity_probe(
-    cost_source,
-    u: int,
-    num_trials: int,
-    tolerance: float,
-    num_states: int | None = None,
-    seed: int = 0,
-) -> OrderCheckReport:
-    """Randomized midpoint test for concavity of the instantaneous cost.
-
-    ``cost_source`` is either a PomdpModel (probes the full C(pi, u)) or a
-    NonlinearCostSpec (probes the loss alone; ``num_states`` required).
-    Samples (pi1, pi2, lam) and reports the largest chord-above-function
-    gap found; the cost is declared concave iff that gap is <= tolerance.
-    """
-    if num_trials < 1:
-        raise ValueError("num_trials must be >= 1")
-    if isinstance(cost_source, NonlinearCostSpec):
-        spec = cost_source
-        if num_states is None:
-            if spec.weight_matrix is None:
-                raise ValueError("num_states required for families without a matrix")
-            num_states = spec.weight_matrix.shape[0]
-        evaluate = lambda pts: performance_loss_batch(spec, pts, u)
-    else:
-        model = cost_source
-        num_states = model.num_states
-        evaluate = lambda pts: instantaneous_cost_batch(model, pts, u)
-
-    rng = np.random.default_rng(seed)
-    p1 = rng.dirichlet(np.ones(num_states), size=num_trials)
-    p2 = rng.dirichlet(np.ones(num_states), size=num_trials)
-    lam = rng.uniform(0.0, 1.0, size=num_trials)
-    mid = lam[:, None] * p1 + (1.0 - lam)[:, None] * p2
-    gap = lam * evaluate(p1) + (1.0 - lam) * evaluate(p2) - evaluate(mid)
-    worst = int(np.argmax(gap))
-    return make_report(
-        "cost_concavity",
-        float(gap[worst]),
-        tolerance,
-        witness={
-            "pi1": p1[worst].tolist(),
-            "pi2": p2[worst].tolist(),
-            "lam": float(lam[worst]),
-        },
-        samples=num_trials,
-        action=u,
-    )

@@ -10,7 +10,7 @@ discount factor.  All containers are immutable after construction.
 from __future__ import annotations
 
 import json
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -40,6 +40,8 @@ class Belief:
         p = np.array(self.probs, dtype=float)
         if p.ndim != 1 or p.size < 1:
             raise ValueError("belief must be a nonempty 1-D vector")
+        if not np.all(np.isfinite(p)):
+            raise ValueError("belief has a non-finite entry")
         if np.any(p < 0):
             raise ValueError(f"belief has negative entry {float(p.min()):.3e}")
         total = float(p.sum())
@@ -51,36 +53,6 @@ class Belief:
     @property
     def num_states(self) -> int:
         return self.probs.size
-
-
-@dataclass(frozen=True)
-class RelaxedBelief:
-    """Unnormalized nonnegative weight vector on the positive orthant.
-
-    The zero vector is rejected by default; operations whose output may
-    legitimately collapse to zero construct with ``allow_zero=True``.
-    """
-
-    weights: np.ndarray
-    allow_zero: InitVar[bool] = False
-
-    def __post_init__(self, allow_zero):
-        w = np.array(self.weights, dtype=float)
-        if w.ndim != 1 or w.size < 1:
-            raise ValueError("relaxed belief must be a nonempty 1-D vector")
-        if np.any(w < 0):
-            raise ValueError(f"relaxed belief has negative entry {float(w.min()):.3e}")
-        if not allow_zero and not np.any(w > 0):
-            raise ValueError("relaxed belief must have a positive entry")
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-
-    @property
-    def num_states(self) -> int:
-        return self.weights.size
-
-    def total(self) -> float:
-        return float(self.weights.sum())
 
 
 def unit_belief(i: int, num_states: int) -> Belief:
@@ -204,10 +176,20 @@ def validate_model(model: PomdpModel) -> list[Violation]:
     """Check every model invariant; return one Violation per defect."""
     out = []
 
+    def finite(array, where) -> bool:
+        # NaN passes every comparison check below, and infinities make
+        # infinite magnitudes, which JSON cannot hold
+        bad = array[~np.isfinite(array)]
+        if bad.size:
+            out.append(Violation(where, f"non-finite entry {float(bad[0])}"))
+        return not bad.size
+
     def check_rows(mats, label):
         for a, mat in enumerate(mats, start=1):
             for r in range(mat.shape[0]):
                 row = mat[r]
+                if not finite(row, f"{label}[{a}] row {r + 1}"):
+                    continue
                 neg = float(row.min())
                 if neg < 0:
                     out.append(
@@ -229,9 +211,13 @@ def validate_model(model: PomdpModel) -> list[Violation]:
 
     check_rows(model.transition, "transition")
     check_rows(model.observation, "observation")
+    for a, cost in enumerate(model.linear_cost, start=1):
+        finite(cost, f"linear_cost[{a}]")
 
     rho = model.discount
-    if not 0.0 <= rho <= 1.0:
+    if not np.isfinite(rho):
+        out.append(Violation("discount", f"non-finite discount {rho}"))
+    elif not 0.0 <= rho <= 1.0:
         out.append(Violation("discount", f"discount {rho} outside [0, 1]", abs(rho)))
     elif rho == 1.0 and not model.is_stopping:
         out.append(

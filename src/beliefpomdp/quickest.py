@@ -7,11 +7,17 @@ alarm penalty; announcing late pays a per-step delay weight.  The
 resulting stopping problem is undiscounted with a single-threshold
 optimal policy in the post-change probability.
 
-The module holds what is specific to detection: the model built
-from a spec (``build_qd_model``), the structure check of a loaded model
-(``spec_from_model``), the threshold of a solved detection policy
-(``qd_threshold``; the solve itself is the ordinary ``solve_stopping``)
-and the Monte Carlo cost of the threshold rule (``ks_cost_estimate``).
+A detection model has two states and two actions: state 1 is the
+absorbing post-change state, and the chain starts in state 2.  Stop
+costs [0, 1], a unit false alarm when the change has not happened;
+continue costs [d, 0], the delay weight once it has, plus an optional
+nonlinear loss.  Both actions share one observation matrix.
+
+The module holds what is specific to detection: the structure check
+of a loaded model (``spec_from_model``), the threshold of a solved
+detection policy (``qd_threshold``; the solve itself is the ordinary
+``solve_stopping``) and the Monte Carlo cost of the threshold rule
+(``ks_cost_estimate``).
 The rule runs on ``simulate``'s path loop, which draws every random
 number; its table's stop-cost column splits the cost into false alarm
 and delay.
@@ -25,7 +31,7 @@ import numpy as np
 
 from .costs import NonlinearCostSpec
 from .errors import PreconditionFailed, StructureViolation
-from .model import CONTINUE, STOP, STOPPING_TIME, Belief, PomdpModel, unit_belief
+from .model import CONTINUE, STOP, Belief, PomdpModel, unit_belief
 from .simulate import (
     DEFAULT_HORIZON_CAP,
     FunctionPolicy,
@@ -71,27 +77,6 @@ class QdSpec:
     @property
     def mean_change_time(self) -> float:
         return 1.0 / (1.0 - self.persistence)
-
-
-def build_qd_model(spec: QdSpec) -> PomdpModel:
-    """Stopping-time model: state 1 absorbing post-change, start in state 2.
-
-    Stop cost [0, 1] charges a unit false alarm when the change has not
-    happened; continue cost [d, 0] charges the delay weight once it has.
-    The optional nonlinear loss rides on the continue action.
-    """
-    p = [[1.0, 0.0], [1.0 - spec.persistence, spec.persistence]]
-    return PomdpModel(
-        num_states=2,
-        num_actions=2,
-        num_observations=(spec.observation.shape[1],) * 2,
-        transition=(p, p),
-        observation=(spec.observation, spec.observation),
-        linear_cost=([0.0, 1.0], [spec.delay_weight, 0.0]),
-        nonlinear_cost=spec.continue_loss,
-        discount=1.0,
-        model_kind=STOPPING_TIME,
-    )
 
 
 def initial_belief() -> Belief:

@@ -108,18 +108,6 @@ class EvalResult:
     truncation_bound: float | None
     cap_hits: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "mean": float(self.mean),
-            "std_error": float(self.std_error),
-            "num_paths": int(self.num_paths),
-            "horizon": int(self.horizon),
-            "truncation_bound": (
-                None if self.truncation_bound is None else float(self.truncation_bound)
-            ),
-            "cap_hits": int(self.cap_hits),
-        }
-
 
 @dataclass
 class FunctionPolicy:
@@ -129,14 +117,6 @@ class FunctionPolicy:
 
     def actions_at(self, points: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(np.atleast_2d(points)), dtype=np.int32)
-
-    def action_at(self, belief) -> int:
-        probs = belief.probs if isinstance(belief, Belief) else np.asarray(belief, float)
-        return int(self.actions_at(probs[None, :])[0])
-
-
-def constant_policy(action: int) -> FunctionPolicy:
-    return FunctionPolicy(lambda pts: np.full(pts.shape[0], action, dtype=np.int32))
 
 
 class _CostedRule(FunctionPolicy):
@@ -183,8 +163,9 @@ def discounted_horizon(model: PomdpModel, tolerance: float) -> tuple:
 def _belief_step(model, beliefs, u, obs):
     """Vectorized filter update for rows sharing action u, per-row observation.
 
-    Raises ZeroLikelihood, as ``filter_update`` does, when some row's
-    observation has numerically no probability under its belief.
+    Raises ZeroLikelihood when some row's observation has numerically no
+    probability under its belief (a normalizer at or below
+    ZERO_LIKELIHOOD_THRESHOLD).
     """
     predicted = beliefs @ model.transition[u - 1]
     z = predicted * model.observation[u - 1].T.take(obs, axis=0)

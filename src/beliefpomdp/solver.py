@@ -40,7 +40,7 @@ from .columns import row_sum
 from .costs import instantaneous_cost_batch
 from .errors import PreconditionFailed
 from .grid import TABLE_BLOCK, SimplexGrid
-from .model import Belief, PomdpModel, RelaxedBelief
+from .model import Belief, PomdpModel
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITERS = 100_000
@@ -70,10 +70,6 @@ class RelaxedValueFunction:
 
     base: ValueFunction
 
-    def at(self, alpha) -> float:
-        w = alpha.weights if isinstance(alpha, RelaxedBelief) else np.asarray(alpha, float)
-        return float(self.at_many(w[None, :])[0])
-
     def at_many(self, alphas: np.ndarray) -> np.ndarray:
         """W at each row of an (n, X) array, with one grid lookup; 0 where
         a row sums to 0 or less."""
@@ -95,10 +91,6 @@ class Policy:
 
     grid: SimplexGrid
     actions: np.ndarray
-
-    def action_at(self, belief) -> int:
-        probs = belief.probs if isinstance(belief, Belief) else np.asarray(belief, float)
-        return int(self.actions[self.grid.nearest_index(probs[None, :])[0]])
 
     def actions_at(self, points: np.ndarray) -> np.ndarray:
         return self.actions[self.grid.nearest_index(points)]
@@ -346,12 +338,6 @@ def _sweeper(tables: BackupTables):
         yield sweep
 
 
-def sweep_once(tables: BackupTables, values: np.ndarray):
-    """Apply one backup sweep; returns (new values, 1-based actions), ties to smaller u."""
-    with _sweeper(tables) as sweep:
-        return sweep(values)[:2]
-
-
 def _iterate(tables: BackupTables, tol: float, max_iters: int):
     """Value iteration from V = 0 on every stacked model at once.
 
@@ -476,30 +462,3 @@ def solve_relaxed(
     """
     check_relaxed(model)
     return _solve(model, grid, tol, max_iters)
-
-
-def bellman_backup(model: PomdpModel, value: ValueFunction, belief: Belief):
-    """Single-point backup: (per-action Q, min value, 1-based argmin).
-
-    Reference implementation evaluated directly from the model; the
-    table-driven sweep must agree with it at grid points.  Observations
-    with zero normalizer contribute nothing.
-    """
-    probs = belief.probs
-    rho = model.discount
-    qs = np.empty(model.num_actions)
-    for u in range(1, model.num_actions + 1):
-        q = float(instantaneous_cost_batch(model, probs, u)[0])
-        if not (model.is_stopping and u == 1):
-            predicted = probs @ model.transition[u - 1]
-            cont = 0.0
-            for y in range(1, model.num_observations[u - 1] + 1):
-                z = model.observation[u - 1][:, y - 1] * predicted
-                s = float(z.sum())
-                if s > 0.0:
-                    cont += s * value.at(z / s)
-            q += rho * cont
-        qs[u - 1] = q
-    best = int(np.argmin(qs))
-    return qs, float(qs[best]), best + 1
-

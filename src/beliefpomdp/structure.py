@@ -9,7 +9,6 @@ checks on solved grids, not proofs.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,7 @@ from .errors import (
     PreconditionFailed,
 )
 from .grid import TABLE_BLOCK, SimplexGrid, build_grid, simplex_point_count
-from .model import Belief, PomdpModel
+from .model import PomdpModel
 from .reports import OrderCheckReport, make_report
 from .solver import (
     RelaxedValueFunction,
@@ -63,33 +62,6 @@ PROBE_MAX_ITERS = 100_000
 # ---------------------------------------------------------------------------
 
 
-def _probs(belief) -> np.ndarray:
-    return belief.probs if isinstance(belief, Belief) else np.asarray(belief, float)
-
-
-def mlr_geq(pi1, pi2, tol: float = MLR_TOL) -> bool:
-    """True iff pi1 dominates pi2 in the monotone likelihood ratio order."""
-    p1, p2 = _probs(pi1), _probs(pi2)
-    if p1.shape != p2.shape:
-        raise DimensionMismatch("beliefs must have the same dimension")
-    x = p1.size
-    for i in range(x):
-        for j in range(i + 1, x):
-            if p1[i] * p2[j] > p2[i] * p1[j] + tol:
-                return False
-    return True
-
-
-def fosd_geq(pi1, pi2, tol: float = MLR_TOL) -> bool:
-    """True iff pi1 first-order stochastically dominates pi2 (mass on higher states)."""
-    p1, p2 = _probs(pi1), _probs(pi2)
-    if p1.shape != p2.shape:
-        raise DimensionMismatch("beliefs must have the same dimension")
-    t1 = np.cumsum(p1[::-1])[::-1]
-    t2 = np.cumsum(p2[::-1])[::-1]
-    return bool(np.all(t1 >= t2 - tol))
-
-
 def is_tp2(matrix, tol: float = MINOR_TOL) -> OrderCheckReport:
     """Check that every 2x2 minor of a nonnegative matrix is nonnegative."""
     a = np.asarray(matrix, dtype=float)
@@ -110,19 +82,6 @@ def is_tp2(matrix, tol: float = MINOR_TOL) -> OrderCheckReport:
                     worst = float(-minors.min())
                     witness = {"rows": [i + 1, j + 1], "cols": [k + 1, k + 2 + l_rel]}
     return make_report("tp2", worst, tol, witness=witness, samples=count)
-
-
-def tp2_column_permutation(matrix, tol: float = MINOR_TOL):
-    """Column order making the matrix TP2, or None if no permutation works.
-
-    For two-row matrices sorting columns by likelihood ratio always
-    succeeds; the search is exhaustive, so keep the column count small.
-    """
-    a = np.asarray(matrix, dtype=float)
-    for perm in itertools.permutations(range(a.shape[1])):
-        if is_tp2(a[:, perm], tol).holds:
-            return tuple(p + 1 for p in perm)
-    return None
 
 
 # ---------------------------------------------------------------------------

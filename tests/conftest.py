@@ -23,7 +23,10 @@ def random_model(rng, num_states=None, num_actions=None, max_obs=3, discount=0.9
     )
 
 
-def qd_model(persistence=0.9, delay=0.05, b=None):
+def qd_model(persistence=0.9, delay=0.05, b=None, continue_loss=None):
+    """Quickest-detection model: state 1 absorbing post-change, start in
+    state 2, stop cost [0, 1], continue cost [delay, 0] plus the optional
+    nonlinear ``continue_loss``."""
     b = b if b is not None else [[0.8, 0.2], [0.3, 0.7]]
     p = [[1.0, 0.0], [1.0 - persistence, persistence]]
     return PomdpModel(
@@ -33,6 +36,7 @@ def qd_model(persistence=0.9, delay=0.05, b=None):
         transition=(p, p),
         observation=(b, b),
         linear_cost=([0.0, 1.0], [delay, 0.0]),
+        nonlinear_cost=continue_loss or NonlinearCostSpec(),
         discount=1.0,
         model_kind=STOPPING_TIME,
     )

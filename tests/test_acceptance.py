@@ -12,7 +12,6 @@ from click.testing import CliRunner
 
 from beliefpomdp.cli import main as cli_main
 from beliefpomdp.costs import NonlinearCostSpec
-from beliefpomdp.filtering import exact_posterior_oracle, filter_update
 from beliefpomdp.grid import build_grid
 from beliefpomdp.model import Belief, fixture_path, load_model
 from beliefpomdp.quickest import initial_belief, ks_cost_estimate, qd_threshold
@@ -30,6 +29,7 @@ from beliefpomdp.structure import (
     verify_stopping_set_convex,
 )
 from conftest import random_model, three_state_general, two_state_general
+from oracles import exact_posterior_oracle, filter_update
 
 
 class Budget:

@@ -13,7 +13,6 @@ from beliefpomdp.cli import main
 from beliefpomdp.costs import NonlinearCostSpec
 from beliefpomdp.grid import build_grid
 from beliefpomdp.model import fixture_path, load_model, save_model
-from beliefpomdp.quickest import QdSpec, build_qd_model
 from beliefpomdp.simulate import EvalResult, PolicyComparison, initial_belief_set
 from beliefpomdp.solver import (
     IterationLog,
@@ -21,6 +20,7 @@ from beliefpomdp.solver import (
     SolveResult,
     ValueFunction,
 )
+from conftest import qd_model
 
 QD = str(fixture_path("quickest_detection_x2.json"))
 FVP = str(fixture_path("filter_vs_predictor.json"))
@@ -108,7 +108,7 @@ def save_stops_everywhere(folder):
     """A well-formed detection model whose solved policy at grid 100 stops
     everywhere, so it has no threshold; returns (model, saved path)."""
     loss = NonlinearCostSpec("entropy", alpha=[0.02, 0.02], beta=[2.0, 2.0])
-    model = build_qd_model(QdSpec(0.9, 0.05, [[0.8, 0.2], [0.3, 0.7]], continue_loss=loss))
+    model = qd_model(0.9, 0.05, [[0.8, 0.2], [0.3, 0.7]], continue_loss=loss)
     path = folder / "stops_everywhere.json"
     save_model(model, path)
     return model, path
@@ -131,6 +131,44 @@ class TestExitCodes:
         payload = json.loads((tmp_path / "o" / "validation.json").read_text())
         assert not payload["valid"]
         assert "row sum" in payload["violations"][0]["message"]
+
+    def test_validate_lists_non_finite_entries(self, tmp_path):
+        doc = json.loads(fixture_path("filter_vs_predictor.json").read_text())
+        doc["transition"][0][1][0] = float("nan")
+        doc["linear_cost"][1][0] = float("inf")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))  # Python's json writes NaN and Infinity
+        result = run(["validate", "--model", str(bad), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        text = (tmp_path / "o" / "validation.json").read_text()
+        payload = json.loads(text, parse_constant=pytest.fail)  # strict JSON
+        assert [(v["where"], v["message"]) for v in payload["violations"]] == [
+            ("transition[1] row 2", "non-finite entry nan"),
+            ("linear_cost[2]", "non-finite entry inf"),
+        ]
+
+    @pytest.mark.parametrize("key", ["transition", "linear_cost"])
+    def test_solve_rejects_a_nan_model(self, tmp_path, key):
+        doc = json.loads(fixture_path("filter_vs_predictor.json").read_text())
+        doc[key][0][0] = float("nan") if key == "linear_cost" else [float("nan"), 1.0]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        result = run(["solve", "--model", str(bad), "--grid", "20", "--out", str(out)])
+        assert result.exit_code == 1
+        assert "non-finite entry nan" in result.output
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+    def test_verify_without_predicates_exits_one_before_loading(self, tmp_path):
+        unreadable = tmp_path / "unreadable.json"
+        unreadable.write_text("{nope")
+        out = tmp_path / "o"
+        result = run(
+            ["verify", "--model", str(unreadable), "--predicates", " , ", "--out", str(out)]
+        )
+        assert result.exit_code == 1
+        assert "error: no predicates given" in result.output
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
     def test_parse_error_exits_one(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -5,14 +5,13 @@ import pytest
 
 from beliefpomdp.costs import (
     NonlinearCostSpec,
-    concavity_probe,
-    instantaneous_cost,
+    instantaneous_cost_batch,
     max_cost_bound,
-    performance_loss,
     performance_loss_batch,
 )
 from beliefpomdp.model import Belief, unit_belief, uniform_belief
 from conftest import cost_family_spec, two_state_general
+from oracles import concavity_probe
 
 WEIGHTED = ["mean_square", "l1", "linf", "entropy"]
 
@@ -31,7 +30,7 @@ def l1_loss_oracle(pi):
 class TestFamilies:
     def test_entropy_zero_at_vertex(self):
         spec = NonlinearCostSpec("entropy", alpha=[1.0], beta=[0.0])
-        assert performance_loss(spec, unit_belief(1, 3), 1) == 0.0
+        assert performance_loss_batch(spec, unit_belief(1, 3).probs, 1)[0] == 0.0
 
     @pytest.mark.parametrize("x", [2, 3, 4, 9])
     def test_entropy_with_exact_zeros_matches_masked_sum(self, x, rng):
@@ -51,23 +50,25 @@ class TestFamilies:
 
     def test_entropy_uses_log2(self):
         spec = NonlinearCostSpec("entropy", alpha=[1.0], beta=[0.0])
-        assert performance_loss(spec, uniform_belief(2), 1) == pytest.approx(1.0, abs=1e-14)
-        assert performance_loss(spec, uniform_belief(4), 1) == pytest.approx(2.0, abs=1e-14)
+        for x, bits in ((2, 1.0), (4, 2.0)):
+            loss = performance_loss_batch(spec, uniform_belief(x).probs, 1)[0]
+            assert loss == pytest.approx(bits, abs=1e-14)
 
     def test_mean_square_identity_matrix(self):
         spec = NonlinearCostSpec(
             "mean_square", weight_matrix=np.eye(2), alpha=[1.0], beta=[0.0]
         )
-        assert performance_loss(spec, Belief([0.5, 0.5]), 1) == pytest.approx(0.5)
+        assert performance_loss_batch(spec, Belief([0.5, 0.5]).probs, 1)[0] == pytest.approx(0.5)
 
     def test_l1_matches_direct_oracle(self):
         spec = NonlinearCostSpec("l1", alpha=[1.0], beta=[0.0])
         pi = [0.3, 0.7]
         assert l1_loss_oracle(pi) == pytest.approx(0.84, abs=1e-15)
-        assert performance_loss(spec, Belief(pi), 1) == pytest.approx(0.84, abs=1e-12)
+        loss = performance_loss_batch(spec, Belief(pi).probs, 1)[0]
+        assert loss == pytest.approx(0.84, abs=1e-12)
         rng = np.random.default_rng(0)
         for p in rng.dirichlet(np.ones(4), size=30):
-            assert performance_loss(spec, Belief(p), 1) == pytest.approx(
+            assert performance_loss_batch(spec, Belief(p).probs, 1)[0] == pytest.approx(
                 l1_loss_oracle(p), abs=1e-12
             )
 
@@ -84,7 +85,7 @@ class TestFamilies:
     def test_vertex_property(self, family):
         spec = cost_family_spec(family, num_actions=1, num_states=3)
         for i in range(1, 4):
-            assert performance_loss(spec, unit_belief(i, 3), 1) == pytest.approx(
+            assert performance_loss_batch(spec, unit_belief(i, 3).probs, 1)[0] == pytest.approx(
                 0.0, abs=1e-14
             )
 
@@ -97,7 +98,7 @@ class TestFamilies:
                 "mean_square", weight_matrix=np.eye(3), alpha=[1.0], beta=[0.0]
             )
         )
-        center = performance_loss(spec, uniform_belief(3), 1)
+        center = performance_loss_batch(spec, uniform_belief(3).probs, 1)[0]
         rng = np.random.default_rng(2)
         sampled = performance_loss_batch(spec, rng.dirichlet(np.ones(3), size=500), 1)
         assert np.all(sampled <= center + 1e-12)
@@ -105,23 +106,23 @@ class TestFamilies:
     def test_per_action_weights(self):
         spec = NonlinearCostSpec("entropy", alpha=[1.0, 2.0], beta=[0.1, 0.3])
         pi = uniform_belief(2)
-        assert performance_loss(spec, pi, 1) == pytest.approx(1.1)
-        assert performance_loss(spec, pi, 2) == pytest.approx(2.3)
+        assert performance_loss_batch(spec, pi.probs, 1)[0] == pytest.approx(1.1)
+        assert performance_loss_batch(spec, pi.probs, 2)[0] == pytest.approx(2.3)
 
 
 class TestPiecewiseLinear:
     def test_three_levels(self):
         spec = NonlinearCostSpec("piecewise_linear", epsilon=0.2)
         # pi(1) > 1 - eps: every vertex distance small for e_1, far for e_2
-        assert performance_loss(spec, Belief([0.9, 0.1]), 1) == pytest.approx(
+        assert performance_loss_batch(spec, Belief([0.9, 0.1]).probs, 1)[0] == pytest.approx(
             0.0 * 0.9 + 1.0 * 0.1
         )
-        assert performance_loss(spec, Belief([0.5, 0.5]), 1) == pytest.approx(0.2)
+        assert performance_loss_batch(spec, Belief([0.5, 0.5]).probs, 1)[0] == pytest.approx(0.2)
 
     def test_breakpoint_tie_goes_to_later_branch(self):
         spec = NonlinearCostSpec("piecewise_linear", epsilon=0.25)
         # ||e_1 - pi||_inf = 0.25 exactly: the middle branch wins the tie
-        val = performance_loss(spec, Belief([0.75, 0.25]), 1)
+        val = performance_loss_batch(spec, Belief([0.75, 0.25]).probs, 1)[0]
         assert val == pytest.approx(0.25 * 0.75 + 1.0 * 0.25)
 
     def test_concave_on_two_states_only(self):
@@ -147,13 +148,34 @@ class TestPiecewiseLinear:
     def test_epsilon_range_enforced(self):
         with pytest.raises(ValueError):
             NonlinearCostSpec("piecewise_linear", epsilon=0.6)
+        with pytest.raises(ValueError):
+            NonlinearCostSpec("piecewise_linear", epsilon=float("nan"))
+
+
+def test_non_finite_parameters_rejected():
+    nan, inf = float("nan"), float("inf")
+    for kwargs, message in [
+        (dict(family="entropy", alpha=[nan], beta=[0.0]), "alpha must be finite"),
+        (dict(family="l1", alpha=[1.0], beta=[inf]), "beta must be finite"),
+        (
+            dict(
+                family="mean_square",
+                weight_matrix=[[nan, 0.0], [0.0, 1.0]],
+                alpha=[1.0],
+                beta=[0.0],
+            ),
+            "weight_matrix must be finite",
+        ),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            NonlinearCostSpec(**kwargs)
 
 
 class TestInstantaneousCost:
     def test_reduces_to_linear_without_loss(self):
         model = two_state_general()
         pi = Belief([0.25, 0.75])
-        assert instantaneous_cost(model, pi, 1) == pytest.approx(
+        assert instantaneous_cost_batch(model, pi.probs, 1)[0] == pytest.approx(
             float(model.linear_cost[0] @ pi.probs), abs=1e-15
         )
 
@@ -161,14 +183,15 @@ class TestInstantaneousCost:
         spec = NonlinearCostSpec("entropy", alpha=[1.0, 1.0], beta=[0.0, 0.0])
         model = two_state_general(nonlinear=spec, linear=[[0.0, 0.0], [0.0, 0.0]])
         pi = Belief([0.3, 0.7])
-        assert instantaneous_cost(model, pi, 2) == pytest.approx(
-            performance_loss(spec, pi, 2)
+        assert instantaneous_cost_batch(model, pi.probs, 2)[0] == pytest.approx(
+            performance_loss_batch(spec, pi.probs, 2)[0]
         )
 
     def test_hand_value_linear_plus_entropy(self):
         spec = NonlinearCostSpec("entropy", alpha=[0.5, 0.5], beta=[0.0, 0.0])
         model = two_state_general(nonlinear=spec, linear=[[0.0, 0.0], [1.0, 0.0]])
-        assert instantaneous_cost(model, Belief([0.5, 0.5]), 2) == pytest.approx(1.0)
+        cost = instantaneous_cost_batch(model, Belief([0.5, 0.5]).probs, 2)[0]
+        assert cost == pytest.approx(1.0)
 
     def test_max_cost_bound_dominates_samples(self, rng):
         for family in WEIGHTED + ["piecewise_linear", "none"]:
@@ -177,8 +200,6 @@ class TestInstantaneousCost:
             bound = max_cost_bound(model)
             pts = rng.dirichlet(np.ones(2), size=200)
             for u in (1, 2):
-                from beliefpomdp.costs import instantaneous_cost_batch
-
                 assert np.all(instantaneous_cost_batch(model, pts, u) <= bound + 1e-12)
 
 

@@ -6,13 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beliefpomdp.errors import ZeroLikelihood
-from beliefpomdp.filtering import (
-    exact_posterior_oracle,
-    filter_update,
-    relaxed_update,
-)
-from beliefpomdp.model import Belief, PomdpModel, RelaxedBelief
+from beliefpomdp.model import Belief, PomdpModel
 from conftest import qd_model, random_model
+from oracles import RelaxedBelief, exact_posterior_oracle, filter_update, relaxed_update
 
 
 def identity_model(b_rows):

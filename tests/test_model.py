@@ -1,6 +1,7 @@
 """Model types, validation diagnostics, and file round trips."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,6 @@ from beliefpomdp.model import (
     STOPPING_TIME,
     Belief,
     PomdpModel,
-    RelaxedBelief,
     fixture_path,
     load_model,
     model_from_dict,
@@ -23,6 +23,7 @@ from beliefpomdp.model import (
     validate_model,
 )
 from conftest import random_model
+from oracles import RelaxedBelief
 
 
 def make(transition=None, discount=0.9, model_kind=GENERAL_DISCOUNTED, num_actions=1):
@@ -76,6 +77,39 @@ class TestValidateModel:
         )
         assert any("alpha" in v.message for v in validate_model(bad))
 
+    def test_non_finite_entries_are_violations(self):
+        nan, inf = float("nan"), float("inf")
+        model = PomdpModel(
+            num_states=2,
+            num_actions=1,
+            num_observations=(2,),
+            transition=[[[nan, 1.0], [0.1, 0.9]]],
+            observation=[[[0.8, 0.2], [-inf, 0.7]]],
+            linear_cost=[[1.0, nan]],
+            discount=nan,
+        )
+        report = validate_model(model)
+        assert [(v.where, v.message) for v in report] == [
+            ("transition[1] row 1", "non-finite entry nan"),
+            ("observation[1] row 2", "non-finite entry -inf"),
+            ("linear_cost[1]", "non-finite entry nan"),
+            ("discount", "non-finite discount nan"),
+        ]
+        assert all(v.magnitude == 0.0 for v in report)
+
+    def test_load_rejects_non_finite_entries(self, tmp_path):
+        for key, value in [
+            ("transition", [[float("nan"), 1.0], [0.1, 0.9]]),
+            ("linear_cost", [float("inf"), 0.0]),
+            ("nonlinear_cost", {"family": "entropy", "alpha": [float("nan")] * 2, "beta": [0, 0]}),
+        ]:
+            doc = make().to_dict()
+            doc[key] = value if key == "nonlinear_cost" else [value]
+            path = tmp_path / f"{key}.json"
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ModelFormatError):
+                load_model(path)
+
     def test_row_tolerance_accepts_tiny_roundoff(self):
         row = [0.1, 0.9 + 5e-13]
         assert validate_model(make(transition=[[1.0, 0.0], row])) == []
@@ -101,6 +135,9 @@ class TestBeliefs:
     def test_belief_invariants(self):
         with pytest.raises(ValueError):
             Belief([0.5, 0.4])
+        for bad in ([float("nan"), 0.5], [float("inf"), 0.0], [1.0, float("nan")]):
+            with pytest.raises(ValueError, match="non-finite"):
+                Belief(bad)
         with pytest.raises(ValueError):
             Belief([1.1, -0.1])
         b = Belief([0.25, 0.75])

@@ -12,26 +12,33 @@ from beliefpomdp.grid import build_grid
 from beliefpomdp.model import fixture_path, load_model, validate_model
 from beliefpomdp.quickest import (
     QdSpec,
-    build_qd_model,
     initial_belief,
     ks_cost_estimate,
     qd_threshold,
     spec_from_model,
 )
-from beliefpomdp.simulate import simulate_path_costs
+from beliefpomdp.simulate import FunctionPolicy, simulate_path_costs
 from beliefpomdp.solver import solve_stopping
+from conftest import qd_model, two_state_general
 
 SPEC = QdSpec(persistence=0.9, delay_weight=0.05, observation=[[0.8, 0.2], [0.3, 0.7]])
-MODEL = build_qd_model(SPEC)
+
+
+def spec_model(spec):
+    """The detection model of a spec, as a model file would hold it."""
+    return qd_model(spec.persistence, spec.delay_weight, spec.observation, spec.continue_loss)
+
+
+MODEL = spec_model(SPEC)
 
 
 def solve_spec(spec, resolution):
-    return solve_stopping(build_qd_model(spec), build_grid(2, resolution), tol=1e-9)
+    return solve_stopping(spec_model(spec), build_grid(2, resolution), tol=1e-9)
 
 
 class TestSpecAndModel:
     def test_built_model_is_valid_stopping(self):
-        model = build_qd_model(SPEC)
+        model = spec_model(SPEC)
         assert validate_model(model) == []
         assert model.is_stopping and model.discount == 1.0
         np.testing.assert_array_equal(model.linear_cost[0], [0.0, 1.0])
@@ -50,15 +57,13 @@ class TestSpecAndModel:
             QdSpec(persistence=1.0, delay_weight=0.1, observation=[[1, 0], [0, 1]])
 
     def test_spec_round_trips_through_model(self):
-        model = build_qd_model(SPEC)
+        model = spec_model(SPEC)
         spec = spec_from_model(model)
         assert spec.persistence == SPEC.persistence
         assert spec.delay_weight == SPEC.delay_weight
         np.testing.assert_array_equal(spec.observation, SPEC.observation)
 
     def test_spec_from_model_rejects_other_shapes(self):
-        from conftest import two_state_general
-
         with pytest.raises(PreconditionFailed):
             spec_from_model(two_state_general())
 
@@ -125,9 +130,15 @@ class TestKsCostEstimate:
         assert est.delay_term > 0.05 * 200  # delay grows to the cap
 
     def test_change_times_match_geometric_mean(self):
-        est = ks_cost_estimate(MODEL, threshold=-1.0, num_paths=20_000, horizon_cap=400, seed=4)
-        se = 10.0 / np.sqrt(20_000)  # geometric sd is close to its mean
-        assert abs(est.mean_change_time - 10.0) <= 3 * se * 1.2
+        # a rule that never stops pays d * pi_t(1) at every step, and
+        # E[pi_t(1)] = P(x_t = 1) = 1 - p^t for a geometric change time
+        never_stop = FunctionPolicy(lambda points: np.full(len(points), 2))
+        horizon, p, d = 30, SPEC.persistence, SPEC.delay_weight
+        table = simulate_path_costs(MODEL, never_stop, initial_belief(), 20_000, horizon, seed=4)
+        expected = d * sum(1.0 - p**t for t in range(horizon))
+        se = table[:, 0].std(ddof=1) / np.sqrt(len(table))
+        assert abs(table[:, 0].mean() - expected) <= 4 * se
+        assert np.all(table[:, 1] == 1.0) and np.all(table[:, 2] == 0.0)
 
     def test_threshold_locally_optimal(self):
         threshold = qd_threshold(solve_spec(SPEC, 1000).policy)
@@ -155,8 +166,6 @@ class TestKsCostEstimate:
             ks_cost_estimate(MODEL, 0.1, num_paths=0)
 
     def test_rejects_a_model_without_the_detection_structure(self):
-        from conftest import two_state_general
-
         with pytest.raises(PreconditionFailed):
             ks_cost_estimate(two_state_general(), 0.1, num_paths=10)
 

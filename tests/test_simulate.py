@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from beliefpomdp import simulate
-from beliefpomdp.costs import NonlinearCostSpec, instantaneous_cost, instantaneous_cost_batch
+from beliefpomdp.costs import NonlinearCostSpec, instantaneous_cost_batch
 from beliefpomdp.errors import HorizonUnbounded, PreconditionFailed, ZeroLikelihood
-from beliefpomdp.filtering import filter_update
 from beliefpomdp.grid import build_grid
 from beliefpomdp.model import (
     Belief,
@@ -21,7 +20,6 @@ from beliefpomdp.model import (
 from beliefpomdp.simulate import (
     _belief_step,
     compare_policies,
-    constant_policy,
     evaluate_policy,
     initial_belief_set,
     myopic_sensor_policy,
@@ -37,6 +35,7 @@ from conftest import (
     three_state_general,
     two_state_general,
 )
+from oracles import constant_policy, filter_update
 
 DISCOUNTED_FIXTURES = [
     "filter_vs_predictor",
@@ -183,7 +182,7 @@ class TestStepOracle:
         assert model.num_observations == (2, 3)
         rule = myopic_sensor_policy(model)
         assert rule.actions_at(np.eye(3)).tolist() == [2, 2, 2]
-        assert rule.action_at(interior_belief(3)) == 1
+        assert rule.actions_at(interior_belief(3).probs).tolist() == [1]
         self.check(model, rule, interior_belief(3), horizon=30)
 
     def test_two_workers_over_several_chunks(self):
@@ -286,7 +285,8 @@ class TestEvaluatePolicy:
         model = two_state_general(discount=0.0)
         pi0 = Belief([0.3, 0.7])
         result = evaluate_policy(model, constant_policy(2), pi0, num_paths=50)
-        assert result.mean == pytest.approx(instantaneous_cost(model, pi0, 2), abs=1e-15)
+        cost = instantaneous_cost_batch(model, pi0.probs, 2)[0]
+        assert result.mean == pytest.approx(cost, abs=1e-15)
         assert result.horizon == 1
 
     def test_matches_grid_value_within_noise(self):

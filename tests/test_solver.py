@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from beliefpomdp import solver
-from beliefpomdp.costs import NonlinearCostSpec, instantaneous_cost
+from beliefpomdp.costs import NonlinearCostSpec, instantaneous_cost_batch
 from beliefpomdp.errors import PreconditionFailed, StructureViolation
-from beliefpomdp.filtering import filter_update
 from beliefpomdp.grid import build_grid
 from beliefpomdp.model import (
     STOPPING_TIME,
@@ -19,12 +18,13 @@ from beliefpomdp.quickest import qd_threshold
 from beliefpomdp.solver import (
     Policy,
     RelaxedValueFunction,
-    bellman_backup,
+    build_tables,
     solve_discounted,
     solve_relaxed,
     solve_stopping,
 )
 from conftest import qd_model, two_state_general, three_state_general
+from oracles import bellman_backup, filter_update, sweep_once
 
 
 class TestBellmanBackup:
@@ -35,7 +35,8 @@ class TestBellmanBackup:
         pi = Belief([0.4, 0.6])
         qs, best, action = bellman_backup(model, sol.value, pi)
         for u in (1, 2):
-            assert qs[u - 1] == pytest.approx(instantaneous_cost(model, pi, u), abs=1e-14)
+            cost = instantaneous_cost_batch(model, pi.probs, u)[0]
+            assert qs[u - 1] == pytest.approx(cost, abs=1e-14)
         assert best == min(qs)
 
     def test_zero_value_function_gives_cost(self):
@@ -47,7 +48,8 @@ class TestBellmanBackup:
         pi = Belief([0.7, 0.3])
         qs, _, _ = bellman_backup(model, zero, pi)
         for u in (1, 2):
-            assert qs[u - 1] == pytest.approx(instantaneous_cost(model, pi, u), abs=1e-14)
+            cost = instantaneous_cost_batch(model, pi.probs, u)[0]
+            assert qs[u - 1] == pytest.approx(cost, abs=1e-14)
 
     def test_hand_expanded_two_observation_sum(self, rng):
         model = two_state_general()
@@ -59,7 +61,7 @@ class TestBellmanBackup:
         pi = Belief([0.5, 0.5])
         qs, _, _ = bellman_backup(model, vf, pi)
         for u in (1, 2):
-            expected = instantaneous_cost(model, pi, u)
+            expected = instantaneous_cost_batch(model, pi.probs, u)[0]
             for y in (1, 2):
                 step = filter_update(model, pi, y, u)
                 expected += model.discount * step.likelihood * vf.at(step.posterior)
@@ -153,8 +155,6 @@ class TestSolveStopping:
     def test_monotone_value_iteration_at_discount_one(self):
         model = qd_model()
         grid = build_grid(2, 100)
-        from beliefpomdp.solver import build_tables, sweep_once
-
         tables = build_tables(model, grid)
         v = np.zeros(grid.num_points)
         for _ in range(40):
@@ -218,12 +218,12 @@ class TestSolveRelaxed:
     def test_homogeneous_scaling(self, rng):
         model = two_state_general()
         w = RelaxedValueFunction(solve_relaxed(model, build_grid(2, 100), tol=1e-10).value)
-        for _ in range(20):
-            alpha = rng.uniform(0.05, 3.0, size=2)
-            base = w.at(alpha)
-            for kappa in (0.1, 1.0, 7.3):
-                scaled = w.at(kappa * alpha)
-                assert abs(scaled - kappa * base) <= 1e-10 * max(1.0, kappa * abs(base))
+        alphas = rng.uniform(0.05, 3.0, size=(20, 2))
+        base = w.at_many(alphas)
+        for kappa in (0.1, 1.0, 7.3):
+            scaled = w.at_many(kappa * alphas)
+            bound = 1e-10 * np.maximum(1.0, kappa * np.abs(base))
+            assert np.all(np.abs(scaled - kappa * base) <= bound)
 
     def test_agrees_with_normalized_solve_on_simplex(self):
         model = two_state_general()
@@ -237,13 +237,14 @@ class TestSolveRelaxed:
         model = two_state_general()
         w = RelaxedValueFunction(solve_relaxed(model, build_grid(2, 80), tol=1e-10).value)
         alpha = rng.uniform(0.5, 1.5, size=2)
-        ratios = [w.at(eps * alpha) / eps for eps in (1e-3, 1e-2, 1e-1)]
+        eps = np.array([1e-3, 1e-2, 1e-1])
+        ratios = w.at_many(eps[:, None] * alpha) / eps
         np.testing.assert_allclose(ratios, ratios[0], rtol=1e-10)
 
     def test_zero_vector_has_zero_value(self):
         model = two_state_general()
         w = RelaxedValueFunction(solve_relaxed(model, build_grid(2, 40)).value)
-        assert w.at(np.zeros(2)) == 0.0
+        assert w.at_many(np.zeros(2)).tolist() == [0.0]
 
 
 class TestExtractThreshold:

@@ -1,4 +1,5 @@
-"""The vectorized backup sweep against a per-point loop and bellman_backup,
+"""The vectorized backup sweep against a per-point loop and the
+single-point ``oracles.bellman_backup``,
 stacked solves against single ones, and threaded row parts against the
 inline sweep."""
 
@@ -13,14 +14,9 @@ from beliefpomdp import solver
 from beliefpomdp.grid import SimplexGrid, build_grid
 from beliefpomdp.model import Belief, PomdpModel, fixture_path, load_model
 from beliefpomdp.structure import random_a1a2_non_tp2_model
-from beliefpomdp.solver import (
-    ValueFunction,
-    bellman_backup,
-    build_tables,
-    q_values,
-    sweep_once,
-)
+from beliefpomdp.solver import ValueFunction, build_tables, q_values
 from conftest import qd_model, random_model, three_state_general, two_state_general
+from oracles import bellman_backup, sweep_once
 
 FIXTURES = [
     "filter_vs_predictor",
