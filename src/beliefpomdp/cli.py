@@ -19,8 +19,8 @@ output directory.  Exit codes:
   has no single threshold.
 
 Each of these writes ``manifest.json``.  Click's own usage errors (a
-missing option, a ``--model`` that does not exist) exit 2 before any
-manifest exists.
+missing option, a ``--model`` that does not exist, a ``--tol`` that is
+not finite) exit 2 before any manifest exists.
 
 All numbers in artifacts are formatted to 12 significant digits, and a
 fixed seed makes reruns byte-identical regardless of worker or CPU count
@@ -30,8 +30,10 @@ threads).
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -43,7 +45,7 @@ from . import __version__
 from .errors import BeliefPomdpError, PreconditionFailed, StructureViolation
 from .grid import build_grid
 from .model import load_model, validate_model
-from .quickest import initial_belief, ks_cost_estimate, qd_threshold, spec_from_model
+from .quickest import check_detection_model, initial_belief, ks_cost_estimate, qd_threshold
 from .simulate import (
     compare_policies,
     evaluate_policy,
@@ -70,7 +72,10 @@ def fmt(x) -> str:
 
 
 def json_ready(obj):
-    """Round floats to 12 significant digits and unwrap numpy containers."""
+    """Round floats to 12 significant digits, unwrap numpy containers and
+    turn a dataclass into ``{field name: json_ready(value)}``."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: json_ready(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {k: json_ready(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -87,7 +92,10 @@ def json_ready(obj):
 
 
 def write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(json_ready(payload), indent=2, sort_keys=True) + "\n")
+    """Write ``json_ready(payload)``; a NaN or infinite number raises
+    ValueError, since JSON has no such numbers."""
+    text = json.dumps(json_ready(payload), indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n")
 
 
 def write_csv(path: Path, header, columns) -> None:
@@ -207,9 +215,16 @@ class Run:
         )
 
 
+def _finite(ctx, param, value):
+    """Reject a NaN or infinite option value, which no artifact can hold."""
+    if not math.isfinite(value):
+        raise click.BadParameter(f"must be finite, got {value}")
+    return value
+
+
 model_option = click.option("--model", "model_path", required=True, type=click.Path(exists=True))
 grid_option = click.option("--grid", "resolution", default=200, show_default=True, type=int)
-tol_option = click.option("--tol", default=1e-8, show_default=True, type=float)
+tol_option = click.option("--tol", default=1e-8, show_default=True, type=float, callback=_finite)
 iters_option = click.option("--max-iters", default=100_000, show_default=True, type=int)
 seed_option = click.option("--seed", default=0, show_default=True, type=int)
 paths_option = click.option("--paths", default=10_000, show_default=True, type=int)
@@ -237,7 +252,7 @@ def validate(model_path, out):
         violations = validate_model(load_model(model_path, require_valid=False))
         write_json(
             run.dir / "validation.json",
-            {"valid": not violations, "violations": [v.to_dict() for v in violations]},
+            {"valid": not violations, "violations": violations},
         )
         if violations:
             run.violation()
@@ -281,7 +296,14 @@ def _write_solution(run, model, result, filename="value_policy.csv"):
             pass
     write_json(
         run.dir / "solve_summary.json",
-        {**log.to_dict(), "threshold": threshold, "grid_points": grid.num_points},
+        {
+            "iterations": log.iterations,
+            "final_change": log.final_change,
+            "converged": log.converged,
+            "tol": log.tol,
+            "threshold": threshold,
+            "grid_points": grid.num_points,
+        },
     )
 
 
@@ -376,8 +398,7 @@ def verify(model_path, resolution, tol, max_iters, seed, predicates, kappa, out)
         solution = functools.cache(lambda: run.solve(model, resolution, tol, max_iters))
         for name in names:
             reports = PREDICATES[name](model, solution, seed, kappas)
-            payload = [r.to_dict() for r in reports]
-            write_json(run.dir / f"verify_{name.replace('-', '_')}.json", payload)
+            write_json(run.dir / f"verify_{name.replace('-', '_')}.json", reports)
             if any(not r.holds for r in reports):
                 run.violation()
 
@@ -387,7 +408,7 @@ def _qd_solve(run, model_path, resolution, tol, max_iters):
     ``qd_threshold.json`` payload, which is ``{"error": ...}``, exiting 2,
     when the solved policy has no single threshold."""
     model = load_model(model_path)
-    spec_from_model(model)  # rejects a model without the detection structure
+    check_detection_model(model)
     result = run.solve(model, resolution, tol, max_iters)
     try:
         threshold = qd_threshold(result.policy)
@@ -409,7 +430,7 @@ def _qd_solve(run, model_path, resolution, tol, max_iters):
 @main.command("qd-threshold")
 @model_option
 @click.option("--grid", "resolution", default=1000, show_default=True, type=int)
-@click.option("--tol", default=1e-9, show_default=True, type=float)
+@click.option("--tol", default=1e-9, show_default=True, type=float, callback=_finite)
 @iters_option
 @out_option
 def qd_threshold_cmd(model_path, resolution, tol, max_iters, out):
@@ -422,7 +443,7 @@ def qd_threshold_cmd(model_path, resolution, tol, max_iters, out):
 @main.command("qd-simulate")
 @model_option
 @click.option("--grid", "resolution", default=1000, show_default=True, type=int)
-@click.option("--tol", default=1e-9, show_default=True, type=float)
+@click.option("--tol", default=1e-9, show_default=True, type=float, callback=_finite)
 @iters_option
 @paths_option
 @seed_option
@@ -439,7 +460,7 @@ def qd_simulate(model_path, resolution, tol, max_iters, paths, seed, workers, ou
             )
             run.record_paths(paths, estimate.horizon_cap, 1, policies=1, horizon_key="horizon_cap")
             payload = {
-                **estimate.to_dict(),
+                **dataclasses.asdict(estimate),
                 "value_at_start": solved["value_at_start"],
                 "solver": solved,
             }
@@ -456,7 +477,7 @@ def blackwell(model_path, out):
         if model.num_actions != 2:
             raise PreconditionFailed("blackwell factorization needs a two-action model")
         fac = structure.blackwell_factorize(model.observation[0], model.observation[1])
-        write_json(run.dir / "blackwell.json", fac.to_dict())
+        write_json(run.dir / "blackwell.json", fac)
         if not fac.dominates:
             run.violation()
 
@@ -475,7 +496,7 @@ def ultrametric_root(model_path, root_degree, out):
             )
         base = load_model(model_path).observation[0]
         report = structure.is_ultrametric(base)
-        payload = {"ultrametric": report.to_dict(), "degree": root_degree}
+        payload = {"ultrametric": report, "degree": root_degree}
         holds = report.holds
         if holds:
             root = structure.matrix_root(base, root_degree)
@@ -540,10 +561,11 @@ def compare(model_path, resolution, tol, max_iters, paths, seed, workers, out):
     """Paired comparison: grid-optimal policy against the myopic sensor rule."""
     with Run(out) as run:
         model = load_model(model_path)
+        rule = myopic_sensor_policy(model)
         comparison = compare_policies(
             model,
             run.solve(model, resolution, tol, max_iters).policy,
-            myopic_sensor_policy(model),
+            rule,
             initial_belief_set(model.num_states),
             num_paths=paths,
             seed=seed,
@@ -560,7 +582,7 @@ def compare(model_path, resolution, tol, max_iters, paths, seed, workers, out):
             )
         ]
         _write_policy_costs(run.dir / "compare.csv", model, rows)
-        write_json(run.dir / "compare_summary.json", comparison.to_dict())
+        write_json(run.dir / "compare_summary.json", comparison)
         if comparison.a_not_worse != comparison.num_beliefs:
             run.violation()
 

@@ -82,13 +82,6 @@ class Violation:
     def __str__(self):
         return f"{self.where}: {self.message}"
 
-    def to_dict(self):
-        return {
-            "where": self.where,
-            "message": self.message,
-            "magnitude": float(self.magnitude),
-        }
-
 
 @dataclass(frozen=True)
 class PomdpModel:

@@ -14,7 +14,7 @@ continue costs [d, 0], the delay weight once it has, plus an optional
 nonlinear loss.  Both actions share one observation matrix.
 
 The module holds what is specific to detection: the structure check
-of a loaded model (``spec_from_model``), the threshold of a solved
+of a loaded model (``check_detection_model``), the threshold of a solved
 detection policy (``qd_threshold``; the solve itself is the ordinary
 ``solve_stopping``) and the Monte Carlo cost of the threshold rule
 (``ks_cost_estimate``).
@@ -25,7 +25,7 @@ and delay.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,50 +42,16 @@ from .simulate import (
 from .solver import Policy
 
 
-@dataclass(frozen=True)
-class QdSpec:
-    """Parameters of the detection problem.
-
-    ``persistence`` is the probability of staying pre-change each step
-    (so the change time is geometric with mean 1/(1 - persistence));
-    ``delay_weight`` prices each step of detection delay against a unit
-    false-alarm penalty.  ``observation`` is the 2 x Y emission matrix,
-    row 1 post-change, row 2 pre-change, shared by both actions.
-    """
-
-    persistence: float
-    delay_weight: float
-    observation: np.ndarray
-    continue_loss: NonlinearCostSpec = field(default_factory=NonlinearCostSpec)
-
-    def __post_init__(self):
-        if not 0.0 <= self.persistence < 1.0:
-            raise ValueError(
-                f"persistence must lie in [0, 1): the change must eventually "
-                f"arrive, got {self.persistence}"
-            )
-        if self.delay_weight <= 0.0:
-            raise ValueError(f"delay_weight must be positive, got {self.delay_weight}")
-        b = np.array(self.observation, dtype=float)
-        if b.ndim != 2 or b.shape[0] != 2:
-            raise ValueError("observation matrix must have two rows")
-        if np.any(b < 0) or np.any(np.abs(b.sum(axis=1) - 1.0) > 1e-12):
-            raise ValueError("observation rows must be probability vectors")
-        b.setflags(write=False)
-        object.__setattr__(self, "observation", b)
-
-    @property
-    def mean_change_time(self) -> float:
-        return 1.0 / (1.0 - self.persistence)
-
-
 def initial_belief() -> Belief:
     """The chain starts pre-change with certainty."""
     return unit_belief(2, 2)
 
 
-def spec_from_model(model: PomdpModel) -> QdSpec:
-    """Recover a QdSpec from a stopping model with the detection structure."""
+def check_detection_model(model: PomdpModel) -> None:
+    """Raise PreconditionFailed unless the model has the detection
+    structure, with a change that arrives: continuing leaves the
+    pre-change state 2 with positive probability, so the change time is
+    geometric with mean 1 / (1 - P_continue[2, 2])."""
     if not model.is_stopping or model.num_states != 2 or model.discount != 1.0:
         raise PreconditionFailed(
             "quickest detection needs an undiscounted two-state stopping model"
@@ -93,6 +59,10 @@ def spec_from_model(model: PomdpModel) -> QdSpec:
     p = model.transition[1]
     if not (p[0, 0] == 1.0 and p[0, 1] == 0.0):
         raise PreconditionFailed("state 1 must be absorbing under continue")
+    if not p[1, 1] < 1.0:
+        raise PreconditionFailed(
+            f"the change must arrive: P_continue[2, 2] must be below 1, got {p[1, 1]}"
+        )
     c1, c2 = model.linear_cost
     if not (c1[0] == 0.0 and c1[1] == 1.0 and c2[1] == 0.0 and c2[0] > 0.0):
         raise PreconditionFailed(
@@ -100,12 +70,6 @@ def spec_from_model(model: PomdpModel) -> QdSpec:
         )
     if not np.array_equal(model.observation[0], model.observation[1]):
         raise PreconditionFailed("both actions must share one observation matrix")
-    return QdSpec(
-        persistence=float(p[1, 1]),
-        delay_weight=float(c2[0]),
-        observation=model.observation[1],
-        continue_loss=model.nonlinear_cost,
-    )
 
 
 def qd_threshold(policy: Policy) -> float:
@@ -148,20 +112,6 @@ class KsCostEstimate:
     threshold: float
     mean_change_time: float
 
-    def to_dict(self) -> dict:
-        return {
-            "delay_term": float(self.delay_term),
-            "false_alarm": float(self.false_alarm),
-            "ks_cost": float(self.ks_cost),
-            "ci_halfwidth": float(self.ci_halfwidth),
-            "num_paths": int(self.num_paths),
-            "cap_hits": int(self.cap_hits),
-            "horizon_cap": int(self.horizon_cap),
-            "seed": int(self.seed),
-            "threshold": float(self.threshold),
-            "mean_change_time": float(self.mean_change_time),
-        }
-
 
 def ks_cost_estimate(
     model: PomdpModel,
@@ -188,7 +138,7 @@ def ks_cost_estimate(
     """
     if num_paths < 1:
         raise ValueError("num_paths must be >= 1")
-    spec = spec_from_model(model)
+    check_detection_model(model)
     rule = FunctionPolicy(lambda points: np.where(points[:, 1] < threshold, STOP, CONTINUE))
     priced = replace(model, nonlinear_cost=NonlinearCostSpec())
     sim = path_simulator(priced, rule, initial_belief(), horizon_cap)
@@ -203,5 +153,5 @@ def ks_cost_estimate(
         horizon_cap=horizon_cap,
         seed=seed,
         threshold=float(threshold),
-        mean_change_time=spec.mean_change_time,
+        mean_change_time=1.0 / (1.0 - float(model.transition[1][1, 1])),
     )

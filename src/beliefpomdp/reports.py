@@ -23,17 +23,6 @@ class OrderCheckReport:
     samples: int = 0
     details: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "predicate": self.predicate,
-            "holds": bool(self.holds),
-            "worst_violation": float(self.worst_violation),
-            "tolerance": float(self.tolerance),
-            "witness": self.witness,
-            "samples": int(self.samples),
-            "details": self.details,
-        }
-
 
 def make_report(predicate, worst, tolerance, witness=None, samples=0, **details):
     """Build a report, deriving ``holds`` from the violation/tolerance pair."""

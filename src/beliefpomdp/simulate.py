@@ -130,7 +130,7 @@ class _CostedRule(FunctionPolicy):
 def myopic_sensor_policy(model: PomdpModel) -> FunctionPolicy:
     """Pick sensor 2 wherever it is instantaneously cheaper, else sensor 1."""
     if model.num_actions != 2:
-        raise ValueError("the myopic sensor rule needs a two-action model")
+        raise PreconditionFailed("the myopic sensor rule needs a two-action model")
 
     def rule(points):
         c1 = instantaneous_cost_batch(model, points, 1)
@@ -343,13 +343,6 @@ class PolicyComparison:
     rows: list
     a_not_worse: int
     num_beliefs: int
-
-    def to_dict(self) -> dict:
-        return {
-            "rows": self.rows,
-            "a_not_worse": int(self.a_not_worse),
-            "num_beliefs": int(self.num_beliefs),
-        }
 
 
 def compare_policies(

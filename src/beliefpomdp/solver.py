@@ -29,6 +29,7 @@ change logs are bit-identical for any thread count.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
@@ -38,7 +39,7 @@ import numpy as np
 
 from .columns import row_sum
 from .costs import instantaneous_cost_batch
-from .errors import PreconditionFailed
+from .errors import PostconditionFailed, PreconditionFailed
 from .grid import TABLE_BLOCK, SimplexGrid
 from .model import Belief, PomdpModel
 
@@ -111,14 +112,6 @@ class IterationLog:
     @property
     def final_change(self) -> float:
         return self.changes[-1] if self.changes else 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "final_change": float(self.final_change),
-            "converged": bool(self.converged),
-            "tol": float(self.tol),
-        }
 
 
 @dataclass
@@ -344,7 +337,8 @@ def _iterate(tables: BackupTables, tol: float, max_iters: int):
     Returns per-model lists (values, actions, logs).  The sup-norm change
     is taken per model, and each model keeps the iterate, actions and
     change log of the sweep at which its change fell below ``tol``, or of
-    the last sweep if it never did.
+    the last sweep if it never did.  A sweep whose change is not finite
+    (costs so large that the values overflow) raises PostconditionFailed.
     """
     count = tables.num_models
     values = np.zeros(tables.cost.shape[1])
@@ -356,8 +350,11 @@ def _iterate(tables: BackupTables, tol: float, max_iters: int):
     kept_actions = list(actions.reshape(count, -1))
     running = range(count)
     with _sweeper(tables) as sweep:
-        for _ in range(max_iters):
+        for sweeps in range(1, max_iters + 1):
             values, actions, change = sweep(values)
+            bad = [c for c in change if not math.isfinite(c)]
+            if bad:
+                raise PostconditionFailed(f"sweep {sweeps} changed the values by {bad[0]}")
             value_rows, action_rows = values.reshape(count, -1), actions.reshape(count, -1)
             for b in running:
                 logs[b].changes.append(change[b])

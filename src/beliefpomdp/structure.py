@@ -37,6 +37,15 @@ from .solver import (
 )
 
 MINOR_TOL = 1e-12
+#: largest defects that still hold: a cost increase along first-order
+#: dominance, and a violated ultrametric condition
+FOSD_TOLERANCE = 1e-9
+ULTRAMETRIC_TOL = 1e-12
+#: garbling search: iteration cap, the largest entry move below which it
+#: stops, and the largest residual that certifies dominance
+BLACKWELL_MAX_ITERS = 50_000
+BLACKWELL_STEP_TOL = 1e-14
+BLACKWELL_RESIDUAL_TOLERANCE = 1e-6
 MLR_TOL = 1e-12
 #: gaps this close to the worst, relative to max(1, |worst|), tie for the witness
 MLR_TIE_RTOL = 1e-12
@@ -62,8 +71,9 @@ PROBE_MAX_ITERS = 100_000
 # ---------------------------------------------------------------------------
 
 
-def is_tp2(matrix, tol: float = MINOR_TOL) -> OrderCheckReport:
-    """Check that every 2x2 minor of a nonnegative matrix is nonnegative."""
+def is_tp2(matrix) -> OrderCheckReport:
+    """Check that every 2x2 minor of a nonnegative matrix is nonnegative; a
+    matrix with one row or column has none and reports 0 over 0 samples."""
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2:
         raise DimensionMismatch("TP2 check needs a matrix")
@@ -81,7 +91,7 @@ def is_tp2(matrix, tol: float = MINOR_TOL) -> OrderCheckReport:
                     l_rel = int(np.argmin(minors))
                     worst = float(-minors.min())
                     witness = {"rows": [i + 1, j + 1], "cols": [k + 1, k + 2 + l_rel]}
-    return make_report("tp2", worst, tol, witness=witness, samples=count)
+    return make_report("tp2", worst if count else 0.0, MINOR_TOL, witness=witness, samples=count)
 
 
 # ---------------------------------------------------------------------------
@@ -90,11 +100,7 @@ def is_tp2(matrix, tol: float = MINOR_TOL) -> OrderCheckReport:
 
 
 def fosd_decreasing_cost(
-    model: PomdpModel,
-    u: int,
-    samples: int = 500,
-    tolerance: float = 1e-9,
-    seed: int = 0,
+    model: PomdpModel, u: int, samples: int = 500, seed: int = 0
 ) -> OrderCheckReport:
     """Check C(pi, u) decreases along first-order dominance.
 
@@ -122,7 +128,7 @@ def fosd_decreasing_cost(
     return make_report(
         "fosd_decreasing_cost",
         float(gap[worst]),
-        tolerance,
+        FOSD_TOLERANCE,
         witness={"pi_high": high[worst].tolist(), "pi_low": low[worst].tolist()},
         samples=samples,
         action=u,
@@ -471,7 +477,7 @@ def conjecture_probe(
                     "counterexample_found": True,
                     "model_index": index,
                     "model": model.to_dict(),
-                    "report": report.to_dict(),
+                    "report": report,
                 }
     return {"num_models": num_models, "counterexample_found": False}
 
@@ -506,16 +512,7 @@ class BlackwellFactorization:
     residual: float
     dominates: bool
     iterations: int
-    residual_tolerance: float = 1e-6
-
-    def to_dict(self) -> dict:
-        return {
-            "garbling": self.garbling.tolist(),
-            "residual": float(self.residual),
-            "dominates": bool(self.dominates),
-            "iterations": int(self.iterations),
-            "residual_tolerance": float(self.residual_tolerance),
-        }
+    residual_tolerance: float
 
 
 def project_rows_to_simplex(v: np.ndarray) -> np.ndarray:
@@ -529,19 +526,13 @@ def project_rows_to_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta[:, None], 0.0)
 
 
-def blackwell_factorize(
-    b1,
-    b2,
-    max_iters: int = 50_000,
-    tol: float = 1e-14,
-    residual_tolerance: float = 1e-6,
-) -> BlackwellFactorization:
+def blackwell_factorize(b1, b2) -> BlackwellFactorization:
     """Least-squares garbling recovery: min ||B2 R - B1||_F over stochastic R.
 
     Solved by accelerated projected gradient with per-row simplex
     projection; the problem is convex, so the residual at the returned R
     is a certificate.  Dominance is declared when the residual is within
-    ``residual_tolerance``.
+    BLACKWELL_RESIDUAL_TOLERANCE.
     """
     b1 = np.asarray(b1, dtype=float)
     b2 = np.asarray(b2, dtype=float)
@@ -560,7 +551,7 @@ def blackwell_factorize(
     best_r = r
     best_obj = float(np.linalg.norm(b2 @ r - b1))
     iterations = 0
-    for iterations in range(1, max_iters + 1):
+    for iterations in range(1, BLACKWELL_MAX_ITERS + 1):
         grad = 2.0 * (gram @ z - b2.T @ b1)
         r_new = project_rows_to_simplex(z - step * grad)
         obj = float(np.linalg.norm(b2 @ r_new - b1))
@@ -572,16 +563,16 @@ def blackwell_factorize(
         move = float(np.max(np.abs(r_new - r)))
         r = r_new
         t = t_new
-        if move < tol and iterations > 10:
+        if move < BLACKWELL_STEP_TOL and iterations > 10:
             break
         if best_obj < 1e-15:
             break
     return BlackwellFactorization(
         garbling=best_r,
         residual=best_obj,
-        dominates=bool(best_obj <= residual_tolerance),
+        dominates=bool(best_obj <= BLACKWELL_RESIDUAL_TOLERANCE),
         iterations=iterations,
-        residual_tolerance=residual_tolerance,
+        residual_tolerance=BLACKWELL_RESIDUAL_TOLERANCE,
     )
 
 
@@ -664,7 +655,7 @@ def verify_myopic_bound(model: PomdpModel, solution: SolveResult) -> OrderCheckR
 # ---------------------------------------------------------------------------
 
 
-def is_ultrametric(matrix, tol: float = 1e-12) -> OrderCheckReport:
+def is_ultrametric(matrix) -> OrderCheckReport:
     """Check symmetry, stochasticity, the min inequality
     B_ij >= min(B_ik, B_kj), and strict diagonal dominance."""
     b = np.asarray(matrix, dtype=float)
@@ -690,14 +681,14 @@ def is_ultrametric(matrix, tol: float = 1e-12) -> OrderCheckReport:
     np.fill_diagonal(off, -np.inf)
     diag_gap = float(np.max(off.max(axis=1) - np.diag(b)))
     # strictness: diagonal must exceed every off-diagonal entry in its row
-    strict_viol = diag_gap if diag_gap < 0.0 else max(diag_gap, 2.0 * tol)
+    strict_viol = diag_gap if diag_gap < 0.0 else max(diag_gap, 2.0 * ULTRAMETRIC_TOL)
     checks.append(("strict_diagonal", strict_viol, None))
 
     name, worst, witness = max(checks, key=lambda c: c[1])
     return make_report(
         "ultrametric",
         worst,
-        tol,
+        ULTRAMETRIC_TOL,
         witness={"condition": name, **(witness or {})},
         samples=x * x * x,
         conditions={n: float(v) for n, v, _ in checks},

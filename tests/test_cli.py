@@ -13,6 +13,7 @@ from beliefpomdp.cli import main
 from beliefpomdp.costs import NonlinearCostSpec
 from beliefpomdp.grid import build_grid
 from beliefpomdp.model import fixture_path, load_model, save_model
+from beliefpomdp.reports import make_report
 from beliefpomdp.simulate import EvalResult, PolicyComparison, initial_belief_set
 from beliefpomdp.solver import (
     IterationLog,
@@ -158,6 +159,67 @@ class TestExitCodes:
         assert result.exit_code == 1
         assert "non-finite entry nan" in result.output
         assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+    def test_solve_stops_when_the_values_overflow(self, tmp_path):
+        """Finite but huge costs overflow the second sweep: a typed error,
+        not max-iters sweeps of NaN."""
+        doc = json.loads(fixture_path("filter_vs_predictor.json").read_text())
+        doc["linear_cost"] = [[1e308] * len(row) for row in doc["linear_cost"]]
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        result = run(["solve", "--model", str(huge), "--grid", "5", "--out", str(out)])
+        assert result.exit_code == 1
+        assert "error: sweep 2 changed the values by inf" in error_text(result)
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+    def test_non_finite_tol_is_a_usage_error(self, tmp_path, tol):
+        result = run(["solve", "--model", QD, "--tol", tol, "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert "must be finite" in error_text(result)
+        assert not (tmp_path / "o").exists()
+
+    def test_qd_threshold_rejects_a_change_that_never_arrives(self, tmp_path):
+        path = tmp_path / "never.json"
+        save_model(qd_model(persistence=1.0), path)
+        out = tmp_path / "o"
+        result = run(["qd-threshold", "--model", str(path), "--grid", "20", "--out", str(out)])
+        assert result.exit_code == 1
+        assert "error: the change must arrive" in error_text(result)
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+    def test_compare_needs_two_actions_before_solving(self, tmp_path):
+        doc = json.loads(fixture_path("monotone_a123.json").read_text())
+        for key in ("transition", "observation", "linear_cost"):
+            doc[key].append(doc[key][-1])
+        doc["num_actions"] += 1
+        doc["num_observations"].append(doc["num_observations"][-1])
+        three = tmp_path / "three_actions.json"
+        three.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        result = run(["compare", "--model", str(three), "--grid", "10", "--out", str(out)])
+        assert result.exit_code == 1
+        assert "error: the myopic sensor rule needs a two-action model" in error_text(result)
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+        assert manifest_sizes(out) == {}  # nothing was solved
+
+    def test_tp2_of_a_one_column_matrix_is_finite(self, tmp_path):
+        """A Y = 1 sensor has no 2x2 minor: 0 over 0 samples, not -Infinity."""
+        doc = json.loads(fixture_path("filter_vs_predictor.json").read_text())
+        doc["observation"][0] = [[1.0] for _ in range(doc["num_states"])]
+        doc["num_observations"][0] = 1
+        one = tmp_path / "one_column.json"
+        one.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        result = run(["verify", "--model", str(one), "--predicates", "tp2", "--out", str(out)])
+        assert result.exit_code in (cli.EXIT_OK, cli.EXIT_VIOLATION), result.output
+        text = (out / "verify_tp2.json").read_text()
+        reports = json.loads(text, parse_constant=pytest.fail)  # strict JSON
+        observation_1 = [r for r in reports if r["details"]["matrix"] == "observation[1]"]
+        assert [(r["worst_violation"], r["samples"], r["holds"]) for r in observation_1] == [
+            (0.0, 0, True)
+        ]
 
     def test_verify_without_predicates_exits_one_before_loading(self, tmp_path):
         unreadable = tmp_path / "unreadable.json"
@@ -888,3 +950,23 @@ class TestCsvOracle:
         reference_write_csv(tmp_path / "reference.csv", header, table)
         got = (tmp_path / "compare.csv").read_bytes()
         assert got == (tmp_path / "reference.csv").read_bytes()
+
+
+class TestJson:
+    def test_a_dataclass_becomes_its_fields(self):
+        report = make_report("p", np.float64(1 / 3), 0.5, witness={"at": np.arange(2)}, samples=3)
+        assert cli.json_ready(report) == {
+            "predicate": "p",
+            "holds": True,
+            "worst_violation": 0.333333333333,
+            "tolerance": 0.5,
+            "witness": {"at": [0, 1]},
+            "samples": 3,
+            "details": {},
+        }
+        assert cli.json_ready([report]) == [cli.json_ready(report)]
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -np.inf])
+    def test_non_finite_numbers_are_refused(self, tmp_path, value):
+        with pytest.raises(ValueError):
+            cli.write_json(tmp_path / "x.json", {"worst_violation": value})

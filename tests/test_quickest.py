@@ -11,34 +11,26 @@ from beliefpomdp.errors import PreconditionFailed, StructureViolation
 from beliefpomdp.grid import build_grid
 from beliefpomdp.model import fixture_path, load_model, validate_model
 from beliefpomdp.quickest import (
-    QdSpec,
+    check_detection_model,
     initial_belief,
     ks_cost_estimate,
     qd_threshold,
-    spec_from_model,
 )
 from beliefpomdp.simulate import FunctionPolicy, simulate_path_costs
 from beliefpomdp.solver import solve_stopping
 from conftest import qd_model, two_state_general
 
-SPEC = QdSpec(persistence=0.9, delay_weight=0.05, observation=[[0.8, 0.2], [0.3, 0.7]])
+PERSISTENCE, DELAY = 0.9, 0.05
+MODEL = qd_model(PERSISTENCE, DELAY, [[0.8, 0.2], [0.3, 0.7]])
 
 
-def spec_model(spec):
-    """The detection model of a spec, as a model file would hold it."""
-    return qd_model(spec.persistence, spec.delay_weight, spec.observation, spec.continue_loss)
-
-
-MODEL = spec_model(SPEC)
-
-
-def solve_spec(spec, resolution):
-    return solve_stopping(spec_model(spec), build_grid(2, resolution), tol=1e-9)
+def solve_model(model, resolution):
+    return solve_stopping(model, build_grid(2, resolution), tol=1e-9)
 
 
 class TestSpecAndModel:
     def test_built_model_is_valid_stopping(self):
-        model = spec_model(SPEC)
+        model = qd_model(PERSISTENCE, DELAY)
         assert validate_model(model) == []
         assert model.is_stopping and model.discount == 1.0
         np.testing.assert_array_equal(model.linear_cost[0], [0.0, 1.0])
@@ -49,48 +41,51 @@ class TestSpecAndModel:
         assert initial_belief().probs.tolist() == [0.0, 1.0]
 
     def test_nonpositive_delay_rejected(self):
-        with pytest.raises(ValueError, match="delay_weight"):
-            QdSpec(persistence=0.9, delay_weight=0.0, observation=[[1, 0], [0, 1]])
+        with pytest.raises(PreconditionFailed, match="d > 0"):
+            check_detection_model(qd_model(delay=0.0, b=[[1, 0], [0, 1]]))
 
     def test_change_must_arrive(self):
-        with pytest.raises(ValueError, match="persistence"):
-            QdSpec(persistence=1.0, delay_weight=0.1, observation=[[1, 0], [0, 1]])
+        model = qd_model(persistence=1.0, delay=0.1, b=[[1, 0], [0, 1]])
+        assert validate_model(model) == []
+        with pytest.raises(PreconditionFailed, match="change must arrive"):
+            check_detection_model(model)
+        with pytest.raises(PreconditionFailed, match="change must arrive"):
+            ks_cost_estimate(model, 0.1, num_paths=10)
 
-    def test_spec_round_trips_through_model(self):
-        model = spec_model(SPEC)
-        spec = spec_from_model(model)
-        assert spec.persistence == SPEC.persistence
-        assert spec.delay_weight == SPEC.delay_weight
-        np.testing.assert_array_equal(spec.observation, SPEC.observation)
+    def test_detection_model_passes_the_check(self):
+        assert check_detection_model(MODEL) is None
+        loss = NonlinearCostSpec("entropy", alpha=[0.02, 0.02], beta=[0.0, 0.0])
+        assert check_detection_model(qd_model(continue_loss=loss)) is None
 
-    def test_spec_from_model_rejects_other_shapes(self):
+    def test_check_rejects_other_shapes(self):
         with pytest.raises(PreconditionFailed):
-            spec_from_model(two_state_general())
+            check_detection_model(two_state_general())
 
     def test_mean_change_time(self):
-        assert SPEC.mean_change_time == pytest.approx(10.0)
+        est = ks_cost_estimate(MODEL, 0.13, num_paths=10)
+        assert est.mean_change_time == pytest.approx(1.0 / (1.0 - PERSISTENCE)) == 10.0
 
 
 class TestThreshold:
     def test_threshold_in_unit_interval(self):
-        result = solve_spec(SPEC, 400)
+        result = solve_model(MODEL, 400)
         assert 0.0 < qd_threshold(result.policy) < 1.0
         assert result.log.converged
         assert np.count_nonzero(result.policy.actions == 1) > 0
 
     def test_threshold_monotone_in_delay_weight(self):
         thresholds = [
-            qd_threshold(solve_spec(QdSpec(0.9, d, [[0.8, 0.2], [0.3, 0.7]]), 400).policy)
+            qd_threshold(solve_model(qd_model(0.9, d, [[0.8, 0.2], [0.3, 0.7]]), 400).policy)
             for d in (0.01, 0.05, 0.2)
         ]
         assert thresholds[0] < thresholds[1] < thresholds[2]
 
     def test_noninformative_sensor_still_single_switch(self):
-        spec = QdSpec(0.9, 0.05, [[0.5, 0.5], [0.5, 0.5]])
-        assert 0.0 < qd_threshold(solve_spec(spec, 400).policy) < 1.0
+        model = qd_model(0.9, 0.05, [[0.5, 0.5], [0.5, 0.5]])
+        assert 0.0 < qd_threshold(solve_model(model, 400).policy) < 1.0
 
     def test_nonlinear_continue_cost_keeps_threshold(self):
-        spec = QdSpec(
+        model = qd_model(
             0.9,
             0.05,
             [[0.8, 0.2], [0.3, 0.7]],
@@ -98,17 +93,17 @@ class TestThreshold:
                 "entropy", alpha=[0.02, 0.02], beta=[0.0, 0.0]
             ),
         )
-        assert 0.0 < qd_threshold(solve_spec(spec, 400).policy) < 1.0
+        assert 0.0 < qd_threshold(solve_model(model, 400).policy) < 1.0
 
     def test_grid_refinement_agreement(self):
-        t1 = qd_threshold(solve_spec(SPEC, 500).policy)
-        t2 = qd_threshold(solve_spec(SPEC, 1000).policy)
+        t1 = qd_threshold(solve_model(MODEL, 500).policy)
+        t2 = qd_threshold(solve_model(MODEL, 1000).policy)
         assert abs(t1 - t2) <= 2.0 / 500
 
     def test_policy_stopping_everywhere_has_no_threshold(self):
         loss = NonlinearCostSpec("entropy", alpha=[0.02, 0.02], beta=[2.0, 2.0])
-        spec = QdSpec(0.9, 0.05, [[0.8, 0.2], [0.3, 0.7]], continue_loss=loss)
-        result = solve_spec(spec, 400)
+        model = qd_model(0.9, 0.05, [[0.8, 0.2], [0.3, 0.7]], continue_loss=loss)
+        result = solve_model(model, 400)
         assert np.all(result.policy.actions == 1)
         with pytest.raises(StructureViolation, match="0 switches"):
             qd_threshold(result.policy)
@@ -121,7 +116,7 @@ class TestKsCostEstimate:
         est = ks_cost_estimate(MODEL, threshold=1.0, num_paths=40_000, seed=2)
         se = est.ci_halfwidth / 1.96
         assert est.delay_term == 0.0
-        assert abs(est.false_alarm - SPEC.persistence) <= 3 * max(se, 1e-4)
+        assert abs(est.false_alarm - PERSISTENCE) <= 3 * max(se, 1e-4)
 
     def test_zero_threshold_never_announces(self):
         est = ks_cost_estimate(MODEL, threshold=0.0, num_paths=300, horizon_cap=300, seed=3)
@@ -133,7 +128,7 @@ class TestKsCostEstimate:
         # a rule that never stops pays d * pi_t(1) at every step, and
         # E[pi_t(1)] = P(x_t = 1) = 1 - p^t for a geometric change time
         never_stop = FunctionPolicy(lambda points: np.full(len(points), 2))
-        horizon, p, d = 30, SPEC.persistence, SPEC.delay_weight
+        horizon, p, d = 30, PERSISTENCE, DELAY
         table = simulate_path_costs(MODEL, never_stop, initial_belief(), 20_000, horizon, seed=4)
         expected = d * sum(1.0 - p**t for t in range(horizon))
         se = table[:, 0].std(ddof=1) / np.sqrt(len(table))
@@ -141,14 +136,14 @@ class TestKsCostEstimate:
         assert np.all(table[:, 1] == 1.0) and np.all(table[:, 2] == 0.0)
 
     def test_threshold_locally_optimal(self):
-        threshold = qd_threshold(solve_spec(SPEC, 1000).policy)
+        threshold = qd_threshold(solve_model(MODEL, 1000).policy)
         best = ks_cost_estimate(MODEL, threshold, num_paths=30_000, seed=5)
         for delta in (-0.05, 0.05):
             other = ks_cost_estimate(MODEL, threshold + delta, num_paths=30_000, seed=5)
             assert best.ks_cost <= other.ks_cost + best.ci_halfwidth + other.ci_halfwidth
 
     def test_solver_value_matches_simulation(self):
-        solved = solve_spec(SPEC, 1000)
+        solved = solve_model(MODEL, 1000)
         est = ks_cost_estimate(MODEL, qd_threshold(solved.policy), num_paths=60_000, seed=6)
         grid_error = 2.0 / 1000
         value_at_start = solved.value.at(initial_belief())
@@ -209,4 +204,4 @@ class TestEngineRoute:
         lossy = dataclasses.replace(MODEL, nonlinear_cost=loss)
         a = ks_cost_estimate(lossy, 0.13, num_paths=9000, seed=12)
         b = ks_cost_estimate(MODEL, 0.13, num_paths=9000, seed=12)
-        assert a.to_dict() == b.to_dict()
+        assert a == b

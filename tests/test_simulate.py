@@ -354,7 +354,7 @@ class TestComparePolicies:
         from_list = compare_policies(*args, pi0s, num_paths=200, seed=3)
         from_gen = compare_policies(*args, (b for b in pi0s), num_paths=200, seed=3)
         assert from_gen.num_beliefs == 3
-        assert from_gen.to_dict() == from_list.to_dict()
+        assert from_gen == from_list
 
     def test_empty_belief_set_rejected(self):
         model = two_state_general()

@@ -5,7 +5,7 @@ import pytest
 
 from beliefpomdp import solver
 from beliefpomdp.costs import NonlinearCostSpec, instantaneous_cost_batch
-from beliefpomdp.errors import PreconditionFailed, StructureViolation
+from beliefpomdp.errors import PostconditionFailed, PreconditionFailed, StructureViolation
 from beliefpomdp.grid import build_grid
 from beliefpomdp.model import (
     STOPPING_TIME,
@@ -277,3 +277,11 @@ def test_three_state_solve_smoke():
     sol = solve_discounted(model, build_grid(3, 30), tol=1e-9)
     assert sol.log.converged
     assert set(np.unique(sol.policy.actions)) <= {1, 2}
+
+
+def test_overflowing_values_stop_the_solve():
+    """Costs near the float maximum overflow the second sweep's
+    cost + rho * continuation; the solve stops instead of sweeping NaN."""
+    huge = two_state_general(linear=[[1e308, 1e308], [1e308, 1e308]])
+    with pytest.raises(PostconditionFailed, match="sweep 2 changed the values by inf"):
+        solve_discounted(huge, build_grid(2, 10), max_iters=1000)

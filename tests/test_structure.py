@@ -63,7 +63,7 @@ def probe_one_at_a_time(model_generator, num_models, resolution):
                 "counterexample_found": True,
                 "model_index": index,
                 "model": model.to_dict(),
-                "report": report.to_dict(),
+                "report": report,
             }
     return {"num_models": num_models, "counterexample_found": False}
 
@@ -90,6 +90,12 @@ class TestTp2:
         report = is_tp2(m)
         assert not report.holds
         assert report.witness["cols"] == [1, 3]
+
+    @pytest.mark.parametrize("matrix", [[[1.0], [1.0], [1.0]], [[0.2, 0.8]]])
+    def test_no_minor_reports_zero_over_zero_samples(self, matrix):
+        report = is_tp2(matrix)
+        assert (report.worst_violation, report.samples, report.holds) == (0.0, 0, True)
+        assert report.witness is None
 
     def test_column_permutation_search_for_two_rows(self, rng):
         # two rows become TP2 once the columns are sorted by likelihood ratio
@@ -306,7 +312,7 @@ class TestHomogeneity:
 
         monkeypatch.setattr(SimplexGrid, "barycentric", counting)
         report = verify_homogeneity(model, value, kappas=kappas, seed=seed)
-        assert report.to_dict() == expected.to_dict()
+        assert report == expected
         assert lookups == [50] * (1 + len(kappas))  # the alphas, then one per kappa
 
     def test_relaxed_at_many_matches_at(self, rng):
@@ -391,7 +397,7 @@ class TestMlrMonotoneValue:
         monkeypatch.setattr(structure, "PAIR_BLOCK", 7)
         blocked = verify_mlr_monotone_value(value, 1e-9, max_pairs=max_pairs, seed=3)
         assert whole.samples > 7
-        assert blocked.to_dict() == whole.to_dict()
+        assert blocked == whole
 
     @staticmethod
     def tied_pairs(value, pairs):
@@ -483,7 +489,7 @@ class TestConjectureProbe:
         grid = build_grid(2, 100)
         alone = solve_discounted(bad, grid, tol=structure.PROBE_SOLVER_TOL)
         tolerance = structure.PROBE_TOLERANCE_SCALE * max(1.0, alone.value.scale())
-        assert summary["report"] == verify_mlr_monotone_value(alone.value, tolerance).to_dict()
+        assert summary["report"] == verify_mlr_monotone_value(alone.value, tolerance)
         assert summary == probe_one_at_a_time(stream.__getitem__, 10, 100)
         assert sizes["models"] == 10 and sizes["grid_points"] == 101
         assert sizes["unconverged"] == 0 and sizes["sweeps"] > 10

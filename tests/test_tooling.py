@@ -1,4 +1,5 @@
-"""Repository guards: the library holds only code the program uses."""
+"""Repository guards: the library holds only code the program uses, and
+says each result's JSON shape once."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,9 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "beliefpomdp"
 #: the trees whose code counts as using a library name
 USERS = ("src", "perfbench", "tools")
+#: classes whose ``to_dict`` is the model-file format, which ``load_model``
+#: reads back; every other result becomes JSON through ``cli.json_ready``
+MODEL_FILE_CLASSES = {"costs.NonlinearCostSpec", "model.PomdpModel"}
 
 
 def _is_command(node) -> bool:
@@ -82,3 +86,36 @@ def test_guard_flags_an_unused_definition(tmp_path):
         "def exported():\n    pass\n"
     )
     assert unreferenced_public_names(package, [tmp_path], {"exported"}) == ["mod.unused"]
+
+
+def classes_defining(package: Path, method: str) -> list:
+    """``module.Class`` for every class of ``package`` that defines ``method``."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                isinstance(item, ast.FunctionDef) and item.name == method for item in node.body
+            ):
+                found.append(f"{path.stem}.{node.name}")
+    return found
+
+
+def test_only_the_model_file_classes_serialize_themselves():
+    hand_written = set(classes_defining(PACKAGE, "to_dict")) - MODEL_FILE_CLASSES
+    assert sorted(hand_written) == []
+
+
+def test_guard_flags_a_report_serializer(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "reports.py").write_text(
+        "class OrderCheckReport:\n"
+        "    holds = True\n\n"
+        "    def to_dict(self):\n        return {'holds': self.holds}\n"
+    )
+    (package / "model.py").write_text(
+        "class PomdpModel:\n    def to_dict(self):\n        return {}\n\n"
+        "def to_dict():\n    return {}\n"
+    )
+    found = set(classes_defining(package, "to_dict")) - MODEL_FILE_CLASSES
+    assert sorted(found) == ["reports.OrderCheckReport"]
