@@ -47,6 +47,7 @@ from .grid import build_grid
 from .model import load_model, validate_model
 from .quickest import check_detection_model, initial_belief, ks_cost_estimate, qd_threshold
 from .simulate import (
+    child_seed,
     compare_policies,
     evaluate_policy,
     initial_belief_set,
@@ -535,16 +536,12 @@ def evaluate(model_path, resolution, tol, max_iters, paths, seed, workers, out):
         model = load_model(model_path)
         policy = run.solve(model, resolution, tol, max_iters).policy
         beliefs = initial_belief_set(model.num_states)
-        seeds = np.random.SeedSequence(seed).spawn(len(beliefs))
-        rows = []
-        for pi0, pi0_seed in zip(beliefs, seeds):
-            ev = evaluate_policy(
-                model, policy, pi0, num_paths=paths, seed=pi0_seed, workers=workers
-            )
-            rows.append(
-                (pi0.probs, "grid_optimal", ev.mean, ev.std_error, ev.num_paths, ev.horizon)
-            )
-        run.record_paths(paths, ev.horizon, len(beliefs), policies=1)
+        evals = evaluate_policy(model, policy, beliefs, paths, seed=seed, workers=workers)
+        run.record_paths(paths, evals[0].horizon, len(beliefs), policies=1)
+        rows = [
+            (pi0.probs, "grid_optimal", ev.mean, ev.std_error, ev.num_paths, ev.horizon)
+            for pi0, ev in zip(beliefs, evals)
+        ]
         _write_policy_costs(run.dir / "evaluate.csv", model, rows)
 
 
@@ -562,17 +559,12 @@ def compare(model_path, resolution, tol, max_iters, paths, seed, workers, out):
     with Run(out) as run:
         model = load_model(model_path)
         rule = myopic_sensor_policy(model)
+        policy = run.solve(model, resolution, tol, max_iters).policy
+        beliefs = initial_belief_set(model.num_states)
         comparison = compare_policies(
-            model,
-            run.solve(model, resolution, tol, max_iters).policy,
-            rule,
-            initial_belief_set(model.num_states),
-            num_paths=paths,
-            seed=seed,
-            workers=workers,
+            model, policy, rule, beliefs, num_paths=paths, seed=seed, workers=workers
         )
-        horizon = comparison.rows[0]["horizon"]
-        run.record_paths(paths, horizon, comparison.num_beliefs, policies=2)
+        run.record_paths(paths, comparison.rows[0]["horizon"], len(beliefs), policies=2)
         rows = [
             (row["initial_belief"], label, mean, se, row["num_paths"], row["horizon"])
             for row in comparison.rows
@@ -595,10 +587,9 @@ def compare(model_path, resolution, tol, max_iters, paths, seed, workers, out):
 def conjecture_probe_cmd(num_models, resolution, seed, out):
     """Random search for a monotonicity counterexample without TP2 sensors."""
     with Run(out) as run:
-        streams = np.random.SeedSequence(seed).spawn(num_models)
-
         def generator(index):
-            return structure.random_a1a2_non_tp2_model(np.random.default_rng(streams[index]))
+            rng = np.random.default_rng(child_seed(seed, index))
+            return structure.random_a1a2_non_tp2_model(rng)
 
         summary = structure.conjecture_probe(
             generator, num_models, resolution=resolution, sizes=run.sizes

@@ -34,7 +34,8 @@ class NonlinearCostSpec:
     ``alpha``/``beta`` are per-action scale and offset (length U).
     ``weight_matrix`` is the symmetric PSD matrix of the mean-square
     family.  ``epsilon`` in [0, 0.5] is the piecewise-linear band width.
-    Pass ``validate=False`` only to build negative-control fixtures.
+    ``validate=False`` builds a spec without checking it: the model-file
+    loader does, so that ``validate_model`` lists the defects.
     """
 
     family: str = "none"
@@ -128,7 +129,7 @@ class NonlinearCostSpec:
         unknown = set(data) - allowed
         if unknown:
             raise ValueError(f"unknown nonlinear_cost keys: {sorted(unknown)}")
-        return cls(**data)
+        return cls(**data, validate=False)
 
 
 def performance_loss_batch(spec: NonlinearCostSpec, beliefs: np.ndarray, u: int) -> np.ndarray:

@@ -16,10 +16,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .costs import NonlinearCostSpec, WEIGHTED_FAMILIES
+from .costs import NonlinearCostSpec, WEIGHTED_FAMILIES, max_cost_bound
 from .errors import ModelFormatError
 
 ROW_SUM_TOL = 1e-12
+
+#: largest value bound a model may have: 2^-524 of the float range (2^1024),
+#: or 2^-12 of its square root, so a sweep's sums stay finite, and so do the
+#: squared deviations behind a Monte Carlo standard error over 2^20 paths
+VALUE_BOUND_LIMIT = 2.0**500
 
 GENERAL_DISCOUNTED = "general_discounted"
 STOPPING_TIME = "stopping_time"
@@ -166,7 +171,15 @@ class PomdpModel:
 
 
 def validate_model(model: PomdpModel) -> list[Violation]:
-    """Check every model invariant; return one Violation per defect."""
+    """Check every model invariant; return one Violation per defect.
+
+    The last check, made only on a model with no other defect, bounds the
+    values a solve reaches by the cost bound B of ``costs.max_cost_bound``:
+    B / (1 - rho) for rho < 1, and 2B for an undiscounted stopping model
+    with nonnegative costs, whose iterates never exceed the stop cost and
+    whose continuation adds one step's cost.  A bound above
+    VALUE_BOUND_LIMIT is a defect.
+    """
     out = []
 
     def finite(array, where) -> bool:
@@ -241,7 +254,7 @@ def validate_model(model: PomdpModel) -> list[Violation]:
                 )
             )
     if spec.family == "mean_square" and spec.weight_matrix is not None:
-        if spec.weight_matrix.shape[0] != model.num_states:
+        if spec.weight_matrix.ndim == 2 and spec.weight_matrix.shape[0] != model.num_states:
             out.append(
                 Violation(
                     "nonlinear_cost",
@@ -249,6 +262,13 @@ def validate_model(model: PomdpModel) -> list[Violation]:
                     f"{spec.weight_matrix.shape[1]} for {model.num_states} states",
                 )
             )
+    if not out:
+        with np.errstate(over="ignore"):
+            cost = max_cost_bound(model)
+            bound = cost * (1.0 / (1.0 - rho) if rho < 1.0 else 2.0)
+        if bound > VALUE_BOUND_LIMIT:
+            bounds = f"cost bound {cost:.3e} bounds the values by {bound:.3e}"
+            out.append(Violation("costs", f"{bounds}, above {VALUE_BOUND_LIMIT:.3e}"))
     return out
 
 

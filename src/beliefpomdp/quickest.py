@@ -32,13 +32,7 @@ import numpy as np
 from .costs import NonlinearCostSpec
 from .errors import PreconditionFailed, StructureViolation
 from .model import CONTINUE, STOP, Belief, PomdpModel, unit_belief
-from .simulate import (
-    DEFAULT_HORIZON_CAP,
-    FunctionPolicy,
-    path_simulator,
-    run_chunked,
-    standard_error,
-)
+from .simulate import DEFAULT_HORIZON_CAP, path_simulator, run_chunked, standard_error
 from .solver import Policy
 
 
@@ -139,7 +133,7 @@ def ks_cost_estimate(
     if num_paths < 1:
         raise ValueError("num_paths must be >= 1")
     check_detection_model(model)
-    rule = FunctionPolicy(lambda points: np.where(points[:, 1] < threshold, STOP, CONTINUE))
+    rule = lambda points: (np.where(points[:, 1] < threshold, STOP, CONTINUE), None)  # noqa: E731
     priced = replace(model, nonlinear_cost=NonlinearCostSpec())
     sim = path_simulator(priced, rule, initial_belief(), horizon_cap)
     cost, running, stop = run_chunked(sim, seed, num_paths, workers=workers).T

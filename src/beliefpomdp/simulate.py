@@ -1,7 +1,7 @@
 """Monte Carlo policy evaluation on POMDP models.
 
-Paths are simulated in fixed-size chunks, each with its own generator
-spawned from the master seed, and reduced in chunk order; results are
+Paths are simulated in fixed-size chunks, each drawing from its own
+child of the master seed, and reduced in chunk order; results are
 therefore identical for any worker count.  Every step draws one
 transition uniform and one observation uniform for every path in the
 chunk, whether or not the path is still active, so two policies
@@ -9,6 +9,10 @@ evaluated with the same seed see common random numbers path by path.
 A path that has stopped is neither looked up nor priced: each step
 gathers the beliefs of the active paths once, and the policy lookup,
 the costs and the per-action rows all come out of that gather.
+
+``child_seed`` is the one rule that turns a seed into streams, and one
+loop runs the start beliefs, so ``evaluate_policy`` reproduces
+``compare_policies``'s ``mean_a`` and ``se_a`` at the same seed.
 
 ``path_simulator`` is the one path loop; ``simulate_path_costs`` runs it
 over the chunks.  Its table keeps the discounted stop cost in a column
@@ -53,48 +57,41 @@ from .errors import (
     ZeroLikelihood,
 )
 from .model import Belief, PomdpModel, uniform_belief, unit_belief
+from .solver import Policy
 
 CHUNK_SIZE = 8192
 DEFAULT_HORIZON_CAP = 10_000
 
 
-def chunk_seeds(seed, num_paths: int):
-    """Deterministic (generator, count) list covering num_paths paths.
+def child_seed(seed, i: int) -> np.random.SeedSequence:
+    """Child ``i`` of a seed, an int or a SeedSequence.
 
-    The passed seed (int or SeedSequence) is copied before spawning:
-    SeedSequence.spawn advances an internal counter, and reruns from the
-    same seed must produce the same chunk streams.
+    It equals ``spawn(n)[i]`` on a fresh copy of the seed for any n > i,
+    but spawns nothing: the seed's spawn counter does not advance, so
+    reruns from one seed reproduce every stream, and no list of children
+    is allocated up front.
     """
-    n_chunks = (num_paths + CHUNK_SIZE - 1) // CHUNK_SIZE
-    if isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key)
-    else:
+    if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
-    seqs = seed.spawn(n_chunks)
-    out = []
-    for i, seq in enumerate(seqs):
-        count = min(CHUNK_SIZE, num_paths - i * CHUNK_SIZE)
-        out.append((seq, count))
-    return out
+    key = (*seed.spawn_key, i)
+    return np.random.SeedSequence(seed.entropy, spawn_key=key, pool_size=seed.pool_size)
 
 
 def run_chunked(sim_fn, seed, num_paths: int, workers: int = 1):
     """Run sim_fn(rng, count) over all chunks; concatenate in chunk order.
 
-    ``seed`` may be an int or a SeedSequence.
+    Chunk k holds CHUNK_SIZE paths, the last one the rest, and draws
+    from ``child_seed(seed, k)``.
     """
-    jobs = chunk_seeds(seed, num_paths)
+    counts = [min(CHUNK_SIZE, num_paths - lo) for lo in range(0, num_paths, CHUNK_SIZE)]
 
-    def one(job):
-        seq, count = job
-        return sim_fn(np.random.default_rng(seq), count)
+    def one(k):
+        return sim_fn(np.random.default_rng(child_seed(seed, k)), counts[k])
 
     if workers <= 1:
-        parts = [one(job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(one, jobs))
-    return np.concatenate(parts)
+        return np.concatenate([one(k) for k in range(len(counts))])
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return np.concatenate(list(pool.map(one, range(len(counts)))))
 
 
 @dataclass
@@ -109,26 +106,10 @@ class EvalResult:
     cap_hits: int = 0
 
 
-@dataclass
-class FunctionPolicy:
-    """Adapter turning a vectorized beliefs->actions function into a policy."""
+def myopic_sensor_policy(model: PomdpModel):
+    """Pick sensor 2 wherever it is instantaneously cheaper, else sensor 1.
 
-    fn: object
-
-    def actions_at(self, points: np.ndarray) -> np.ndarray:
-        return np.asarray(self.fn(np.atleast_2d(points)), dtype=np.int32)
-
-
-class _CostedRule(FunctionPolicy):
-    """A rule whose ``fn`` returns the actions and, per row, the cost of
-    the chosen action, which it has computed to make its choice."""
-
-    def actions_at(self, points: np.ndarray) -> np.ndarray:
-        return np.asarray(self.fn(np.atleast_2d(points))[0], dtype=np.int32)
-
-
-def myopic_sensor_policy(model: PomdpModel) -> FunctionPolicy:
-    """Pick sensor 2 wherever it is instantaneously cheaper, else sensor 1."""
+    The rule returns the chosen sensor's cost with its choice."""
     if model.num_actions != 2:
         raise PreconditionFailed("the myopic sensor rule needs a two-action model")
 
@@ -138,16 +119,22 @@ def myopic_sensor_policy(model: PomdpModel) -> FunctionPolicy:
         cheaper = c2 < c1
         return np.where(cheaper, 2, 1), np.where(cheaper, c2, c1)
 
-    return _CostedRule(rule)
+    return rule
 
 
 def _policy_actions(policy, points: np.ndarray) -> tuple:
-    """(actions, costs) at the points: ``costs`` holds the chosen action's
-    instantaneous cost per row when the policy computed it, else None."""
-    if isinstance(policy, _CostedRule):
-        actions, costs = policy.fn(points)
-        return np.asarray(actions, dtype=np.int64), costs
-    return np.asarray(policy.actions_at(points), dtype=np.int64), None
+    """(actions, costs) of a policy at the (N, X) points.
+
+    A policy is a solved ``solver.Policy`` or a function
+    ``points -> (actions, costs)``, where ``costs`` holds the chosen
+    action's instantaneous cost per row when the function computed it
+    to choose, else None.
+    """
+    if isinstance(policy, Policy):
+        actions, costs = policy.actions_at(points), None
+    else:
+        actions, costs = policy(points)
+    return np.asarray(actions, dtype=np.int64), costs
 
 
 def discounted_horizon(model: PomdpModel, tolerance: float) -> tuple:
@@ -195,9 +182,7 @@ def path_simulator(model: PomdpModel, policy, initial_belief: Belief, horizon: i
     cum_pi0 = sampling_table(initial_belief.probs)
     cum_p = [sampling_table(p) for p in model.transition]
     cum_b = [sampling_table(b) for b in model.observation]
-    continuing = [
-        u for u in range(1, model.num_actions + 1) if not (model.is_stopping and u == 1)
-    ]
+    continuing = range(2 if model.is_stopping else 1, model.num_actions + 1)
 
     def sim(rng, count):
         states = inverse_cdf(rng.random(count), cum_pi0)
@@ -264,20 +249,6 @@ def simulate_path_costs(
     return run_chunked(sim, seed, num_paths, workers=workers)
 
 
-def _check_stopping_evaluable(model: PomdpModel, policy) -> None:
-    vertices = np.eye(model.num_states)
-    actions, _ = _policy_actions(policy, vertices)
-    p_continue = model.transition[1]
-    absorbing = np.isclose(np.diag(p_continue), 1.0)
-    stops_somewhere = np.any(actions == 1)
-    absorbing_stop = np.any(absorbing & (actions == 1))
-    if not (stops_somewhere and absorbing_stop):
-        raise HorizonUnbounded(
-            "undiscounted evaluation needs a policy that stops at some "
-            "absorbing state's vertex"
-        )
-
-
 def _evaluation_horizon(model: PomdpModel, policies, num_paths, tolerance, horizon_cap):
     """(horizon, truncation bound) for evaluating the policies on the model.
 
@@ -293,8 +264,14 @@ def _evaluation_horizon(model: PomdpModel, policies, num_paths, tolerance, horiz
         return min(horizon, horizon_cap), bound
     if not model.is_stopping:
         raise HorizonUnbounded("undiscounted general models cannot be evaluated")
+    absorbing = np.isclose(np.diag(model.transition[1]), 1.0)
     for policy in policies:
-        _check_stopping_evaluable(model, policy)
+        actions, _ = _policy_actions(policy, np.eye(model.num_states))
+        if not np.any(absorbing & (actions == 1)):
+            raise HorizonUnbounded(
+                "undiscounted evaluation needs a policy that stops at some "
+                "absorbing state's vertex"
+            )
     return horizon_cap, None
 
 
@@ -304,36 +281,57 @@ def standard_error(samples: np.ndarray) -> float:
     return float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
 
 
+def _start_belief_tables(
+    model, policies, initial_beliefs, num_paths, tolerance, seed, workers, horizon_cap
+):
+    """Yield (start belief, horizon, truncation bound, tables) per start belief.
+
+    ``tables`` holds each policy's ``simulate_path_costs`` table from
+    start belief i, all on the stream ``child_seed(seed, i)``, so the
+    policies see common random numbers path by path.
+    """
+    horizon, bound = _evaluation_horizon(model, policies, num_paths, tolerance, horizon_cap)
+    beliefs = [b if isinstance(b, Belief) else Belief(b) for b in initial_beliefs]
+    if not beliefs:
+        raise PreconditionFailed("Monte Carlo evaluation needs at least one initial belief")
+    for i, pi0 in enumerate(beliefs):
+        stream = child_seed(seed, i)
+        yield pi0, horizon, bound, [
+            simulate_path_costs(model, p, pi0, num_paths, horizon, seed=stream, workers=workers)
+            for p in policies
+        ]
+
+
 def evaluate_policy(
     model: PomdpModel,
     policy,
-    initial_belief: Belief,
+    initial_beliefs,
     num_paths: int,
     tolerance: float = 1e-3,
-    seed: int = 0,
+    seed=0,
     workers: int = 1,
     horizon_cap: int = DEFAULT_HORIZON_CAP,
-) -> EvalResult:
-    """Estimate the discounted objective of a policy from one start belief.
+) -> list:
+    """Estimate the discounted objective of a policy: one EvalResult per
+    start belief, in order.
 
     The horizon is chosen so the discount truncation bound is within
     ``tolerance``; undiscounted stopping runs use ``horizon_cap`` and
     report how many paths were cut off.
     """
-    horizon, bound = _evaluation_horizon(model, (policy,), num_paths, tolerance, horizon_cap)
-    table = simulate_path_costs(
-        model, policy, initial_belief, num_paths, horizon, seed=seed, workers=workers
-    )
-    costs = table[:, 0]
-    cap_hits = int(table[:, 1].sum()) if model.is_stopping else 0
-    return EvalResult(
-        mean=float(costs.mean()),
-        std_error=standard_error(costs),
-        num_paths=num_paths,
-        horizon=horizon,
-        truncation_bound=bound,
-        cap_hits=cap_hits,
-    )
+    return [
+        EvalResult(
+            mean=float(table[:, 0].mean()),
+            std_error=standard_error(table[:, 0]),
+            num_paths=num_paths,
+            horizon=horizon,
+            truncation_bound=bound,
+            cap_hits=int(table[:, 1].sum()) if model.is_stopping else 0,
+        )
+        for _, horizon, bound, (table,) in _start_belief_tables(
+            model, (policy,), initial_beliefs, num_paths, tolerance, seed, workers, horizon_cap
+        )
+    ]
 
 
 @dataclass
@@ -352,7 +350,7 @@ def compare_policies(
     initial_beliefs,
     num_paths: int,
     tolerance: float = 1e-3,
-    seed: int = 0,
+    seed=0,
     workers: int = 1,
     horizon_cap: int = DEFAULT_HORIZON_CAP,
 ) -> PolicyComparison:
@@ -362,37 +360,27 @@ def compare_policies(
     difference (a minus b); ``a_not_worse`` counts beliefs where the
     difference is within three standard errors of nonpositive.
     """
-    policies = (policy_a, policy_b)
-    horizon, _ = _evaluation_horizon(model, policies, num_paths, tolerance, horizon_cap)
-    initial_beliefs = [b if isinstance(b, Belief) else Belief(b) for b in initial_beliefs]
-    if not initial_beliefs:
-        raise PreconditionFailed("compare_policies needs at least one initial belief")
     rows = []
-    wins = 0
-    pair_seeds = np.random.SeedSequence(seed).spawn(len(initial_beliefs))
-    for i, pi0 in enumerate(initial_beliefs):
-        cost_a = simulate_path_costs(
-            model, policy_a, pi0, num_paths, horizon, seed=pair_seeds[i], workers=workers
-        )[:, 0]
-        cost_b = simulate_path_costs(
-            model, policy_b, pi0, num_paths, horizon, seed=pair_seeds[i], workers=workers
-        )[:, 0]
+    for pi0, horizon, _, (table_a, table_b) in _start_belief_tables(
+        model, (policy_a, policy_b), initial_beliefs, num_paths, tolerance, seed, workers,
+        horizon_cap,
+    ):
+        cost_a, cost_b = table_a[:, 0], table_b[:, 0]
         diff = cost_a - cost_b
-        se_diff = standard_error(diff)
-        row = {
-            "initial_belief": pi0.probs.tolist(),
-            "mean_a": float(cost_a.mean()),
-            "se_a": standard_error(cost_a),
-            "mean_b": float(cost_b.mean()),
-            "se_b": standard_error(cost_b),
-            "mean_diff": float(diff.mean()),
-            "se_diff": se_diff,
-            "num_paths": num_paths,
-            "horizon": horizon,
-        }
-        rows.append(row)
-        if row["mean_diff"] <= 3.0 * se_diff:
-            wins += 1
+        rows.append(
+            {
+                "initial_belief": pi0.probs.tolist(),
+                "mean_a": float(cost_a.mean()),
+                "se_a": standard_error(cost_a),
+                "mean_b": float(cost_b.mean()),
+                "se_b": standard_error(cost_b),
+                "mean_diff": float(diff.mean()),
+                "se_diff": standard_error(diff),
+                "num_paths": num_paths,
+                "horizon": horizon,
+            }
+        )
+    wins = sum(row["mean_diff"] <= 3.0 * row["se_diff"] for row in rows)
     return PolicyComparison(rows=rows, a_not_worse=wins, num_beliefs=len(rows))
 
 

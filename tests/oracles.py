@@ -27,7 +27,6 @@ from beliefpomdp.costs import NonlinearCostSpec, instantaneous_cost_batch, perfo
 from beliefpomdp.errors import ZERO_LIKELIHOOD_THRESHOLD, DimensionMismatch, ZeroLikelihood
 from beliefpomdp.model import Belief, PomdpModel
 from beliefpomdp.reports import OrderCheckReport, make_report
-from beliefpomdp.simulate import FunctionPolicy
 from beliefpomdp.solver import BackupTables, ValueFunction, _sweeper
 from beliefpomdp.structure import MLR_TOL
 
@@ -246,5 +245,5 @@ def concavity_probe(
     )
 
 
-def constant_policy(action: int) -> FunctionPolicy:
-    return FunctionPolicy(lambda pts: np.full(pts.shape[0], action, dtype=np.int32))
+def constant_policy(action: int):
+    return lambda pts: (np.full(pts.shape[0], action, dtype=np.int32), None)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -161,17 +162,52 @@ class TestExitCodes:
         assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
     def test_solve_stops_when_the_values_overflow(self, tmp_path):
-        """Finite but huge costs overflow the second sweep: a typed error,
-        not max-iters sweeps of NaN."""
+        """Finite but huge costs would overflow the sweep: the model is
+        rejected as it loads, before any sweep and without a RuntimeWarning,
+        and ``validate`` lists the bound."""
         doc = json.loads(fixture_path("filter_vs_predictor.json").read_text())
         doc["linear_cost"] = [[1e308] * len(row) for row in doc["linear_cost"]]
         huge = tmp_path / "huge.json"
         huge.write_text(json.dumps(doc))
         out = tmp_path / "o"
-        result = run(["solve", "--model", str(huge), "--grid", "5", "--out", str(out)])
-        assert result.exit_code == 1
-        assert "error: sweep 2 changed the values by inf" in error_text(result)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = run(["solve", "--model", str(huge), "--grid", "5", "--out", str(out)])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert "costs: cost bound 1.000e+308 bounds the values by inf" in error_text(result)
         assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+        result = run(["validate", "--model", str(huge), "--out", str(tmp_path / "v")])
+        assert result.exit_code == 2
+        payload = json.loads((tmp_path / "v" / "validation.json").read_text())
+        assert [v["where"] for v in payload["violations"]] == ["costs"]
+
+    @pytest.mark.parametrize(
+        "cost, message",
+        [
+            (
+                {"family": "entropy", "alpha": [-1.0, 1.0], "beta": [0.0, 0.0]},
+                "alpha must be positive for every action",
+            ),
+            (
+                {"family": "mean_square", "alpha": [1.0, 1.0], "beta": [0.0, 0.0],
+                 "weight_matrix": [1.0, 2.0, 3.0]},
+                "mean_square requires a square weight_matrix",
+            ),
+        ],
+    )
+    def test_validate_lists_cost_spec_defects(self, tmp_path, cost, message):
+        doc = json.loads(fixture_path("filter_vs_predictor.json").read_text())
+        doc["nonlinear_cost"] = cost
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        result = run(["validate", "--model", str(bad), "--out", str(tmp_path / "v")])
+        assert result.exit_code == 2
+        payload = json.loads((tmp_path / "v" / "validation.json").read_text())
+        expected = {"where": "nonlinear_cost", "message": message, "magnitude": 0.0}
+        assert payload["violations"] == [expected]
+        result = run(["solve", "--model", str(bad), "--grid", "5", "--out", str(tmp_path / "s")])
+        assert result.exit_code == 1
+        assert f"nonlinear_cost: {message}" in error_text(result)
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
     def test_non_finite_tol_is_a_usage_error(self, tmp_path, tol):
@@ -900,8 +936,7 @@ class TestCsvOracle:
             EvalResult(mean=m, std_error=se, num_paths=300, horizon=41, truncation_bound=None)
             for m, se in zip(SPECIAL_VALUES, reversed(SPECIAL_VALUES))
         ][: len(beliefs)]
-        pending = iter(evals)
-        monkeypatch.setattr(cli, "evaluate_policy", lambda *a, **k: next(pending))
+        monkeypatch.setattr(cli, "evaluate_policy", lambda *a, **k: evals)
         args = ["--model", LINEAR_X3, "--grid", "10", "--paths", "300", "--out", str(tmp_path)]
         result = run(["evaluate", *args])
         assert result.exit_code == 0, result.output

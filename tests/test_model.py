@@ -1,7 +1,9 @@
 """Model types, validation diagnostics, and file round trips."""
 
+import dataclasses
 import importlib.util
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,7 @@ from beliefpomdp.errors import ModelFormatError
 from beliefpomdp.model import (
     GENERAL_DISCOUNTED,
     STOPPING_TIME,
+    VALUE_BOUND_LIMIT,
     Belief,
     PomdpModel,
     fixture_path,
@@ -22,7 +25,7 @@ from beliefpomdp.model import (
     uniform_belief,
     validate_model,
 )
-from conftest import random_model
+from conftest import qd_model, random_model, two_state_general
 from oracles import RelaxedBelief
 
 
@@ -109,6 +112,48 @@ class TestValidateModel:
             path.write_text(json.dumps(doc))
             with pytest.raises(ModelFormatError):
                 load_model(path)
+
+    @pytest.mark.parametrize("discount, horizon", [(0.9, 10.0), (0.0, 1.0)])
+    def test_value_bound_divides_the_cost_bound_by_one_minus_the_discount(
+        self, discount, horizon
+    ):
+        for margin, listed in ((0.99, []), (1.01, ["costs"])):
+            c = VALUE_BOUND_LIMIT / horizon * margin
+            model = two_state_general(linear=[[c, c], [c, c]], discount=discount)
+            assert [v.where for v in validate_model(model)] == listed
+
+    def test_undiscounted_stopping_value_bound_is_twice_the_cost_bound(self):
+        for margin, listed in ((0.99, []), (1.01, ["costs"])):
+            model = qd_model(delay=VALUE_BOUND_LIMIT / 2 * margin)
+            assert [v.where for v in validate_model(model)] == listed
+
+    def test_overflowing_costs_are_a_violation_not_a_warning(self):
+        model = two_state_general(linear=[[1e308, 1e308], [1e308, 1e308]], discount=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = validate_model(model)
+        message = f"cost bound 1.000e+308 bounds the values by inf, above {VALUE_BOUND_LIMIT:.3e}"
+        assert [(v.where, v.message) for v in report] == [("costs", message)]
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            dict(family="entropy"),  # no alpha or beta: the cost bound cannot be read
+            dict(family="mean_square", alpha=[1.0], beta=[0.0], weight_matrix=[1.0, 2.0, 3.0]),
+        ],
+    )
+    def test_spec_defects_are_listed_without_a_crash(self, spec):
+        cost = NonlinearCostSpec(**spec, validate=False)
+        report = validate_model(dataclasses.replace(make(), nonlinear_cost=cost))
+        assert report and all(v.where == "nonlinear_cost" for v in report)
+        if cost.weight_matrix is not None:
+            assert [v.message for v in report] == ["mean_square requires a square weight_matrix"]
+
+    @pytest.mark.parametrize(
+        "name", sorted(p.name for p in fixture_path("linear_x3.json").parent.glob("*.json"))
+    )
+    def test_every_shipped_fixture_validates(self, name):
+        assert validate_model(load_model(fixture_path(name), require_valid=False)) == []
 
     def test_row_tolerance_accepts_tiny_roundoff(self):
         row = [0.1, 0.9 + 5e-13]

@@ -16,7 +16,7 @@ from beliefpomdp.quickest import (
     ks_cost_estimate,
     qd_threshold,
 )
-from beliefpomdp.simulate import FunctionPolicy, simulate_path_costs
+from beliefpomdp.simulate import simulate_path_costs
 from beliefpomdp.solver import solve_stopping
 from conftest import qd_model, two_state_general
 
@@ -127,7 +127,7 @@ class TestKsCostEstimate:
     def test_change_times_match_geometric_mean(self):
         # a rule that never stops pays d * pi_t(1) at every step, and
         # E[pi_t(1)] = P(x_t = 1) = 1 - p^t for a geometric change time
-        never_stop = FunctionPolicy(lambda points: np.full(len(points), 2))
+        never_stop = lambda points: (np.full(len(points), 2), None)  # noqa: E731
         horizon, p, d = 30, PERSISTENCE, DELAY
         table = simulate_path_costs(MODEL, never_stop, initial_belief(), 20_000, horizon, seed=4)
         expected = d * sum(1.0 - p**t for t in range(horizon))

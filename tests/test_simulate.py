@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beliefpomdp import simulate
 from beliefpomdp.costs import NonlinearCostSpec, instantaneous_cost_batch
@@ -19,6 +21,7 @@ from beliefpomdp.model import (
 )
 from beliefpomdp.simulate import (
     _belief_step,
+    child_seed,
     compare_policies,
     evaluate_policy,
     initial_belief_set,
@@ -67,7 +70,7 @@ def reference_actions(policy, points):
     if isinstance(policy, Policy):
         idx, w = policy.grid.barycentric(points)
         return policy.actions[idx[np.arange(idx.shape[0]), np.argmax(w, axis=1)]]
-    return np.asarray(policy.actions_at(points), dtype=np.int64)
+    return np.asarray(policy(points)[0], dtype=np.int64)
 
 
 def reference_belief_step(model, beliefs, u, obs):
@@ -181,8 +184,8 @@ class TestStepOracle:
         model = three_state_general(nonlinear=spec)
         assert model.num_observations == (2, 3)
         rule = myopic_sensor_policy(model)
-        assert rule.actions_at(np.eye(3)).tolist() == [2, 2, 2]
-        assert rule.actions_at(interior_belief(3).probs).tolist() == [1]
+        assert rule(np.eye(3))[0].tolist() == [2, 2, 2]
+        assert rule(interior_belief(3).probs[None])[0].tolist() == [1]
         self.check(model, rule, interior_belief(3), horizon=30)
 
     def test_two_workers_over_several_chunks(self):
@@ -272,8 +275,8 @@ def test_rows_summing_below_one_never_sample_past_the_last_category(monkeypatch)
 class TestEvaluatePolicy:
     def test_constant_cost_gives_geometric_series(self):
         model = two_state_general(linear=[[0.7, 0.7], [0.7, 0.7]], discount=0.9)
-        result = evaluate_policy(
-            model, constant_policy(1), uniform_belief(2), num_paths=400, tolerance=1e-6
+        (result,) = evaluate_policy(
+            model, constant_policy(1), [uniform_belief(2)], num_paths=400, tolerance=1e-6
         )
         expected = 0.7 / (1.0 - 0.9)
         # constant costs make every path identical up to truncation
@@ -284,7 +287,7 @@ class TestEvaluatePolicy:
     def test_zero_discount_is_exact_myopic_cost(self):
         model = two_state_general(discount=0.0)
         pi0 = Belief([0.3, 0.7])
-        result = evaluate_policy(model, constant_policy(2), pi0, num_paths=50)
+        (result,) = evaluate_policy(model, constant_policy(2), [pi0], num_paths=50)
         cost = instantaneous_cost_batch(model, pi0.probs, 2)[0]
         assert result.mean == pytest.approx(cost, abs=1e-15)
         assert result.horizon == 1
@@ -295,8 +298,8 @@ class TestEvaluatePolicy:
         grid = build_grid(2, 400)
         sol = solve_discounted(model, grid, tol=1e-10)
         pi0 = uniform_belief(2)
-        result = evaluate_policy(
-            model, sol.policy, pi0, num_paths=40_000, tolerance=1e-4, seed=11
+        (result,) = evaluate_policy(
+            model, sol.policy, [pi0], num_paths=40_000, tolerance=1e-4, seed=11
         )
         grid_error = 1e-3  # refinement estimate for M = 400 on this fixture
         assert abs(result.mean - sol.value.at(pi0)) <= 3 * result.std_error + grid_error + 1e-4
@@ -304,8 +307,8 @@ class TestEvaluatePolicy:
     def test_stopping_policy_evaluation_matches_value(self):
         model = qd_model()
         sol = solve_stopping(model, build_grid(2, 500), tol=1e-9)
-        result = evaluate_policy(
-            model, sol.policy, unit_belief(2, 2), num_paths=40_000, seed=3
+        (result,) = evaluate_policy(
+            model, sol.policy, [unit_belief(2, 2)], num_paths=40_000, seed=3
         )
         assert result.truncation_bound is None
         assert abs(result.mean - sol.value.at(unit_belief(2, 2))) <= (
@@ -315,7 +318,7 @@ class TestEvaluatePolicy:
     def test_never_stopping_policy_rejected_undiscounted(self):
         model = qd_model()
         with pytest.raises(HorizonUnbounded):
-            evaluate_policy(model, constant_policy(2), unit_belief(2, 2), num_paths=10)
+            evaluate_policy(model, constant_policy(2), [unit_belief(2, 2)], num_paths=10)
 
     def test_undiscounted_general_models_rejected(self):
         model = qd_model()
@@ -330,7 +333,7 @@ class TestEvaluatePolicy:
             }
         )
         with pytest.raises(HorizonUnbounded):
-            evaluate_policy(relabeled, constant_policy(2), unit_belief(2, 2), num_paths=10)
+            evaluate_policy(relabeled, constant_policy(2), [unit_belief(2, 2)], num_paths=10)
 
 
 class TestComparePolicies:
@@ -407,10 +410,77 @@ class TestComparePolicies:
         pi0 = uniform_belief(2)
         grid = build_grid(2, 50)
         sol = solve_discounted(model, grid)
-        one = evaluate_policy(model, sol.policy, pi0, num_paths=9000, seed=2, workers=1)
-        many = evaluate_policy(model, sol.policy, pi0, num_paths=9000, seed=2, workers=8)
+        (one,) = evaluate_policy(model, sol.policy, [pi0], num_paths=9000, seed=2, workers=1)
+        (many,) = evaluate_policy(model, sol.policy, [pi0], num_paths=9000, seed=2, workers=8)
         assert one.mean == many.mean
         assert one.std_error == many.std_error
+
+
+class TestOneWay:
+    """Relations that hold the start-belief loop, the child-seed rule and
+    the path loop to their definitions."""
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(
+        model_seed=st.integers(0, 2**32 - 1),
+        num_states=st.integers(2, 4),
+        discount=st.sampled_from([0.0, 0.5, 0.8]),
+        action=st.integers(1, 2),
+        start=st.integers(0, 5),
+    )
+    def test_constant_policy_mean_is_the_linear_value(
+        self, model_seed, num_states, discount, action, start
+    ):
+        # under one fixed action the expected cost is pi0' (I - rho P_u)^-1 c_u
+        rng = np.random.default_rng(model_seed)
+        model = random_model(rng, num_states, num_actions=2, discount=discount)
+        pi0 = initial_belief_set(num_states)[start % (num_states + 3)]
+        p, c = model.transition[action - 1], model.linear_cost[action - 1]
+        exact = pi0.probs @ np.linalg.solve(np.eye(num_states) - discount * p, c)
+        (ev,) = evaluate_policy(model, constant_policy(action), [pi0], 2000, seed=model_seed)
+        assert abs(ev.mean - exact) <= 4 * ev.std_error + ev.truncation_bound + 1e-12
+
+    @settings(derandomize=True, max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), spawned=st.booleans())
+    def test_evaluate_reproduces_compares_first_policy(self, seed, spawned):
+        model = three_state_general(nonlinear=ENTROPY)
+        beliefs = initial_belief_set(3)
+        p, q = random_grid_policy(model, 9, seed=seed), myopic_sensor_policy(model)
+        if spawned:
+            seed = np.random.SeedSequence(seed).spawn(2)[1]
+        evals = evaluate_policy(model, p, beliefs, 300, seed=seed)
+        rows = compare_policies(model, p, q, beliefs, 300, seed=seed).rows
+        assert [(e.mean, e.std_error) for e in evals] == [(r["mean_a"], r["se_a"]) for r in rows]
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(
+        entropy=st.integers(0, 2**128),
+        key=st.lists(st.integers(0, 2**16), max_size=3),
+        n=st.integers(1, 12),
+    )
+    def test_child_seed_is_spawn_on_a_fresh_copy(self, entropy, key, n):
+        def fields(seq):
+            return seq.entropy, seq.spawn_key, seq.pool_size, seq.generate_state(4).tolist()
+
+        parent = np.random.SeedSequence(entropy, spawn_key=tuple(key))
+        for seed in (entropy, parent) if not key else (parent,):
+            fresh = np.random.SeedSequence(entropy, spawn_key=tuple(key)).spawn(n)
+            twice = [[fields(child_seed(seed, i)) for i in range(n)] for _ in range(2)]
+            assert twice[0] == twice[1] == [fields(c) for c in fresh]
+        assert parent.n_children_spawned == 0
+
+    def test_a_spawned_child_passed_twice_gives_one_stream(self):
+        child = np.random.SeedSequence(31).spawn(3)[2]
+        model = two_state_general()
+        runs = [
+            simulate_path_costs(model, constant_policy(1), uniform_belief(2), 9000, 5, seed=child)
+            for _ in range(2)
+        ]
+        np.testing.assert_array_equal(runs[0], runs[1])
+        again = np.random.SeedSequence(31).spawn(3)[2].spawn(2)
+        for k, part in enumerate((runs[0][:8192], runs[0][8192:])):
+            sim = simulate.path_simulator(model, constant_policy(1), uniform_belief(2), 5)
+            np.testing.assert_array_equal(sim(np.random.default_rng(again[k]), len(part)), part)
 
 
 def test_default_initial_beliefs_cover_vertices():

@@ -1,5 +1,5 @@
-"""Repository guards: the library holds only code the program uses, and
-says each result's JSON shape once."""
+"""Repository guards: the library holds only code the program uses, says
+each result's JSON shape once, and turns a seed into streams by one rule."""
 
 import ast
 from pathlib import Path
@@ -119,3 +119,35 @@ def test_guard_flags_a_report_serializer(tmp_path):
     )
     found = set(classes_defining(package, "to_dict")) - MODEL_FILE_CLASSES
     assert sorted(found) == ["reports.OrderCheckReport"]
+
+
+def spawn_calls(package: Path) -> list:
+    """``module:line`` of every ``.spawn(`` call in ``package``."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "spawn"
+            ):
+                found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_seeds_become_streams_only_through_child_seed():
+    # SeedSequence.spawn advances the seed's counter and allocates every
+    # child up front; simulate.child_seed does neither
+    assert spawn_calls(PACKAGE) == []
+
+
+def test_guard_flags_a_spawn_call(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "probe.py").write_text(
+        "import numpy as np\n\n"
+        "def streams(seed, n):\n"
+        "    return np.random.SeedSequence(seed).spawn(n)\n\n"
+        "def spawn(n):\n    return [spawn] * n\n"
+    )
+    assert spawn_calls(package) == ["probe:4"]
