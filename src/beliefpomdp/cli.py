@@ -322,7 +322,7 @@ def solve_relaxed_cmd(model_path, resolution, tol, max_iters, out):
         _write_solution(run, model, result, filename="relaxed_values.csv")
 
 
-def _tp2(model, solve, seed, kappas):
+def _tp2(model, solve, seed):
     reports = []
     for u in range(1, model.num_actions + 1):
         for kind in ("transition", "observation"):
@@ -332,7 +332,7 @@ def _tp2(model, solve, seed, kappas):
     return reports
 
 
-def _stopping_convex(model, solve, seed, kappas):
+def _stopping_convex(model, solve, seed):
     if not model.is_stopping:
         raise PreconditionFailed("stopping-convex needs a stopping_time model")
     return [structure.verify_stopping_set_convex(solve().policy)]
@@ -342,28 +342,28 @@ def _value_tolerance(result):
     return 1e-6 * max(1e-12, result.value.scale())
 
 
-#: verify's predicates by name: each maps (model, solve, seed, kappas) to
+#: verify's predicates by name: each maps (model, solve, seed) to
 #: its reports, where ``solve()`` returns the command's one solution
 PREDICATES = {
     "tp2": _tp2,
-    "fosd-cost": lambda model, solve, seed, kappas: [
+    "fosd-cost": lambda model, solve, seed: [
         structure.fosd_decreasing_cost(model, u, seed=seed)
         for u in range(1, model.num_actions + 1)
     ],
-    "concavity": lambda model, solve, seed, kappas: [
-        structure.verify_concavity(solve().value, tolerance=_value_tolerance(solve()), seed=seed)
+    "concavity": lambda model, solve, seed: [
+        structure.verify_concavity(solve().value, _value_tolerance(solve()), seed=seed)
     ],
     "stopping-convex": _stopping_convex,
-    "mlr-monotone": lambda model, solve, seed, kappas: [
+    "mlr-monotone": lambda model, solve, seed: [
         structure.verify_mlr_monotone_value(solve().value, _value_tolerance(solve()), seed=seed)
     ],
-    "homogeneity": lambda model, solve, seed, kappas: [
-        structure.verify_homogeneity(model, solve().value, kappas=kappas, seed=seed)
+    "homogeneity": lambda model, solve, seed: [
+        structure.verify_homogeneity(model, solve().value, seed=seed)
     ],
-    "myopic-bound": lambda model, solve, seed, kappas: [
+    "myopic-bound": lambda model, solve, seed: [
         structure.verify_myopic_bound(model, solve())
     ],
-    "ultrametric": lambda model, solve, seed, kappas: [
+    "ultrametric": lambda model, solve, seed: [
         structure.is_ultrametric(model.observation[0])
     ],
 }
@@ -376,9 +376,8 @@ PREDICATES = {
 @iters_option
 @seed_option
 @click.option("--predicates", required=True, help="comma-separated predicate names")
-@click.option("--kappa", default="0.001,0.5,1,2,7.3", show_default=True)
 @out_option
-def verify(model_path, resolution, tol, max_iters, seed, predicates, kappa, out):
+def verify(model_path, resolution, tol, max_iters, seed, predicates, out):
     """Run structural verifier predicates and write one report each."""
     with Run(out) as run:
         names = [p.strip() for p in predicates.split(",") if p.strip()]
@@ -390,15 +389,9 @@ def verify(model_path, resolution, tol, max_iters, seed, predicates, kappa, out)
                 f"unknown predicates {unknown}; choose from {list(PREDICATES)}"
             )
         model = load_model(model_path)
-        try:
-            kappas = tuple(float(k) for k in kappa.split(","))
-        except ValueError:
-            raise PreconditionFailed(
-                f"--kappa needs comma-separated numbers, got {kappa!r}"
-            ) from None
         solution = functools.cache(lambda: run.solve(model, resolution, tol, max_iters))
         for name in names:
-            reports = PREDICATES[name](model, solution, seed, kappas)
+            reports = PREDICATES[name](model, solution, seed)
             write_json(run.dir / f"verify_{name.replace('-', '_')}.json", reports)
             if any(not r.holds for r in reports):
                 run.violation()

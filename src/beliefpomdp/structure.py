@@ -40,6 +40,15 @@ MINOR_TOL = 1e-12
 #: largest defects that still hold: a cost increase along first-order
 #: dominance, and a violated ultrametric condition
 FOSD_TOLERANCE = 1e-9
+#: dominating belief pairs per fosd-cost report
+FOSD_SAMPLES = 500
+#: grid-point pairs per concavity report
+CONCAVITY_PAIRS = 2000
+#: homogeneity: the scales kappa, the orthant points, and the largest
+#: relative defect that holds
+HOMOGENEITY_SCALES = (0.001, 0.5, 1.0, 2.0, 7.3)
+HOMOGENEITY_POINTS = 50
+HOMOGENEITY_TOLERANCE = 1e-10
 ULTRAMETRIC_TOL = 1e-12
 #: garbling search: iteration cap, the largest entry move below which it
 #: stops, and the largest residual that certifies dominance
@@ -49,6 +58,7 @@ BLACKWELL_RESIDUAL_TOLERANCE = 1e-6
 MLR_TOL = 1e-12
 #: gaps this close to the worst, relative to max(1, |worst|), tie for the witness
 MLR_TIE_RTOL = 1e-12
+#: MLR pairs: all of them up to this many, a uniform sample of this many beyond
 PAIR_CAP = 1_000_000
 #: pairs per vectorized MLR comparison; bounds the temporaries of one block
 PAIR_BLOCK = 1 << 16
@@ -99,9 +109,7 @@ def is_tp2(matrix) -> OrderCheckReport:
 # ---------------------------------------------------------------------------
 
 
-def fosd_decreasing_cost(
-    model: PomdpModel, u: int, samples: int = 500, seed: int = 0
-) -> OrderCheckReport:
+def fosd_decreasing_cost(model: PomdpModel, u: int, seed: int = 0) -> OrderCheckReport:
     """Check C(pi, u) decreases along first-order dominance.
 
     Comparable pairs are built by perturbing tail cumulative sums upward,
@@ -109,9 +117,9 @@ def fosd_decreasing_cost(
     """
     rng = np.random.default_rng(seed)
     x = model.num_states
-    low = rng.dirichlet(np.ones(x), size=samples)
+    low = rng.dirichlet(np.ones(x), size=FOSD_SAMPLES)
     tails = np.cumsum(low[:, ::-1], axis=1)[:, ::-1]
-    lift = rng.uniform(0.0, 1.0, size=(samples, x - 1))
+    lift = rng.uniform(0.0, 1.0, size=(FOSD_SAMPLES, x - 1))
     high_tails = tails.copy()
     for i in range(1, x):
         high_tails[:, i] = high_tails[:, i] + lift[:, i - 1] * (
@@ -130,7 +138,7 @@ def fosd_decreasing_cost(
         float(gap[worst]),
         FOSD_TOLERANCE,
         witness={"pi_high": high[worst].tolist(), "pi_low": low[worst].tolist()},
-        samples=samples,
+        samples=FOSD_SAMPLES,
         action=u,
     )
 
@@ -157,20 +165,15 @@ def _even_midpoint_pairs(grid: SimplexGrid, num_trials: int, rng) -> tuple:
     return a, b, mid
 
 
-def verify_concavity(
-    value: ValueFunction,
-    num_trials: int = 2000,
-    tolerance: float = 1e-9,
-    seed: int = 0,
-) -> OrderCheckReport:
+def verify_concavity(value: ValueFunction, tolerance: float, seed: int = 0) -> OrderCheckReport:
     """Midpoint concavity test on the stored grid values.
 
-    Samples grid-point pairs whose midpoint is itself a grid point and
-    checks V(mid) >= (V(a) + V(b)) / 2 - tolerance.
+    Samples CONCAVITY_PAIRS grid-point pairs whose midpoint is itself a
+    grid point and checks V(mid) >= (V(a) + V(b)) / 2 - tolerance.
     """
     grid = value.grid
     rng = np.random.default_rng(seed)
-    a, b, mid = _even_midpoint_pairs(grid, num_trials, rng)
+    a, b, mid = _even_midpoint_pairs(grid, CONCAVITY_PAIRS, rng)
     v = value.values
     gap = 0.5 * v[a] + 0.5 * v[b] - v[mid]
     worst = int(np.argmax(gap))
@@ -241,48 +244,37 @@ def verify_stopping_set_convex(policy) -> OrderCheckReport:
     )
 
 
-def verify_homogeneity(
-    model: PomdpModel,
-    value: ValueFunction,
-    kappas=(0.001, 0.5, 1.0, 2.0, 7.3),
-    num_samples: int = 50,
-    tolerance: float = 1e-10,
-    seed: int = 0,
-) -> OrderCheckReport:
+def verify_homogeneity(model: PomdpModel, value: ValueFunction, seed: int = 0) -> OrderCheckReport:
     """Check W(kappa * alpha) = kappa * W(alpha) on sampled orthant points.
 
     ``value`` is the model's solved simplex value function and W its
     homogeneous extension; the model must satisfy ``solve_relaxed``'s
-    preconditions, and every kappa must be finite and positive, since the
-    property is defined on the open orthant only.  Violations are scaled
-    by max(1, kappa * |W|) so the tolerance is relative to the value
-    magnitude at each scale.
+    preconditions.  Each of HOMOGENEITY_POINTS points is checked at every
+    scale in HOMOGENEITY_SCALES.  Violations are scaled by
+    max(1, kappa * |W|) so the tolerance is relative to the value
+    magnitude at each scale.  W is built as |alpha| V(alpha / |alpha|),
+    so any value array passes up to roundoff.
     """
     check_relaxed(model)
-    kappas = tuple(float(k) for k in kappas)
-    if not kappas or not all(np.isfinite(k) and k > 0.0 for k in kappas):
-        raise PreconditionFailed(
-            f"homogeneity needs finite positive scales, got {list(kappas)}"
-        )
     w = RelaxedValueFunction(value)
     scale = max(1.0, w.scale())
     rng = np.random.default_rng(seed)
-    alphas = rng.uniform(0.05, 2.0, size=(num_samples, model.num_states))
+    alphas = rng.uniform(0.05, 2.0, size=(HOMOGENEITY_POINTS, model.num_states))
     base = w.at_many(alphas)
     # rel[i, k]: alpha i at kappa k; argmax keeps the first of equal maxima
     rel = np.column_stack([
         np.abs(w.at_many(kappa * alphas) - kappa * base) / max(1.0, kappa * scale)
-        for kappa in kappas
+        for kappa in HOMOGENEITY_SCALES
     ])
     i, k = np.unravel_index(int(np.argmax(rel)), rel.shape)
     worst = float(rel[i, k])
-    witness = {"alpha": alphas[i].tolist(), "kappa": kappas[k]}
+    witness = {"alpha": alphas[i].tolist(), "kappa": HOMOGENEITY_SCALES[k]}
     return make_report(
         "positive_homogeneity",
         worst,
-        tolerance,
+        HOMOGENEITY_TOLERANCE,
         witness=witness,
-        samples=num_samples * len(kappas),
+        samples=HOMOGENEITY_POINTS * len(HOMOGENEITY_SCALES),
     )
 
 
@@ -302,31 +294,28 @@ def _mlr_direction(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarr
 
 
 def verify_mlr_monotone_value(
-    value: ValueFunction,
-    tolerance: float,
-    max_pairs: int = PAIR_CAP,
-    seed: int = 0,
+    value: ValueFunction, tolerance: float, seed: int = 0
 ) -> OrderCheckReport:
     """Check V is MLR decreasing over comparable grid-point pairs.
 
-    Enumerates all pairs up to ``max_pairs`` and samples uniformly
-    beyond; for each comparable pair the dominating belief must not have
-    the larger value (within tolerance).
+    Enumerates all pairs up to PAIR_CAP and samples uniformly beyond; for
+    each comparable pair the dominating belief must not have the larger
+    value (within tolerance).
     """
-    return _mlr_report(value, _mlr_pairs(value.grid, max_pairs, seed), tolerance)
+    return _mlr_report(value, _mlr_pairs(value.grid, seed), tolerance)
 
 
-def _mlr_pairs(grid: SimplexGrid, max_pairs: int, seed: int):
+def _mlr_pairs(grid: SimplexGrid, seed: int):
     """(hi, lo) grid indices of the MLR-comparable pairs, hi dominating,
     one block of up to PAIR_BLOCK candidate pairs at a time."""
     n = grid.num_points
     total = n * (n - 1) // 2
-    if total <= max_pairs:
+    if total <= PAIR_CAP:
         a, b = np.triu_indices(n, k=1)
     else:
         rng = np.random.default_rng(seed)
-        a = rng.integers(0, n, size=max_pairs)
-        b = rng.integers(0, n, size=max_pairs)
+        a = rng.integers(0, n, size=PAIR_CAP)
+        b = rng.integers(0, n, size=PAIR_CAP)
         keep = a != b
         a, b = a[keep], b[keep]
     for start in range(0, a.size, PAIR_BLOCK):
@@ -344,13 +333,13 @@ def _mlr_report(value: ValueFunction, pairs, tolerance: float) -> OrderCheckRepo
     canonical: among the pairs whose gap lies within
     ``MLR_TIE_RTOL * max(1, |worst|)`` of the worst, the one with the
     smallest (hi, lo) grid indices, so a roundoff-level change in the
-    values does not move it.  While the blocks stream past, only the
-    pairs that no larger gap with a smaller (hi, lo) beats are kept.
+    values does not move it.  Each block keeps the pairs at or above the
+    tie floor of the worst so far; the floor only rises, so every pair
+    that ties with the final worst is kept.
     """
     n = value.grid.num_points
     worst = -np.inf
-    gaps = np.empty(0)
-    keys = np.empty(0, dtype=np.int64)  # hi * n + lo orders pairs as (hi, lo)
+    kept = []  # (gaps, hi * n + lo), which orders pairs as (hi, lo)
     samples = 0
     for hi, lo in pairs:
         gap = value.values[hi] - value.values[lo]
@@ -358,21 +347,13 @@ def _mlr_report(value: ValueFunction, pairs, tolerance: float) -> OrderCheckRepo
         if gap.size == 0:
             continue
         worst = max(worst, float(gap.max()))
-        floor = _tie_floor(worst)
-        near = gap >= floor
-        keep = gaps >= floor
-        gaps = np.concatenate([gaps[keep], gap[near]])
-        keys = np.concatenate([keys[keep], hi[near].astype(np.int64) * n + lo[near]])
-        # drop every pair that a pair with a gap at least as large and a
-        # smaller key beats, whatever the final tie band
-        order = np.lexsort((keys, -gaps))
-        gaps, keys = gaps[order], keys[order]
-        beaten = np.zeros(keys.size, dtype=bool)
-        beaten[1:] = keys[1:] >= np.minimum.accumulate(keys)[:-1]
-        gaps, keys = gaps[~beaten], keys[~beaten]
+        near = gap >= _tie_floor(worst)
+        kept.append((gap[near], hi[near].astype(np.int64) * n + lo[near]))
     if samples == 0:
         return make_report("mlr_monotone_value", 0.0, tolerance, samples=0)
-    hi, lo = divmod(int(keys[gaps >= _tie_floor(worst)].min()), n)
+    floor = _tie_floor(worst)
+    smallest = min(keys[gaps >= floor].min(initial=n * n) for gaps, keys in kept)
+    hi, lo = divmod(int(smallest), n)
     grid = value.grid
     return make_report(
         "mlr_monotone_value",
@@ -449,7 +430,7 @@ def conjecture_probe(
     def grid_and_pairs(num_states):
         # the MLR-comparable pairs depend on the grid alone
         grid = build_grid(num_states, resolution)
-        return grid, list(_mlr_pairs(grid, PAIR_CAP, seed=0))
+        return grid, list(_mlr_pairs(grid, seed=0))
 
     for window in _probe_windows(model_generator, num_models, resolution):
         models = dict(window)

@@ -10,6 +10,7 @@ import time
 import numpy as np
 from click.testing import CliRunner
 
+from beliefpomdp import structure
 from beliefpomdp.cli import main as cli_main
 from beliefpomdp.costs import NonlinearCostSpec
 from beliefpomdp.grid import build_grid
@@ -81,8 +82,9 @@ def _concavity_fixture(family, num_states):
     return three_state_general(nonlinear=spec, discount=0.5)
 
 
-def test_acceptance_02_value_concavity():
+def test_acceptance_02_value_concavity(monkeypatch):
     budget = Budget(120)
+    monkeypatch.setattr(structure, "CONCAVITY_PAIRS", 3000)
     cases = [(f, 2, 1000) for f in ("linear", "entropy", "mean_square", "piecewise_linear")]
     cases += [(f, 3, 100) for f in ("linear", "entropy", "mean_square")]
     for family, x, m in cases:
@@ -90,7 +92,7 @@ def test_acceptance_02_value_concavity():
         sol = solve_discounted(model, build_grid(x, m), tol=1e-9)
         assert sol.log.converged
         tolerance = 1e-6 * sol.value.scale()
-        report = verify_concavity(sol.value, num_trials=3000, tolerance=tolerance)
+        report = verify_concavity(sol.value, tolerance)
         assert report.holds, (family, x, report.worst_violation, tolerance)
     # negative control: convex (negated entropy) cost must be caught
     control_spec = NonlinearCostSpec(
@@ -100,7 +102,7 @@ def test_acceptance_02_value_concavity():
         nonlinear=control_spec, linear=[[0.0, 0.0], [0.0, 0.0]], discount=0.0
     )
     sol = solve_discounted(control, build_grid(2, 1000), tol=1e-12)
-    report = verify_concavity(sol.value, num_trials=3000, tolerance=1e-9)
+    report = verify_concavity(sol.value, 1e-9)
     assert not report.holds and report.worst_violation > 1e-4
     budget.done("2 value concavity (7 concave fixtures + negated-entropy control)")
 
@@ -140,11 +142,10 @@ def test_acceptance_04_threshold_consistency():
 
 def test_acceptance_05_positive_homogeneity():
     budget = Budget(60)
-    kappas = (0.001, 0.5, 1.0, 2.0, 7.3)
     for name, m in (("monotone_a123.json", 200), ("linear_x3.json", 60)):
         model = load_model(fixture_path(name))
         relaxed = solve_relaxed(model, build_grid(model.num_states, m), tol=1e-9)
-        report = verify_homogeneity(model, relaxed.value, kappas=kappas, tolerance=1e-10)
+        report = verify_homogeneity(model, relaxed.value)
         assert report.holds, (name, report.worst_violation)
     budget.done("5 positive homogeneity (two linear fixtures, five scales)")
 

@@ -541,18 +541,6 @@ class TestVerify:
         assert json.loads((tmp_path / "manifest.json").read_text())["exit_status"] == 1
         assert not (tmp_path / "verify_homogeneity.json").exists()
 
-    @pytest.mark.parametrize("kappa", ["0", "-1", "abc"])
-    def test_bad_kappa_exits_one(self, tmp_path, kappa):
-        """W(0) = 0 = 0 * W would pass vacuously, and negative scales leave
-        the orthant where the property is defined."""
-        args = ["--model", MONO, "--grid", "20", "--predicates", "homogeneity"]
-        result = run(["verify", *args, "--kappa", kappa, "--out", str(tmp_path)])
-        assert result.exit_code == 1
-        assert "error:" in error_text(result)
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["exit_status"] == 1 and manifest["options"]["kappa"] == kappa
-        assert not (tmp_path / "verify_homogeneity.json").exists()
-
 
 class TestCommands:
     def test_solve_writes_value_policy_csv(self, tmp_path):

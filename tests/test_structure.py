@@ -1,11 +1,13 @@
 """Order predicates, structural verifiers, Blackwell dominance, roots."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beliefpomdp import structure
+from beliefpomdp import cli, structure
 from beliefpomdp.costs import NonlinearCostSpec
 from beliefpomdp.errors import NegativeEigenvalue, PreconditionFailed
 from beliefpomdp.grid import build_grid
@@ -15,6 +17,7 @@ from beliefpomdp.reports import make_report
 from beliefpomdp.solver import (
     Policy,
     RelaxedValueFunction,
+    SolveResult,
     ValueFunction,
     solve_discounted,
     solve_relaxed,
@@ -163,12 +166,13 @@ class TestFosdDecreasingCost:
         lo = np.array(report.witness["pi_low"])
         assert fosd_geq(hi, lo)
 
-    def test_entropy_term_reported_not_assumed(self):
+    def test_entropy_term_reported_not_assumed(self, monkeypatch):
         spec = NonlinearCostSpec("entropy", alpha=[1.0, 1.0], beta=[0.0, 0.0])
         model = two_state_general(
             nonlinear=spec, linear=[[3.0, 1.0], [2.0, 0.5]]
         )
-        report = fosd_decreasing_cost(model, 1, samples=2000)
+        monkeypatch.setattr(structure, "FOSD_SAMPLES", 2000)
+        report = fosd_decreasing_cost(model, 1)
         assert report.samples == 2000  # outcome recorded per fixture
 
 
@@ -197,7 +201,7 @@ class TestVerifyConcavity:
         model = two_state_general()
         sol = solve_discounted(model, build_grid(2, 25))
         with pytest.raises(PreconditionFailed):
-            verify_concavity(sol.value)
+            verify_concavity(sol.value, 1e-9)
 
 
 class TestStoppingSetConvex:
@@ -302,6 +306,7 @@ class TestHomogeneity:
         model = load_model(fixture_path(f"{fixture}.json"))
         value = solve_relaxed(model, build_grid(model.num_states, 30), tol=1e-9).value
         kappas = (0.001, 0.5, 1.0, 2.0, 7.3)
+        monkeypatch.setattr(structure, "HOMOGENEITY_SCALES", kappas)
         expected = homogeneity_one_point_at_a_time(model, value, kappas, seed=seed)
         lookups = []
         barycentric = SimplexGrid.barycentric
@@ -311,7 +316,7 @@ class TestHomogeneity:
             return barycentric(grid, queries)
 
         monkeypatch.setattr(SimplexGrid, "barycentric", counting)
-        report = verify_homogeneity(model, value, kappas=kappas, seed=seed)
+        report = verify_homogeneity(model, value, seed=seed)
         assert report == expected
         assert lookups == [50] * (1 + len(kappas))  # the alphas, then one per kappa
 
@@ -325,25 +330,20 @@ class TestHomogeneity:
         assert w.at_many(alphas).tolist() == expected
         assert expected[7] == 0.0
 
-    def test_linear_fixture_passes(self):
+    def test_linear_fixture_passes(self, monkeypatch):
         model = two_state_general()
         relaxed = solve_relaxed(model, build_grid(2, 60), tol=1e-9)
-        report = verify_homogeneity(model, relaxed.value, kappas=(1.0, 2.0))
+        monkeypatch.setattr(structure, "HOMOGENEITY_SCALES", (1.0, 2.0))
+        report = verify_homogeneity(model, relaxed.value)
         assert report.holds
         assert report.worst_violation < 1e-12
 
-    def test_kappa_one_is_exact(self):
+    def test_kappa_one_is_exact(self, monkeypatch):
         model = two_state_general()
         relaxed = solve_relaxed(model, build_grid(2, 40), tol=1e-9)
-        report = verify_homogeneity(model, relaxed.value, kappas=(1.0,))
+        monkeypatch.setattr(structure, "HOMOGENEITY_SCALES", (1.0,))
+        report = verify_homogeneity(model, relaxed.value)
         assert report.worst_violation == 0.0
-
-    @pytest.mark.parametrize("kappas", [(0.0,), (2.0, -1.0), (np.inf,), (np.nan,), ()])
-    def test_kappas_must_be_finite_and_positive(self, kappas):
-        model = two_state_general()
-        value = solve_relaxed(model, build_grid(2, 20), tol=1e-9).value
-        with pytest.raises(PreconditionFailed, match="finite positive"):
-            verify_homogeneity(model, value, kappas=kappas)
 
     def test_rejects_nonlinear_cost(self):
         """Extending a nonlinear-cost value is homogeneous by construction, so
@@ -388,14 +388,15 @@ class TestMlrMonotoneValue:
     @pytest.mark.parametrize("max_pairs", [structure.PAIR_CAP, 5_000])
     @pytest.mark.parametrize("tied", [False, True])
     def test_blocked_pairs_match_one_block(self, monkeypatch, max_pairs, tied):
+        monkeypatch.setattr(structure, "PAIR_CAP", max_pairs)
         grid = build_grid(3, 20)
         if tied:  # every comparable pair has gap 0: the smallest (hi, lo) is the witness
             value = ValueFunction(grid, np.zeros(grid.num_points))
         else:
             value = solve_discounted(three_state_general(), grid, tol=1e-10).value
-        whole = verify_mlr_monotone_value(value, 1e-9, max_pairs=max_pairs, seed=3)
+        whole = verify_mlr_monotone_value(value, 1e-9, seed=3)
         monkeypatch.setattr(structure, "PAIR_BLOCK", 7)
-        blocked = verify_mlr_monotone_value(value, 1e-9, max_pairs=max_pairs, seed=3)
+        blocked = verify_mlr_monotone_value(value, 1e-9, seed=3)
         assert whole.samples > 7
         assert blocked == whole
 
@@ -421,7 +422,7 @@ class TestMlrMonotoneValue:
         # a linear value ties every adjacent pair up to roundoff
         grid = build_grid(3, 12)
         value = ValueFunction(grid, grid.points @ np.array([0.9, 0.5, 0.2]))
-        pairs = list(structure._mlr_pairs(grid, structure.PAIR_CAP, seed=0))
+        pairs = list(structure._mlr_pairs(grid, seed=0))
         hi, lo, tied, _ = self.tied_pairs(value, pairs)
         assert tied.sum() > 1
         smallest = min(zip(hi[tied].tolist(), lo[tied].tolist()))
@@ -433,7 +434,7 @@ class TestMlrMonotoneValue:
     def test_last_bit_perturbation_keeps_the_witness(self):
         grid = build_grid(2, 40)
         value = ValueFunction(grid, grid.points @ np.array([0.9, 0.2]))
-        pairs = list(structure._mlr_pairs(grid, structure.PAIR_CAP, seed=0))
+        pairs = list(structure._mlr_pairs(grid, seed=0))
         hi, lo, tied, first = self.tied_pairs(value, pairs)
         before = verify_mlr_monotone_value(value, 1e-9)
         # raise the last tied pair's high value bit by bit until argmax picks it
@@ -449,10 +450,11 @@ class TestMlrMonotoneValue:
         assert after.witness == before.witness
         assert after.worst_violation == pytest.approx(before.worst_violation, rel=1e-12)
 
-    def test_pair_sampling_cap(self):
+    def test_pair_sampling_cap(self, monkeypatch):
         model = two_state_general()
         sol = solve_discounted(model, build_grid(2, 200), tol=1e-8)
-        capped = verify_mlr_monotone_value(sol.value, 1e-6, max_pairs=500)
+        monkeypatch.setattr(structure, "PAIR_CAP", 500)
+        capped = verify_mlr_monotone_value(sol.value, 1e-6)
         assert 0 < capped.samples <= 500
 
 
@@ -738,3 +740,65 @@ def test_jensen_check_consistent_with_concavity(rng):
     assert verify_concavity(sol.value, tolerance=1e-6 * sol.value.scale()).holds
     report = verify_myopic_bound(model, sol)
     assert report.holds
+
+
+# ---------------------------------------------------------------------------
+# garbage in: verify's value predicates must fail on values that are not a
+# solution
+# ---------------------------------------------------------------------------
+
+#: (predicate, fixture) pairs whose reports fail on N(0, 1) * scale noise
+NOISE_FAILS = [
+    *[
+        ("concavity", name)
+        for name in (
+            "linear_x3",
+            "filter_vs_predictor",
+            "ultrametric_chain_x3",
+            "monotone_a123",
+            "quickest_detection_x2",
+        )
+    ],
+    *[("mlr-monotone", name) for name in ("linear_x3", "filter_vs_predictor", "monotone_a123")],
+    *[("myopic-bound", name) for name in ("filter_vs_predictor", "ultrametric_chain_x3")],
+]
+#: (predicate, fixture) pairs whose reports fail on the negated values
+NEGATED_FAILS = [
+    *[
+        ("concavity", name)
+        for name in ("filter_vs_predictor", "ultrametric_chain_x3", "quickest_detection_x2")
+    ],
+    *[("mlr-monotone", name) for name in ("linear_x3", "monotone_a123")],
+    *[("myopic-bound", name) for name in ("filter_vs_predictor", "ultrametric_chain_x3")],
+]
+
+
+@functools.cache
+def solved_fixture(name):
+    model = load_model(fixture_path(f"{name}.json"))
+    grid = build_grid(model.num_states, 40 if model.num_states == 2 else 12)
+    solver = solve_stopping if model.is_stopping else solve_discounted
+    return model, solver(model, grid, tol=1e-9)
+
+
+def garbled_reports(predicate, name, garble):
+    """verify's ``predicate`` reports on the fixture's solution with its
+    values replaced by ``garble(values)``."""
+    model, sol = solved_fixture(name)
+    value = ValueFunction(sol.value.grid, garble(sol.value.values))
+    garbled = SolveResult(value, sol.policy, sol.log)
+    return cli.PREDICATES[predicate](model, lambda: garbled, 0)
+
+
+@pytest.mark.parametrize("predicate,name", NOISE_FAILS)
+def test_noise_values_fail(predicate, name):
+    rng = np.random.default_rng(0)
+    reports = garbled_reports(
+        predicate, name, lambda v: rng.normal(size=v.size) * np.abs(v).max()
+    )
+    assert not all(r.holds for r in reports)
+
+
+@pytest.mark.parametrize("predicate,name", NEGATED_FAILS)
+def test_negated_values_fail(predicate, name):
+    assert not all(r.holds for r in garbled_reports(predicate, name, np.negative))

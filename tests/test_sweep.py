@@ -278,29 +278,42 @@ def test_stack_rejects_models_that_differ_in_key():
 
 
 def iterate_with(monkeypatch, tables, cpus, tol=1e-9, max_iters=100_000):
-    """_iterate with ``cpus`` usable CPUs: (its result, threads that ran parts)."""
+    """_iterate with ``cpus`` usable CPUs: (its result, {first row of a
+    part: the threads that ran that part})."""
     monkeypatch.setattr(solver, "usable_cpus", lambda: cpus)
-    threads = set()
+    ran = {}
     part_call = solver._Part.__call__
 
     def recording_call(self, *args):
-        threads.add(threading.get_ident())
+        ran.setdefault(self.start, set()).add(threading.get_ident())
         return part_call(self, *args)
 
     monkeypatch.setattr(solver._Part, "__call__", recording_call)
     try:
-        return solver._iterate(tables, tol, max_iters), len(threads)
+        return solver._iterate(tables, tol, max_iters), ran
     finally:
         monkeypatch.setattr(solver._Part, "__call__", part_call)
+
+
+def assert_parts_ran(tables, cpus, ran):
+    """The sweep had ``cpus`` parts and each ran: the first on the calling
+    thread only, every other one off it.  The pool may hand several parts
+    to one idle worker, so the count of distinct threads is not fixed."""
+    rows = tables.cost.shape[1]
+    assert solver.sweep_threads(rows) == cpus
+    assert sorted(ran) == [rows * i // cpus for i in range(cpus)]
+    caller = threading.get_ident()
+    assert ran[0] == {caller}
+    assert all(caller not in threads for start, threads in ran.items() if start != 0)
 
 
 def assert_threads_match_inline(monkeypatch, tables, cpus, **kwargs):
     """Values, actions and change logs of a solve on ``cpus`` threads equal
     the inline solve's bit for bit; returns the logs."""
     (want_v, want_a, want_logs), inline = iterate_with(monkeypatch, tables, 1, **kwargs)
-    (got_v, got_a, got_logs), used = iterate_with(monkeypatch, tables, cpus, **kwargs)
-    assert inline == 1
-    assert used == solver.sweep_threads(tables.cost.shape[1]) == cpus
+    (got_v, got_a, got_logs), ran = iterate_with(monkeypatch, tables, cpus, **kwargs)
+    assert inline == {0: {threading.get_ident()}}
+    assert_parts_ran(tables, cpus, ran)
     for b in range(tables.num_models):
         assert np.array_equal(got_v[b], want_v[b])
         assert np.array_equal(got_a[b], want_a[b])
@@ -377,8 +390,8 @@ def test_no_thread_outlives_a_solve(monkeypatch):
     monkeypatch.setattr(solver, "TABLE_BLOCK", 16)
     tables = solver.stack_tables(probe_models(3, 10)[::2], build_grid(2, 40))
     before = threading.active_count()
-    _, used = iterate_with(monkeypatch, tables, 3)
-    assert used == 3
+    _, ran = iterate_with(monkeypatch, tables, 3)
+    assert_parts_ran(tables, 3, ran)
     assert threading.active_count() == before
 
 

@@ -1,5 +1,6 @@
 """Repository guards: the library holds only code the program uses, says
-each result's JSON shape once, and turns a seed into streams by one rule."""
+each result's JSON shape once, turns a seed into streams by one rule, and
+gives its verifiers no setting that the program never passes."""
 
 import ast
 from pathlib import Path
@@ -151,3 +152,57 @@ def test_guard_flags_a_spawn_call(tmp_path):
         "def spawn(n):\n    return [spawn] * n\n"
     )
     assert spawn_calls(package) == ["probe:4"]
+
+
+def unpassed_verifier_defaults(module: Path, users) -> list:
+    """``function.parameter`` for every defaulted parameter of a function of
+    ``module`` annotated ``-> OrderCheckReport`` that no call under
+    ``users`` passes, by keyword or by position."""
+    defaulted = {}
+    for node in ast.parse(module.read_text()).body:
+        returns = getattr(node, "returns", None)
+        if not (isinstance(returns, ast.Name) and returns.id == "OrderCheckReport"):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        defaulted[node.name] = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+        defaulted[node.name] += [
+            (None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+        ]
+    unpassed = {(fn, name) for fn, params in defaulted.items() for _, name in params}
+    for root in users:
+        for path in sorted(Path(root).rglob("*.py")):
+            for call in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(call, ast.Call):
+                    continue
+                fn = getattr(call.func, "id", getattr(call.func, "attr", None))
+                keywords = {k.arg for k in call.keywords}
+                for i, name in defaulted.get(fn, []):
+                    if name in keywords or (i is not None and i < len(call.args)):
+                        unpassed.discard((fn, name))
+    return sorted(f"{fn}.{name}" for fn, name in unpassed)
+
+
+def test_every_verifier_default_is_passed_by_the_program():
+    # a setting that only tests change belongs in a module constant
+    users = [ROOT / d for d in USERS]
+    assert unpassed_verifier_defaults(PACKAGE / "structure.py", users) == []
+
+
+def test_guard_flags_a_verifier_knob(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "structure.py").write_text(
+        "def check(value, tolerance=1e-9, seed=0, trials=10, *, cap=5) -> OrderCheckReport:\n"
+        "    pass\n\n"
+        "def helper(value, block=7):\n    pass\n\n"
+        "def other(value, scale=1.0) -> OrderCheckReport:\n    pass\n"
+    )
+    (tmp_path / "cli.py").write_text(
+        "import structure\n\n"
+        "structure.check(v, 1e-6, seed=3)\n"
+        "other(v, 2.0)\n"
+    )
+    found = unpassed_verifier_defaults(package / "structure.py", [tmp_path])
+    assert found == ["check.cap", "check.trials"]
