@@ -5,7 +5,7 @@ reverse-cumulative coordinates z_i = sum_{j >= i} k_j (i = 1..X-1), the
 integers M >= z_1 >= ... >= z_{X-1} >= 0; a point's index is a closed-form
 sum of binomials.  Query points are located inside a Freudenthal
 triangulation in the same coordinates (Lovejoy, Operations Research 39(1),
-1991): sorting the fractional parts of z yields at most X enclosing
+1991): ranking the fractional parts of z yields at most X enclosing
 vertices and their barycentric weights.  Interpolation is exact at grid
 points and continuous across cell boundaries.
 """
@@ -76,59 +76,84 @@ class SimplexGrid:
         Returns (indices, weights), both shaped (n_queries, X); weights
         are nonnegative and sum to one per row.  Vertices with zero
         weight are replaced by the cell base point so every index is
-        valid.
+        valid.  A query with a non-finite entry, or whose cell leaves the
+        grid, raises ValueError.
         """
         q = np.atleast_2d(np.asarray(queries, dtype=float))
         n, x = q.shape
         if x != self.num_states:
             raise ValueError(f"queries have dimension {x}, grid has {self.num_states}")
+        if not np.isfinite(q).all():
+            raise ValueError("query is not a belief: it has a non-finite entry")
         m = self.resolution
 
         # z[:, i] = M * sum_{j>=i} pi_j for i = 1..X-1 (z for i=0 would be
-        # identically M and carries no information), summed from the tail
-        tails = np.empty((n, x - 1))
+        # identically M and carries no information), summed from the tail;
+        # stored column-major, so that every column below is contiguous
+        tails = np.empty((x - 1, n)).T
         tails[:, -1] = q[:, -1]
         for i in range(x - 3, -1, -1):
             np.add(tails[:, i + 1], q[:, i + 1], out=tails[:, i])
-        z = m * tails
-        z = np.clip(z, 0.0, float(m))
+        z = np.multiply(tails, m, out=tails)
+        np.clip(z, 0.0, float(m), out=z)
         nearest = np.rint(z)
-        snap = np.abs(z - nearest) <= SNAP_TOL
-        z = np.where(snap, nearest, z)
+        np.copyto(z, nearest, where=np.abs(z - nearest) <= SNAP_TOL)
         # a nonnegative query has nonincreasing z; others leave the lattice
         if np.any(z[:, 1:] > z[:, :-1]):
             raise ValueError("query is not a belief: its cell leaves the grid")
 
-        base = np.floor(z)
-        frac = z - base
+        base = np.floor(z, out=nearest)
+        base_z = base.astype(np.intp)
+        frac = np.subtract(z, base, out=z)
         d = x - 1
-        # descending fractional parts; ties resolve toward the earlier
-        # coordinate, which keeps every intermediate vertex monotone
-        order = np.argsort(-frac, axis=1, kind="stable")
-        frac_sorted = np.take_along_axis(frac, order, axis=1)
+
+        # the parts in descending order, through an insertion network of
+        # max and min: it orders the values and tracks no axis
+        frac_sorted = [frac[:, 0]]
+        for i in range(1, d):
+            part = frac[:, i]
+            for r, above in enumerate(frac_sorted):
+                frac_sorted[r] = np.maximum(above, part)
+                part = np.minimum(above, part)
+            frac_sorted.append(part)
 
         weights = np.empty((n, x))
-        weights[:, 0] = 1.0 - frac_sorted[:, 0]
-        if d > 1:
-            weights[:, 1:d] = frac_sorted[:, :-1] - frac_sorted[:, 1:]
-        weights[:, d] = frac_sorted[:, d - 1]
+        np.subtract(1.0, frac_sorted[0], out=weights[:, 0])
+        for k in range(1, d):
+            np.subtract(frac_sorted[k - 1], frac_sorted[k], out=weights[:, k])
+        weights[:, d] = frac_sorted[d - 1]
         np.clip(weights, 0.0, 1.0, out=weights)
-
-        # vertex v_k adds unit steps to the base along the first k sorted axes
-        steps = np.zeros((n, x, d), dtype=np.intp)
-        rows = np.repeat(np.arange(n), d)
-        level = np.tile(np.arange(1, d + 1), n)
-        steps[rows, level, order.ravel()] = 1
-        np.cumsum(steps, axis=1, out=steps)
-
-        # zero-weight vertices, which may sit at z = M + 1 off the lattice,
-        # fall back to the base vertex before ranking
         tiny = weights <= 1e-15
-        steps[tiny] = 0
         weights[tiny] = 0.0
-        weights /= row_sum(weights)[:, None]
+        total = row_sum(weights)
+        for k in range(x):
+            weights[:, k] /= total
 
-        idx = self._rank(base.astype(np.intp)[:, None, :] + steps)
+        # the base vertex's index, and how much a unit step up each axis
+        # raises it: by Pascal's rule, stepping z_i up lowers its term
+        # C(M - z_i + i - 1, i) by C(M - z_i + i - 2, i - 1), the term axis
+        # i - 1 would have at the same z (and 1 on the first axis)
+        idx = np.empty((n, x), dtype=np.intp)
+        base_idx = idx[:, 0]
+        np.subtract(self.num_points - 1, self.binomials[0].take(base_z[:, 0]), out=base_idx)
+        steps = [1]
+        for i in range(1, d):
+            base_idx -= self.binomials[i].take(base_z[:, i])
+            steps.append(self.binomials[i - 1].take(base_z[:, i]))
+        # vertex k steps up the k axes with the largest parts (every axis
+        # at k = X - 1): those whose part is at least the k-th largest.  If
+        # that part ties with the next one, more than k axes qualify, but
+        # then the vertex has zero weight; a zero-weight vertex, which may
+        # also sit at z = M + 1 off the lattice, falls back to the base
+        for k in range(1, x):
+            vertex = idx[:, k]
+            np.copyto(vertex, base_idx)
+            for i in range(d):
+                if k == d:
+                    vertex += steps[i]
+                else:
+                    vertex += steps[i] * (frac[:, i] >= frac_sorted[k - 1])
+            np.copyto(vertex, base_idx, where=tiny[:, k])
         return idx, weights
 
     def _lookups(self, queries: np.ndarray):
@@ -141,7 +166,7 @@ class SimplexGrid:
     def interpolate(self, values: np.ndarray, queries: np.ndarray) -> np.ndarray:
         out = np.empty(len(np.atleast_2d(queries)))
         for rows, idx, w in self._lookups(queries):
-            out[rows] = row_sum(values[idx] * w)
+            out[rows] = row_sum(values.take(idx) * w)
         return out
 
     def nearest_index(self, queries: np.ndarray) -> np.ndarray:

@@ -94,7 +94,7 @@ class Policy:
     actions: np.ndarray
 
     def actions_at(self, points: np.ndarray) -> np.ndarray:
-        return self.actions[self.grid.nearest_index(points)]
+        return self.actions.take(self.grid.nearest_index(points))
 
 
 @dataclass

@@ -15,6 +15,8 @@ enough to trust by reading.
 - ``fosd_geq`` is the first-order stochastic dominance predicate.
 - ``concavity_probe`` is a randomized midpoint test of a cost's concavity.
 - ``constant_policy`` always picks one action.
+- ``sorted_barycentric`` locates Freudenthal cells by sorting each row's
+  fractional parts, the form ``SimplexGrid.barycentric`` replaced.
 """
 
 from __future__ import annotations
@@ -23,8 +25,10 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
+from beliefpomdp.columns import row_sum
 from beliefpomdp.costs import NonlinearCostSpec, instantaneous_cost_batch, performance_loss_batch
 from beliefpomdp.errors import ZERO_LIKELIHOOD_THRESHOLD, DimensionMismatch, ZeroLikelihood
+from beliefpomdp.grid import SNAP_TOL, SimplexGrid
 from beliefpomdp.model import Belief, PomdpModel
 from beliefpomdp.reports import OrderCheckReport, make_report
 from beliefpomdp.solver import BackupTables, ValueFunction, _sweeper
@@ -247,3 +251,53 @@ def concavity_probe(
 
 def constant_policy(action: int):
     return lambda pts: (np.full(pts.shape[0], action, dtype=np.int32), None)
+
+
+# ---------------------------------------------------------------------------
+# grid
+# ---------------------------------------------------------------------------
+
+
+def sorted_barycentric(grid: SimplexGrid, queries):
+    """``grid.barycentric`` by a stable descending sort of each row.
+
+    Vertex k of the cell adds unit steps to the base along the k axes with
+    the largest fractional parts, ties going to the earlier axis.
+    """
+    q = np.atleast_2d(np.asarray(queries, dtype=float))
+    n, x = q.shape
+    m = grid.resolution
+    tails = np.empty((n, x - 1))
+    tails[:, -1] = q[:, -1]
+    for i in range(x - 3, -1, -1):
+        np.add(tails[:, i + 1], q[:, i + 1], out=tails[:, i])
+    z = np.clip(m * tails, 0.0, float(m))
+    nearest = np.rint(z)
+    z = np.where(np.abs(z - nearest) <= SNAP_TOL, nearest, z)
+    if np.any(z[:, 1:] > z[:, :-1]):
+        raise ValueError("query is not a belief: its cell leaves the grid")
+
+    base = np.floor(z)
+    frac = z - base
+    d = x - 1
+    order = np.argsort(-frac, axis=1, kind="stable")
+    frac_sorted = np.take_along_axis(frac, order, axis=1)
+
+    weights = np.empty((n, x))
+    weights[:, 0] = 1.0 - frac_sorted[:, 0]
+    if d > 1:
+        weights[:, 1:d] = frac_sorted[:, :-1] - frac_sorted[:, 1:]
+    weights[:, d] = frac_sorted[:, d - 1]
+    np.clip(weights, 0.0, 1.0, out=weights)
+
+    steps = np.zeros((n, x, d), dtype=np.intp)
+    rows = np.repeat(np.arange(n), d)
+    level = np.tile(np.arange(1, d + 1), n)
+    steps[rows, level, order.ravel()] = 1
+    np.cumsum(steps, axis=1, out=steps)
+
+    tiny = weights <= 1e-15
+    steps[tiny] = 0
+    weights[tiny] = 0.0
+    weights /= row_sum(weights)[:, None]
+    return grid._rank(base.astype(np.intp)[:, None, :] + steps), weights

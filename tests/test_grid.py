@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +12,9 @@ from hypothesis import strategies as st
 
 from beliefpomdp import grid as grid_module
 from beliefpomdp.errors import ResourceLimit
-from beliefpomdp.grid import SimplexGrid, build_grid, simplex_point_count
+from beliefpomdp.grid import TABLE_BLOCK, SimplexGrid, build_grid, simplex_point_count
+from beliefpomdp.solver import ValueFunction
+from oracles import sorted_barycentric
 
 
 class TestConstruction:
@@ -192,3 +196,72 @@ class TestBarycentric:
         queries = grid.points + jitter
         queries /= queries.sum(axis=1, keepdims=True)
         np.testing.assert_array_equal(grid.interpolate(vals, queries), vals)
+
+
+def lookup_queries(grid, kind, rng, rows=200):
+    """Beliefs of one kind: Dirichlet draws, draws with exact zeros, grid
+    points jittered by 1e-12, or half-step rationals k / (2M), whose
+    fractional parts tie."""
+    x, m = grid.num_states, grid.resolution
+    if kind == "dirichlet":
+        return rng.dirichlet(np.ones(x), size=rows)
+    if kind == "zeros":
+        q = rng.dirichlet(np.ones(x), size=rows)
+        q[rng.random(q.shape) < 0.4] = 0.0
+        q[np.arange(rows), rng.integers(x, size=rows)] += 0.5  # keep a positive entry
+        return q / q.sum(axis=1, keepdims=True)
+    if kind == "jittered":
+        q = grid.points + rng.uniform(-1e-12, 1e-12, size=grid.points.shape)
+        return q / q.sum(axis=1, keepdims=True)
+    return rng.multinomial(2 * m, np.ones(x) / x, size=rows) / (2 * m)
+
+
+class TestSortFreeLookup:
+    @given(
+        grid_sizes,
+        st.sampled_from(["dirichlet", "zeros", "jittered", "half-steps"]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    def test_matches_sorted_oracle(self, size, kind, seed):
+        grid = build_grid(*size)
+        queries = lookup_queries(grid, kind, np.random.default_rng(seed))
+        idx, w = grid.barycentric(queries)
+        want_idx, want_w = sorted_barycentric(grid, queries)
+        np.testing.assert_array_equal(idx, want_idx)
+        np.testing.assert_array_equal(w, want_w)
+        heaviest = want_idx[np.arange(len(queries)), want_w.argmax(axis=1)]
+        np.testing.assert_array_equal(grid.nearest_index(queries), heaviest)
+
+    @pytest.mark.parametrize("x", [2, 3])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("axis", [0, -1])
+    def test_non_finite_query_is_not_a_belief(self, x, bad, axis):
+        grid = build_grid(x, 6)
+        query = np.full(x, 1.0 / x)
+        query[axis] = bad
+        value = ValueFunction(grid, np.zeros(grid.num_points))
+        lookups = [
+            lambda: grid.barycentric(query[None, :]),
+            lambda: grid.interpolate(value.values, query[None, :]),
+            lambda: grid.nearest_index(query[None, :]),
+            lambda: value.at(query),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for lookup in lookups:
+                with pytest.raises(ValueError, match="not a belief"):
+                    lookup()
+
+    @pytest.mark.parametrize("x, m", [(2, 200), (3, 60), (4, 20), (6, 7)])
+    def test_peak_memory_is_a_few_outputs(self, x, m, rng):
+        # per-row (rows, X, X - 1) temporaries would read 4.85-10.4 here
+        grid = build_grid(x, m)
+        queries = rng.dirichlet(np.ones(x), size=TABLE_BLOCK)
+        tracemalloc.start()
+        try:
+            idx, w = grid.barycentric(queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * (idx.nbytes + w.nbytes)
