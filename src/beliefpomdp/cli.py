@@ -531,6 +531,7 @@ def evaluate(model_path, resolution, tol, max_iters, paths, seed, workers, out):
         beliefs = initial_belief_set(model.num_states)
         evals = evaluate_policy(model, policy, beliefs, paths, seed=seed, workers=workers)
         run.record_paths(paths, evals[0].horizon, len(beliefs), policies=1)
+        run.sizes["cap_hits"] = sum(ev.cap_hits for ev in evals)
         rows = [
             (pi0.probs, "grid_optimal", ev.mean, ev.std_error, ev.num_paths, ev.horizon)
             for pi0, ev in zip(beliefs, evals)

@@ -20,7 +20,8 @@ import numpy as np
 from .columns import row_sum
 from .errors import ResourceLimit
 
-DEFAULT_MAX_POINTS = 2_000_000
+#: most points ``build_grid`` makes
+MAX_POINTS = 2_000_000
 
 #: query rows per barycentric call in every whole-set lookup (interpolation,
 #: policy lookup, table building); bounds the lookup's temporaries, which
@@ -185,22 +186,20 @@ class SimplexGrid:
         return out
 
 
-def build_grid(
-    num_states: int, resolution: int, max_points: int = DEFAULT_MAX_POINTS
-) -> SimplexGrid:
+def build_grid(num_states: int, resolution: int) -> SimplexGrid:
     """Uniform simplex grid of the given resolution.
 
     Raises ResourceLimit before allocating anything when the point count
-    would exceed ``max_points``.
+    would exceed MAX_POINTS.
     """
     if num_states < 2:
         raise ValueError("num_states must be >= 2")
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
     count = simplex_point_count(num_states, resolution)
-    if count > max_points:
+    if count > MAX_POINTS:
         raise ResourceLimit(
-            f"grid would have {count} points, cap is {max_points}; "
+            f"grid would have {count} points, cap is {MAX_POINTS}; "
             f"reduce the resolution"
         )
     m = resolution

@@ -29,10 +29,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import simulate
 from .costs import NonlinearCostSpec
 from .errors import PreconditionFailed, StructureViolation
 from .model import CONTINUE, STOP, Belief, PomdpModel, unit_belief
-from .simulate import DEFAULT_HORIZON_CAP, path_simulator, run_chunked, standard_error
+from .simulate import path_simulator, run_chunked, standard_error
 from .solver import Policy
 
 
@@ -111,7 +112,6 @@ def ks_cost_estimate(
     model: PomdpModel,
     threshold: float,
     num_paths: int,
-    horizon_cap: int = DEFAULT_HORIZON_CAP,
     seed: int = 0,
     workers: int = 1,
 ) -> KsCostEstimate:
@@ -126,15 +126,14 @@ def ks_cost_estimate(
     costs in place of 0/1 indicators make the standard error smaller.
     Returns the delay term, the false alarm probability, their sum and a
     95 percent normal-approximation half width.  Paths still running at
-    the horizon cap are counted in ``cap_hits`` and accrue delay up to
-    it; ``mean_change_time`` is the exact mean of the geometric change
-    time.
+    ``simulate.HORIZON_CAP`` steps are counted in ``cap_hits`` and
+    accrue delay up to it; ``mean_change_time`` is the exact mean of the
+    geometric change time.
     """
-    if num_paths < 1:
-        raise ValueError("num_paths must be >= 1")
     check_detection_model(model)
     rule = lambda points: (np.where(points[:, 1] < threshold, STOP, CONTINUE), None)  # noqa: E731
     priced = replace(model, nonlinear_cost=NonlinearCostSpec())
+    horizon_cap = simulate.HORIZON_CAP
     sim = path_simulator(priced, rule, initial_belief(), horizon_cap)
     cost, running, stop = run_chunked(sim, seed, num_paths, workers=workers).T
     return KsCostEstimate(

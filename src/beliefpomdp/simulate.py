@@ -56,11 +56,15 @@ from .errors import (
     PreconditionFailed,
     ZeroLikelihood,
 )
-from .model import Belief, PomdpModel, uniform_belief, unit_belief
+from .model import STOP, Belief, PomdpModel, uniform_belief, unit_belief
 from .solver import Policy
 
 CHUNK_SIZE = 8192
-DEFAULT_HORIZON_CAP = 10_000
+#: largest discount truncation error of an evaluation horizon
+EVAL_TOLERANCE = 1e-3
+#: most steps any path runs: the undiscounted horizon, and the cap on a
+#: discounted one
+HORIZON_CAP = 10_000
 
 
 def child_seed(seed, i: int) -> np.random.SeedSequence:
@@ -81,8 +85,10 @@ def run_chunked(sim_fn, seed, num_paths: int, workers: int = 1):
     """Run sim_fn(rng, count) over all chunks; concatenate in chunk order.
 
     Chunk k holds CHUNK_SIZE paths, the last one the rest, and draws
-    from ``child_seed(seed, k)``.
+    from ``child_seed(seed, k)``.  Fewer than one path raises ValueError.
     """
+    if num_paths < 1:
+        raise ValueError("num_paths must be >= 1")
     counts = [min(CHUNK_SIZE, num_paths - lo) for lo in range(0, num_paths, CHUNK_SIZE)]
 
     def one(k):
@@ -137,13 +143,15 @@ def _policy_actions(policy, points: np.ndarray) -> tuple:
     return np.asarray(actions, dtype=np.int64), costs
 
 
-def discounted_horizon(model: PomdpModel, tolerance: float) -> tuple:
-    """Smallest horizon whose discount truncation error is within tolerance."""
+def discounted_horizon(model: PomdpModel) -> tuple:
+    """Smallest horizon whose discount truncation error is within
+    EVAL_TOLERANCE, with that error's bound."""
     rho = model.discount
     bound_scale = max_cost_bound(model)
     if bound_scale == 0.0 or rho == 0.0:
         return 1, 0.0
-    horizon = max(1, math.ceil(math.log(tolerance * (1.0 - rho) / bound_scale) / math.log(rho)))
+    horizon = math.ceil(math.log(EVAL_TOLERANCE * (1.0 - rho) / bound_scale) / math.log(rho))
+    horizon = max(1, horizon)
     return horizon, rho**horizon * bound_scale / (1.0 - rho)
 
 
@@ -179,10 +187,10 @@ def path_simulator(model: PomdpModel, policy, initial_belief: Belief, horizon: i
     """
     rho = model.discount
     x = model.num_states
+    stop_action = STOP if model.is_stopping else None
     cum_pi0 = sampling_table(initial_belief.probs)
     cum_p = [sampling_table(p) for p in model.transition]
     cum_b = [sampling_table(b) for b in model.observation]
-    continuing = range(2 if model.is_stopping else 1, model.num_actions + 1)
 
     def sim(rng, count):
         states = inverse_cdf(rng.random(count), cum_pi0)
@@ -198,21 +206,9 @@ def path_simulator(model: PomdpModel, policy, initial_belief: Belief, horizon: i
             # points, actions and chosen costs are indexed by position in live
             points = beliefs.take(live, axis=0)
             actions, chosen = _policy_actions(policy, points)
-            if model.is_stopping:
-                stop = np.flatnonzero(actions == 1)
-                if stop.size:
-                    rows = live.take(stop)
-                    if chosen is None:
-                        term = instantaneous_cost_batch(model, points.take(stop, axis=0), 1)
-                    else:
-                        term = chosen.take(stop)
-                    priced = disc * term
-                    costs[rows] += priced
-                    stops[rows] = priced
-                    active[rows] = False
             step_u = rng.random(count)
             step_y = rng.random(count)
-            for u in continuing:
+            for u in range(1, model.num_actions + 1):
                 picked = np.flatnonzero(actions == u)
                 if picked.size == 0:
                     continue
@@ -222,7 +218,12 @@ def path_simulator(model: PomdpModel, policy, initial_belief: Belief, horizon: i
                     cost = instantaneous_cost_batch(model, here, u)
                 else:
                     cost = chosen.take(picked)
-                costs[rows] += disc * cost
+                priced = disc * cost
+                costs[rows] += priced
+                if u == stop_action:
+                    stops[rows] = priced
+                    active[rows] = False
+                    continue
                 nxt = inverse_cdf(step_u.take(rows), cum_p[u - 1].take(states.take(rows), axis=0))
                 obs = inverse_cdf(step_y.take(rows), cum_b[u - 1].take(nxt, axis=0))
                 states[rows] = nxt
@@ -249,19 +250,16 @@ def simulate_path_costs(
     return run_chunked(sim, seed, num_paths, workers=workers)
 
 
-def _evaluation_horizon(model: PomdpModel, policies, num_paths, tolerance, horizon_cap):
+def _evaluation_horizon(model: PomdpModel, policies):
     """(horizon, truncation bound) for evaluating the policies on the model.
 
-    Discounted models take the horizon whose truncation bound is within
-    ``tolerance``, capped at ``horizon_cap``.  Undiscounted stopping
-    models run to ``horizon_cap`` with no bound, and only for policies
-    that stop at some absorbing state's vertex.
+    Discounted models take ``discounted_horizon``, capped at HORIZON_CAP.
+    Undiscounted stopping models run to HORIZON_CAP with no bound, and
+    only for policies that stop at some absorbing state's vertex.
     """
-    if num_paths < 1:
-        raise ValueError("num_paths must be >= 1")
     if model.discount < 1.0:
-        horizon, bound = discounted_horizon(model, tolerance)
-        return min(horizon, horizon_cap), bound
+        horizon, bound = discounted_horizon(model)
+        return min(horizon, HORIZON_CAP), bound
     if not model.is_stopping:
         raise HorizonUnbounded("undiscounted general models cannot be evaluated")
     absorbing = np.isclose(np.diag(model.transition[1]), 1.0)
@@ -272,7 +270,7 @@ def _evaluation_horizon(model: PomdpModel, policies, num_paths, tolerance, horiz
                 "undiscounted evaluation needs a policy that stops at some "
                 "absorbing state's vertex"
             )
-    return horizon_cap, None
+    return HORIZON_CAP, None
 
 
 def standard_error(samples: np.ndarray) -> float:
@@ -281,16 +279,14 @@ def standard_error(samples: np.ndarray) -> float:
     return float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
 
 
-def _start_belief_tables(
-    model, policies, initial_beliefs, num_paths, tolerance, seed, workers, horizon_cap
-):
+def _start_belief_tables(model, policies, initial_beliefs, num_paths, seed, workers):
     """Yield (start belief, horizon, truncation bound, tables) per start belief.
 
     ``tables`` holds each policy's ``simulate_path_costs`` table from
     start belief i, all on the stream ``child_seed(seed, i)``, so the
     policies see common random numbers path by path.
     """
-    horizon, bound = _evaluation_horizon(model, policies, num_paths, tolerance, horizon_cap)
+    horizon, bound = _evaluation_horizon(model, policies)
     beliefs = [b if isinstance(b, Belief) else Belief(b) for b in initial_beliefs]
     if not beliefs:
         raise PreconditionFailed("Monte Carlo evaluation needs at least one initial belief")
@@ -307,17 +303,14 @@ def evaluate_policy(
     policy,
     initial_beliefs,
     num_paths: int,
-    tolerance: float = 1e-3,
     seed=0,
     workers: int = 1,
-    horizon_cap: int = DEFAULT_HORIZON_CAP,
 ) -> list:
     """Estimate the discounted objective of a policy: one EvalResult per
     start belief, in order.
 
-    The horizon is chosen so the discount truncation bound is within
-    ``tolerance``; undiscounted stopping runs use ``horizon_cap`` and
-    report how many paths were cut off.
+    The horizon is ``_evaluation_horizon``'s; on a stopping model
+    ``cap_hits`` counts the paths still running when it ran out.
     """
     return [
         EvalResult(
@@ -329,7 +322,7 @@ def evaluate_policy(
             cap_hits=int(table[:, 1].sum()) if model.is_stopping else 0,
         )
         for _, horizon, bound, (table,) in _start_belief_tables(
-            model, (policy,), initial_beliefs, num_paths, tolerance, seed, workers, horizon_cap
+            model, (policy,), initial_beliefs, num_paths, seed, workers
         )
     ]
 
@@ -349,10 +342,8 @@ def compare_policies(
     policy_b,
     initial_beliefs,
     num_paths: int,
-    tolerance: float = 1e-3,
     seed=0,
     workers: int = 1,
-    horizon_cap: int = DEFAULT_HORIZON_CAP,
 ) -> PolicyComparison:
     """Evaluate two policies under common random numbers per start belief.
 
@@ -362,8 +353,7 @@ def compare_policies(
     """
     rows = []
     for pi0, horizon, _, (table_a, table_b) in _start_belief_tables(
-        model, (policy_a, policy_b), initial_beliefs, num_paths, tolerance, seed, workers,
-        horizon_cap,
+        model, (policy_a, policy_b), initial_beliefs, num_paths, seed, workers
     ):
         cost_a, cost_b = table_a[:, 0], table_b[:, 0]
         diff = cost_a - cost_b

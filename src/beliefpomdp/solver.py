@@ -275,6 +275,9 @@ class _Part:
         self.q = np.empty(block)
         self.less = np.empty(block, dtype=bool)
 
+    # set on the sweeping thread, as the caller's errstate does not reach the
+    # pool's; _iterate raises PostconditionFailed on a non-finite change
+    @np.errstate(over="ignore", invalid="ignore")
     def __call__(self, values, new_values, actions, change):
         """Write this part's rows of one sweep into new_values and actions,
         ties to the smaller action, and |new_values - values| into change."""

@@ -189,6 +189,20 @@ def verify_concavity(value: ValueFunction, tolerance: float, seed: int = 0) -> O
     )
 
 
+def _triu_pairs(n: int, block: int):
+    """Yield the pairs (i, j), i < j < n, in ``np.triu_indices(n, k=1)``
+    order, as index arrays of up to ``block`` pairs, without holding
+    them all: pair p is (i, p - row_start[i] + i + 1) for the last
+    row_start at or below p."""
+    rows = np.arange(n - 1)
+    row_start = rows * (2 * n - rows - 1) // 2
+    total = n * (n - 1) // 2
+    for start in range(0, total, block):
+        p = np.arange(start, min(start + block, total))
+        i = np.searchsorted(row_start, p, side="right") - 1
+        yield i, p - row_start[i] + i + 1
+
+
 def verify_stopping_set_convex(policy) -> OrderCheckReport:
     """Sweep all stop-region pairs with on-grid midpoints for convexity.
 
@@ -203,21 +217,11 @@ def verify_stopping_set_convex(policy) -> OrderCheckReport:
         return make_report(
             "stopping_set_convex", 0.0, 0.5, samples=0, stop_points=int(stop_idx.size)
         )
-    # pairs go in np.triu_indices(s, k=1) order, decoded one block at a
-    # time: pair p is (i, p - row_start[i] + i + 1) for the last row_start
-    # at or below p
-    s = stop_idx.size
-    rows = np.arange(s - 1)
-    row_start = rows * (2 * s - rows - 1) // 2
-    total = s * (s - 1) // 2
     worst = 0.0
     witness = None
     checked = 0
-    for start in range(0, total, CONVEX_BLOCK):
-        p = np.arange(start, min(start + CONVEX_BLOCK, total))
-        i = np.searchsorted(row_start, p, side="right") - 1
-        a = stop_idx[i]
-        b = stop_idx[p - row_start[i] + i + 1]
+    for i, j in _triu_pairs(stop_idx.size, CONVEX_BLOCK):
+        a, b = stop_idx[i], stop_idx[j]
         ok = ~np.any((grid.coords[a] + grid.coords[b]) % 2, axis=1)
         a, b = a[ok], b[ok]
         if a.size == 0:
@@ -309,17 +313,17 @@ def _mlr_pairs(grid: SimplexGrid, seed: int):
     """(hi, lo) grid indices of the MLR-comparable pairs, hi dominating,
     one block of up to PAIR_BLOCK candidate pairs at a time."""
     n = grid.num_points
-    total = n * (n - 1) // 2
-    if total <= PAIR_CAP:
-        a, b = np.triu_indices(n, k=1)
+    if n * (n - 1) // 2 <= PAIR_CAP:
+        blocks = _triu_pairs(n, PAIR_BLOCK)
     else:
         rng = np.random.default_rng(seed)
         a = rng.integers(0, n, size=PAIR_CAP)
         b = rng.integers(0, n, size=PAIR_CAP)
         keep = a != b
         a, b = a[keep], b[keep]
-    for start in range(0, a.size, PAIR_BLOCK):
-        pa, pb = a[start : start + PAIR_BLOCK], b[start : start + PAIR_BLOCK]
+        starts = range(PAIR_BLOCK, a.size, PAIR_BLOCK)
+        blocks = zip(np.split(a, starts), np.split(b, starts))
+    for pa, pb in blocks:
         direction = _mlr_direction(grid.points, pa, pb)
         comparable = direction != 0
         pa, pb, direction = pa[comparable], pb[comparable], direction[comparable]

@@ -9,13 +9,18 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from beliefpomdp import cli, solver, structure
+from beliefpomdp import cli, simulate, solver, structure
 from beliefpomdp.cli import main
 from beliefpomdp.costs import NonlinearCostSpec
 from beliefpomdp.grid import build_grid
 from beliefpomdp.model import fixture_path, load_model, save_model
 from beliefpomdp.reports import make_report
-from beliefpomdp.simulate import EvalResult, PolicyComparison, initial_belief_set
+from beliefpomdp.simulate import (
+    EvalResult,
+    PolicyComparison,
+    evaluate_policy,
+    initial_belief_set,
+)
 from beliefpomdp.solver import (
     IterationLog,
     Policy,
@@ -677,6 +682,7 @@ class TestCommands:
             "horizon": horizon,
             "start_beliefs": 5,
             "path_steps": 300 * horizon * 5,
+            "cap_hits": 0,
         }
 
         result = run(
@@ -705,6 +711,20 @@ class TestCommands:
             "start_beliefs": 5,
             "path_steps": 500 * horizon * 5 * 2,
         }
+
+    def test_evaluate_records_the_paths_cut_off_at_the_cap(self, tmp_path, monkeypatch):
+        """The manifest sums the start beliefs' cap hits, which no table holds."""
+        monkeypatch.setattr(simulate, "HORIZON_CAP", 4)
+        args = ["--model", QD, "--grid", "50", "--paths", "300", "--seed", "5"]
+        result = run(["evaluate", *args, "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        model = load_model(QD)
+        policy = solver.solve_stopping(model, build_grid(2, 50), tol=1e-8).policy
+        evals = evaluate_policy(model, policy, initial_belief_set(2), 300, seed=5)
+        cap_hits = sum(ev.cap_hits for ev in evals)
+        assert 0 < cap_hits < 300 * len(evals)
+        sizes = manifest_sizes(tmp_path)
+        assert (sizes["horizon"], sizes["cap_hits"]) == (4, cap_hits)
 
     def test_compare_one_path_writes_finite_numbers(self, tmp_path):
         """One path gives standard errors of 0, not NaN (which is not JSON)."""

@@ -29,10 +29,14 @@ class TestConstruction:
             assert build_grid(x, m).num_points == math.comb(m + x - 1, x - 1)
             assert simplex_point_count(x, m) == math.comb(m + x - 1, x - 1)
 
-    def test_resource_cap(self):
+    def test_resource_cap(self, monkeypatch):
         with pytest.raises(ResourceLimit):
-            build_grid(3, 2000)
-        build_grid(3, 2000, max_points=3_000_000)  # explicit cap raise works
+            build_grid(3, 2000)  # 2,003,001 points
+        monkeypatch.setattr(grid_module, "MAX_POINTS", 3_000_000)
+        assert build_grid(3, 2000).num_points == 2_003_001
+        monkeypatch.setattr(grid_module, "MAX_POINTS", 20)
+        with pytest.raises(ResourceLimit, match="cap is 20"):
+            build_grid(3, 5)  # 21 points
 
     def test_rows_sum_to_resolution(self):
         grid = build_grid(4, 7)

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from beliefpomdp import quickest
+from beliefpomdp import quickest, simulate
 from beliefpomdp.costs import NonlinearCostSpec
 from beliefpomdp.errors import PreconditionFailed, StructureViolation
 from beliefpomdp.grid import build_grid
@@ -118,10 +118,11 @@ class TestKsCostEstimate:
         assert est.delay_term == 0.0
         assert abs(est.false_alarm - PERSISTENCE) <= 3 * max(se, 1e-4)
 
-    def test_zero_threshold_never_announces(self):
-        est = ks_cost_estimate(MODEL, threshold=0.0, num_paths=300, horizon_cap=300, seed=3)
+    def test_zero_threshold_never_announces(self, monkeypatch):
+        monkeypatch.setattr(simulate, "HORIZON_CAP", 300)
+        est = ks_cost_estimate(MODEL, threshold=0.0, num_paths=300, seed=3)
         assert est.false_alarm == 0.0
-        assert est.cap_hits == 300
+        assert (est.cap_hits, est.horizon_cap) == (300, 300)
         assert est.delay_term > 0.05 * 200  # delay grows to the cap
 
     def test_change_times_match_geometric_mean(self):
@@ -157,7 +158,7 @@ class TestKsCostEstimate:
         assert a.false_alarm == b.false_alarm
 
     def test_path_count_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="num_paths"):
             ks_cost_estimate(MODEL, 0.1, num_paths=0)
 
     def test_rejects_a_model_without_the_detection_structure(self):

@@ -206,6 +206,14 @@ class TestStepOracle:
         np.testing.assert_array_equal(new[:, 1], ref[:, 1])
 
 
+def test_run_chunked_rejects_fewer_than_one_path():
+    # the one path-count check of evaluation and the detection estimate
+    sim = lambda rng, count: np.zeros((count, 3))  # noqa: E731
+    for num_paths in (0, -3):
+        with pytest.raises(ValueError, match="num_paths"):
+            run_chunked(sim, 0, num_paths)
+
+
 def count_cost_rows(monkeypatch):
     """Wrap the simulator's cost function; the list collects rows per call."""
     rows = []
@@ -273,11 +281,10 @@ def test_rows_summing_below_one_never_sample_past_the_last_category(monkeypatch)
 
 
 class TestEvaluatePolicy:
-    def test_constant_cost_gives_geometric_series(self):
+    def test_constant_cost_gives_geometric_series(self, monkeypatch):
+        monkeypatch.setattr(simulate, "EVAL_TOLERANCE", 1e-6)
         model = two_state_general(linear=[[0.7, 0.7], [0.7, 0.7]], discount=0.9)
-        (result,) = evaluate_policy(
-            model, constant_policy(1), [uniform_belief(2)], num_paths=400, tolerance=1e-6
-        )
+        (result,) = evaluate_policy(model, constant_policy(1), [uniform_belief(2)], num_paths=400)
         expected = 0.7 / (1.0 - 0.9)
         # constant costs make every path identical up to truncation
         assert result.std_error <= 1e-12
@@ -292,15 +299,14 @@ class TestEvaluatePolicy:
         assert result.mean == pytest.approx(cost, abs=1e-15)
         assert result.horizon == 1
 
-    def test_matches_grid_value_within_noise(self):
+    def test_matches_grid_value_within_noise(self, monkeypatch):
+        monkeypatch.setattr(simulate, "EVAL_TOLERANCE", 1e-4)
         spec = NonlinearCostSpec("entropy", alpha=[0.3, 0.3], beta=[0.0, 0.0])
         model = two_state_general(nonlinear=spec)
         grid = build_grid(2, 400)
         sol = solve_discounted(model, grid, tol=1e-10)
         pi0 = uniform_belief(2)
-        (result,) = evaluate_policy(
-            model, sol.policy, [pi0], num_paths=40_000, tolerance=1e-4, seed=11
-        )
+        (result,) = evaluate_policy(model, sol.policy, [pi0], num_paths=40_000, seed=11)
         grid_error = 1e-3  # refinement estimate for M = 400 on this fixture
         assert abs(result.mean - sol.value.at(pi0)) <= 3 * result.std_error + grid_error + 1e-4
 

@@ -1,7 +1,11 @@
 """Value iteration, stopping solves, the relaxed recursion, and thresholds."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beliefpomdp import solver
 from beliefpomdp.costs import NonlinearCostSpec, instantaneous_cost_batch
@@ -23,7 +27,7 @@ from beliefpomdp.solver import (
     solve_relaxed,
     solve_stopping,
 )
-from conftest import qd_model, two_state_general, three_state_general
+from conftest import qd_model, random_model, two_state_general, three_state_general
 from oracles import bellman_backup, filter_update, sweep_once
 
 
@@ -285,3 +289,51 @@ def test_overflowing_values_stop_the_solve():
     huge = two_state_general(linear=[[1e308, 1e308], [1e308, 1e308]])
     with pytest.raises(PostconditionFailed, match="sweep 2 changed the values by inf"):
         solve_discounted(huge, build_grid(2, 10), max_iters=1000)
+
+
+#: grid resolution per state count in the metamorphic relations
+RELATION_RESOLUTION = {2: 30, 3: 8, 4: 4}
+
+
+class TestMetamorphic:
+    """Relations between two solves that need no oracle, on random
+    two-action models with X <= 4 states and Y <= 3 observations."""
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), num_states=st.integers(2, 4))
+    def test_duplicating_an_action_changes_nothing(self, seed, num_states):
+        # the copy ties with its original everywhere, and ties go to the
+        # smaller action; copying the action chosen at point 0 makes the
+        # tie decide at least one point
+        model = random_model(np.random.default_rng(seed), num_states, num_actions=2)
+        grid = build_grid(num_states, RELATION_RESOLUTION[num_states])
+        want = solve_discounted(model, grid, tol=1e-9)
+        u = int(want.policy.actions[0]) - 1
+        widened = dataclasses.replace(
+            model,
+            num_actions=3,
+            num_observations=(*model.num_observations, model.num_observations[u]),
+            transition=(*model.transition, model.transition[u]),
+            observation=(*model.observation, model.observation[u]),
+            linear_cost=(*model.linear_cost, model.linear_cost[u]),
+        )
+        got = solve_discounted(widened, grid, tol=1e-9)
+        assert np.array_equal(got.value.values, want.value.values)
+        assert np.array_equal(got.policy.actions, want.policy.actions)
+        assert got.log.changes == want.log.changes
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), num_states=st.integers(2, 4))
+    def test_doubling_every_cost_doubles_the_values(self, seed, num_states):
+        # every sweep scales exactly by a power of two, so with tol = 0 both
+        # solves run the same max_iters sweeps and stay bit for bit apart
+        model = random_model(np.random.default_rng(seed), num_states, num_actions=2)
+        doubled = dataclasses.replace(
+            model, linear_cost=tuple(2.0 * np.asarray(c) for c in model.linear_cost)
+        )
+        grid = build_grid(num_states, RELATION_RESOLUTION[num_states])
+        want = solve_discounted(model, grid, tol=0.0, max_iters=40)
+        got = solve_discounted(doubled, grid, tol=0.0, max_iters=40)
+        assert got.log.iterations == want.log.iterations == 40
+        assert np.array_equal(got.value.values, 2.0 * want.value.values)
+        assert np.array_equal(got.policy.actions, want.policy.actions)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beliefpomdp import solver
+from beliefpomdp.errors import PostconditionFailed
 from beliefpomdp.grid import SimplexGrid, build_grid
 from beliefpomdp.model import Belief, PomdpModel, fixture_path, load_model
 from beliefpomdp.structure import random_a1a2_non_tp2_model
@@ -384,6 +385,16 @@ def test_threaded_sweep_once_matches_inline(monkeypatch):
     monkeypatch.setattr(solver, "usable_cpus", lambda: 3)
     got = sweep_once(tables, values)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_overflow_on_a_pool_thread_stops_the_solve(monkeypatch):
+    """40,001 rows sweep in two parts; the second part's overflow raises no
+    warning on its pool thread, and the change it leaves stops the solve."""
+    huge = two_state_general(linear=[[1e308, 1e308], [1e308, 1e308]])
+    tables = build_tables(huge, build_grid(2, 40_000))
+    with pytest.raises(PostconditionFailed, match="sweep 2 changed the values by inf"):
+        iterate_with(monkeypatch, tables, 2, max_iters=1000)
+    assert solver.sweep_threads(tables.cost.shape[1]) == 2
 
 
 def test_no_thread_outlives_a_solve(monkeypatch):

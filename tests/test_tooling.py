@@ -1,9 +1,12 @@
 """Repository guards: the library holds only code the program uses, says
 each result's JSON shape once, turns a seed into streams by one rule, and
-gives its verifiers no setting that the program never passes."""
+gives its verifiers, Monte Carlo and grid no setting that the program
+never passes."""
 
 import ast
 from pathlib import Path
+
+import pytest
 
 import beliefpomdp
 
@@ -154,14 +157,16 @@ def test_guard_flags_a_spawn_call(tmp_path):
     assert spawn_calls(package) == ["probe:4"]
 
 
-def unpassed_verifier_defaults(module: Path, users) -> list:
-    """``function.parameter`` for every defaulted parameter of a function of
-    ``module`` annotated ``-> OrderCheckReport`` that no call under
-    ``users`` passes, by keyword or by position."""
+def unpassed_defaults(module: Path, users, returns=None) -> list:
+    """``function.parameter`` for every defaulted parameter of a
+    module-level function of ``module`` that no call under ``users``
+    passes, by keyword or by position.  Given ``returns``, only functions
+    annotated ``-> returns`` count."""
     defaulted = {}
     for node in ast.parse(module.read_text()).body:
-        returns = getattr(node, "returns", None)
-        if not (isinstance(returns, ast.Name) and returns.id == "OrderCheckReport"):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        if returns is not None and getattr(node.returns, "id", None) != returns:
             continue
         args = node.args
         positional = args.posonlyargs + args.args
@@ -187,7 +192,13 @@ def unpassed_verifier_defaults(module: Path, users) -> list:
 def test_every_verifier_default_is_passed_by_the_program():
     # a setting that only tests change belongs in a module constant
     users = [ROOT / d for d in USERS]
-    assert unpassed_verifier_defaults(PACKAGE / "structure.py", users) == []
+    assert unpassed_defaults(PACKAGE / "structure.py", users, "OrderCheckReport") == []
+
+
+@pytest.mark.parametrize("module", ["simulate.py", "quickest.py", "grid.py"])
+def test_every_monte_carlo_and_grid_default_is_passed_by_the_program(module):
+    users = [ROOT / d for d in USERS]
+    assert unpassed_defaults(PACKAGE / module, users) == []
 
 
 def test_guard_flags_a_verifier_knob(tmp_path):
@@ -204,5 +215,20 @@ def test_guard_flags_a_verifier_knob(tmp_path):
         "structure.check(v, 1e-6, seed=3)\n"
         "other(v, 2.0)\n"
     )
-    found = unpassed_verifier_defaults(package / "structure.py", [tmp_path])
+    found = unpassed_defaults(package / "structure.py", [tmp_path], "OrderCheckReport")
     assert found == ["check.cap", "check.trials"]
+
+
+def test_guard_flags_an_unannotated_knob(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "simulate.py").write_text(
+        "CAP = 10\n\n"
+        "def evaluate(model, paths, seed=0, horizon_cap=CAP):\n    pass\n\n"
+        "class Result:\n    def scaled(self, factor=2.0):\n        pass\n"
+    )
+    (tmp_path / "cli.py").write_text(
+        "import simulate\n\n"
+        "simulate.evaluate(m, 10, seed=3)\n"
+    )
+    assert unpassed_defaults(package / "simulate.py", [tmp_path]) == ["evaluate.horizon_cap"]
