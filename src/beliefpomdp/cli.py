@@ -52,6 +52,7 @@ from .simulate import (
     evaluate_policy,
     initial_belief_set,
     myopic_sensor_policy,
+    truncation_bound,
 )
 from .solver import solve_discounted, solve_relaxed, solve_stopping, sweep_threads
 from . import structure
@@ -94,8 +95,15 @@ def json_ready(obj):
 
 def write_json(path: Path, payload) -> None:
     """Write ``json_ready(payload)``; a NaN or infinite number raises
-    ValueError, since JSON has no such numbers."""
+    ValueError, since JSON has no such numbers.
+
+    An existing file at ``path`` is unlinked first and a new one made, as
+    ``write_csv`` does: ext4 forces writeback when a truncated file is
+    closed, so a rerun into the same directory would wait on the disk.
+    A symlink or hard link to the old artifact keeps the old bytes.
+    """
     text = json.dumps(json_ready(payload), indent=2, sort_keys=True, allow_nan=False)
+    path.unlink(missing_ok=True)
     path.write_text(text + "\n")
 
 
@@ -107,12 +115,16 @@ def write_csv(path: Path, header, columns) -> None:
     ``ValueError`` before the file is opened.  A column holds strings,
     written as they are, or numbers, written through ``fmt``.  Lines end
     in a newline, the last one included.  The file is written CSV_BLOCK
-    rows at a time, so the text of the whole table is never held.
+    rows at a time, so the text of the whole table is never held.  Like
+    ``write_json``, it unlinks an existing file at ``path`` and makes a
+    new one rather than truncating it, so a link to the old artifact
+    keeps the old bytes.
     """
     columns = list(columns)
     lengths = {len(col) for col in columns}
     if len(lengths) > 1:
         raise ValueError(f"columns differ in length: {sorted(lengths)}")
+    path.unlink(missing_ok=True)
     with path.open("w") as f:
         f.write(",".join(header) + "\n")
         for lo in range(0, min(lengths, default=0), CSV_BLOCK):
@@ -532,6 +544,7 @@ def evaluate(model_path, resolution, tol, max_iters, paths, seed, workers, out):
         evals = evaluate_policy(model, policy, beliefs, paths, seed=seed, workers=workers)
         run.record_paths(paths, evals[0].horizon, len(beliefs), policies=1)
         run.sizes["cap_hits"] = sum(ev.cap_hits for ev in evals)
+        run.sizes["truncation_bound"] = evals[0].truncation_bound
         rows = [
             (pi0.probs, "grid_optimal", ev.mean, ev.std_error, ev.num_paths, ev.horizon)
             for pi0, ev in zip(beliefs, evals)
@@ -558,7 +571,9 @@ def compare(model_path, resolution, tol, max_iters, paths, seed, workers, out):
         comparison = compare_policies(
             model, policy, rule, beliefs, num_paths=paths, seed=seed, workers=workers
         )
-        run.record_paths(paths, comparison.rows[0]["horizon"], len(beliefs), policies=2)
+        horizon = comparison.rows[0]["horizon"]
+        run.record_paths(paths, horizon, len(beliefs), policies=2)
+        run.sizes["truncation_bound"] = truncation_bound(model, horizon)
         rows = [
             (row["initial_belief"], label, mean, se, row["num_paths"], row["horizon"])
             for row in comparison.rows

@@ -143,16 +143,24 @@ def _policy_actions(policy, points: np.ndarray) -> tuple:
     return np.asarray(actions, dtype=np.int64), costs
 
 
-def discounted_horizon(model: PomdpModel) -> tuple:
+def discounted_horizon(model: PomdpModel) -> int:
     """Smallest horizon whose discount truncation error is within
-    EVAL_TOLERANCE, with that error's bound."""
+    EVAL_TOLERANCE."""
     rho = model.discount
     bound_scale = max_cost_bound(model)
     if bound_scale == 0.0 or rho == 0.0:
-        return 1, 0.0
+        return 1
     horizon = math.ceil(math.log(EVAL_TOLERANCE * (1.0 - rho) / bound_scale) / math.log(rho))
-    horizon = max(1, horizon)
-    return horizon, rho**horizon * bound_scale / (1.0 - rho)
+    return max(1, horizon)
+
+
+def truncation_bound(model: PomdpModel, horizon: int) -> float | None:
+    """rho^H * B / (1 - rho): the most the discounted cost after ``horizon``
+    steps can add, with B the cost bound; None when rho = 1."""
+    rho = model.discount
+    if rho == 1.0:
+        return None
+    return rho**horizon * max_cost_bound(model) / (1.0 - rho)
 
 
 def _belief_step(model, beliefs, u, obs):
@@ -253,13 +261,15 @@ def simulate_path_costs(
 def _evaluation_horizon(model: PomdpModel, policies):
     """(horizon, truncation bound) for evaluating the policies on the model.
 
-    Discounted models take ``discounted_horizon``, capped at HORIZON_CAP.
-    Undiscounted stopping models run to HORIZON_CAP with no bound, and
-    only for policies that stop at some absorbing state's vertex.
+    Discounted models take ``discounted_horizon``, capped at HORIZON_CAP,
+    and the ``truncation_bound`` of the horizon run, which exceeds
+    EVAL_TOLERANCE when the cap bites.  Undiscounted stopping models run
+    to HORIZON_CAP with no bound, and only for policies that stop at some
+    absorbing state's vertex.
     """
     if model.discount < 1.0:
-        horizon, bound = discounted_horizon(model)
-        return min(horizon, HORIZON_CAP), bound
+        horizon = min(discounted_horizon(model), HORIZON_CAP)
+        return horizon, truncation_bound(model, horizon)
     if not model.is_stopping:
         raise HorizonUnbounded("undiscounted general models cannot be evaluated")
     absorbing = np.isclose(np.diag(model.transition[1]), 1.0)

@@ -17,6 +17,8 @@ enough to trust by reading.
 - ``constant_policy`` always picks one action.
 - ``sorted_barycentric`` locates Freudenthal cells by sorting each row's
   fractional parts, the form ``SimplexGrid.barycentric`` replaced.
+- ``one_shot_mlr_pairs`` draws the MLR verifier's sampled index pairs in
+  two whole-length draws, the form ``structure._sampled_pairs`` replaced.
 """
 
 from __future__ import annotations
@@ -301,3 +303,19 @@ def sorted_barycentric(grid: SimplexGrid, queries):
     weights[tiny] = 0.0
     weights /= row_sum(weights)[:, None]
     return grid._rank(base.astype(np.intp)[:, None, :] + steps), weights
+
+
+# ---------------------------------------------------------------------------
+# structure
+# ---------------------------------------------------------------------------
+
+
+def one_shot_mlr_pairs(n: int, seed: int, cap: int):
+    """The ``cap`` index pairs (a, b) of ``default_rng(seed)`` over ``n``
+    grid points, all of a drawn before b in one call each, less those
+    with a == b."""
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, n, size=cap)
+    b = rng.integers(0, n, size=cap)
+    keep = a != b
+    return a[keep], b[keep]

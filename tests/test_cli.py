@@ -674,6 +674,8 @@ class TestCommands:
         assert lines[0].endswith("policy,mean,std_error,paths,horizon")
         assert len(lines) == 6
         horizon = int(lines[1].split(",")[-1])
+        bound = float(cli.fmt(simulate.truncation_bound(load_model(FVP), horizon)))
+        assert 0 < bound <= simulate.EVAL_TOLERANCE
         assert manifest_sizes(tmp_path) == {
             "grid_points": 61,
             "iterations": work["sweeps"][0],
@@ -683,6 +685,7 @@ class TestCommands:
             "start_beliefs": 5,
             "path_steps": 300 * horizon * 5,
             "cap_hits": 0,
+            "truncation_bound": bound,
         }
 
         result = run(
@@ -710,6 +713,7 @@ class TestCommands:
             "horizon": horizon,
             "start_beliefs": 5,
             "path_steps": 500 * horizon * 5 * 2,
+            "truncation_bound": bound,
         }
 
     def test_evaluate_records_the_paths_cut_off_at_the_cap(self, tmp_path, monkeypatch):
@@ -830,6 +834,23 @@ class TestDeterminism:
         run(args + ["--out", str(tmp_path / "a")])
         run(args + ["--out", str(tmp_path / "b")])
         assert artifact_hashes(tmp_path / "a") == artifact_hashes(tmp_path / "b")
+
+    def test_rerun_replaces_artifacts_instead_of_writing_through_links(self, tmp_path):
+        """A hard link to an old artifact keeps its bytes: each write makes a new file."""
+        out, kept = tmp_path / "out", tmp_path / "kept"
+        args = ["solve", "--model", QD, "--tol", "1e-9", "--out", str(out)]
+        assert run([*args, "--grid", "10"]).exit_code == 0
+        kept.mkdir()
+        old = {}
+        for p in sorted(out.iterdir()):
+            old[p.name] = p.read_bytes()
+            (kept / p.name).hardlink_to(p)
+        assert {"value_policy.csv", "solve_summary.json", "manifest.json"} <= old.keys()
+        assert run([*args, "--grid", "12"]).exit_code == 0
+        for name, data in old.items():
+            assert (kept / name).read_bytes() == data
+            assert (out / name).read_bytes() != data
+            assert not (out / name).samefile(kept / name)
 
     def test_out_dir_from_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BELIEFPOMDP_OUT", str(tmp_path / "envout"))

@@ -291,6 +291,15 @@ class TestEvaluatePolicy:
         assert abs(result.mean - expected) <= 1e-5
         assert result.truncation_bound <= 1e-6
 
+    def test_capped_horizon_reports_the_bound_of_the_steps_run(self):
+        # the discount asks for 29,011 steps; HORIZON_CAP runs 10,000, after
+        # which a cost bound of 1 can still add 0.9995^10000 / 0.0005 = 13.459
+        model = two_state_general(discount=0.9995)
+        (result,) = evaluate_policy(model, constant_policy(1), [uniform_belief(2)], num_paths=2)
+        assert result.horizon == simulate.HORIZON_CAP
+        assert result.truncation_bound == pytest.approx(0.9995**10_000 / 0.0005, rel=1e-12)
+        assert result.truncation_bound > 13.45
+
     def test_zero_discount_is_exact_myopic_cost(self):
         model = two_state_general(discount=0.0)
         pi0 = Belief([0.3, 0.7])

@@ -1,10 +1,11 @@
 """Order predicates, structural verifiers, Blackwell dominance, roots."""
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from beliefpomdp import cli, structure
@@ -39,7 +40,7 @@ from beliefpomdp.structure import (
     verify_stopping_set_convex,
 )
 from conftest import qd_model, random_model, three_state_general, two_state_general
-from oracles import fosd_geq
+from oracles import fosd_geq, one_shot_mlr_pairs
 
 
 def mlr_direction(rows_a, rows_b):
@@ -456,6 +457,48 @@ class TestMlrMonotoneValue:
         monkeypatch.setattr(structure, "PAIR_CAP", 500)
         capped = verify_mlr_monotone_value(sol.value, 1e-6)
         assert 0 < capped.samples <= 500
+
+    @given(
+        n=st.integers(2, 2**40),
+        cap=st.integers(1, 3_000),
+        block=st.integers(1, 700),
+        seed=st.integers(0, 2**32),
+    )
+    @example(n=5_151, cap=1_000, block=7, seed=0)  # the block does not divide the cap
+    @example(n=5_151, cap=1_000, block=1 << 16, seed=1)  # the cap is below one block
+    @example(n=2**31 + 5, cap=1_000, block=100, seed=2)
+    @example(n=2, cap=1, block=7, seed=3)  # a cap of 1
+    @example(n=2, cap=1, block=1, seed=3)
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    def test_sampled_pairs_match_the_one_shot_draw(self, n, cap, block, seed):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(structure, "PAIR_CAP", cap)
+            patch.setattr(structure, "PAIR_BLOCK", block)
+            blocks = list(structure._sampled_pairs(n, seed))
+        assert all(a.size == b.size <= block for a, b in blocks)
+        a, b = one_shot_mlr_pairs(n, seed, cap)
+        assert np.array_equal(np.concatenate([a for a, _ in blocks]), a)
+        assert np.array_equal(np.concatenate([b for _, b in blocks]), b)
+
+    @staticmethod
+    def pair_stream_peak(grid, cap):
+        """tracemalloc peak, in bytes, of streaming ``_mlr_pairs`` at PAIR_CAP = cap."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(structure, "PAIR_CAP", cap)
+            tracemalloc.start()
+            try:
+                for _ in structure._mlr_pairs(grid, seed=0):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    def test_sampled_pair_memory_does_not_grow_with_the_cap(self):
+        grid = build_grid(3, 100)  # 13,263,825 pairs: the sampled branch
+        assert grid.num_points * (grid.num_points - 1) // 2 > 2_000_000
+        peak = self.pair_stream_peak(grid, 1_000_000)
+        assert peak < 10e6
+        assert self.pair_stream_peak(grid, 2_000_000) <= 1.1 * peak
 
 
 class TestConjectureProbe:

@@ -1,7 +1,8 @@
 """Repository guards: the library holds only code the program uses, says
-each result's JSON shape once, turns a seed into streams by one rule, and
+each result's JSON shape once, turns a seed into streams by one rule,
 gives its verifiers, Monte Carlo and grid no setting that the program
-never passes."""
+never passes, and writes every command artifact through one of two
+writers."""
 
 import ast
 from pathlib import Path
@@ -232,3 +233,64 @@ def test_guard_flags_an_unannotated_knob(tmp_path):
         "simulate.evaluate(m, 10, seed=3)\n"
     )
     assert unpassed_defaults(package / "simulate.py", [tmp_path]) == ["evaluate.horizon_cap"]
+
+
+#: the functions through which ``cli`` writes every artifact; each unlinks
+#: the old file first, so no other code may write one
+ARTIFACT_WRITERS = ("write_json", "write_csv")
+
+
+def _writes_a_file(call) -> bool:
+    """True for ``x.write_text(...)``, ``x.write_bytes(...)`` and an
+    ``open`` or ``x.open`` whose mode is not a read-only constant."""
+    name = getattr(call.func, "attr", getattr(call.func, "id", None))
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    # open(file, mode) takes the mode second, path.open(mode) first
+    args = call.args[1:] if isinstance(call.func, ast.Name) else call.args
+    modes = args[:1] + [k.value for k in call.keywords if k.arg == "mode"]
+    return any(not (isinstance(m, ast.Constant) and set(m.value) <= set("rbt")) for m in modes)
+
+
+def file_writes_outside_the_writers(module: Path) -> list:
+    """``function:line`` of every file write in ``module`` outside the
+    module-level functions named in ARTIFACT_WRITERS."""
+    found = []
+    for top in ast.parse(module.read_text()).body:
+        if isinstance(top, ast.FunctionDef) and top.name in ARTIFACT_WRITERS:
+            continue
+        where = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and _writes_a_file(node):
+                found.append(f"{where}:{node.lineno}")
+    return found
+
+
+def test_cli_writes_files_only_through_the_artifact_writers():
+    assert file_writes_outside_the_writers(PACKAGE / "cli.py") == []
+
+
+def test_guard_flags_a_file_written_around_the_writers(tmp_path):
+    module = tmp_path / "cli.py"
+    module.write_text(
+        "def write_json(path, payload):\n"
+        "    path.unlink(missing_ok=True)\n"
+        "    path.write_text(payload)\n\n"
+        "def write_csv(path, rows):\n"
+        "    with path.open('w') as f:\n        f.write(rows)\n\n"
+        "def report(out, text, data, mode):\n"
+        "    (out / 'a.txt').write_text(text)\n"
+        "    (out / 'b.bin').write_bytes(data)\n"
+        "    with open(out / 'c.csv', 'w') as f:\n        f.write(text)\n"
+        "    with (out / 'd.csv').open(mode='a') as f:\n        f.write(text)\n"
+        "    with open(out / 'e.csv', mode) as f:\n        f.write(text)\n"
+        "    with open(out / 'f.csv') as f, (out / 'g.csv').open('rb') as g:\n"
+        "        return f.read(), g.read()\n\n"
+        "class Run:\n"
+        "    def end(self):\n        open(self.path, 'x').close()\n"
+    )
+    assert file_writes_outside_the_writers(module) == [
+        "report:10", "report:11", "report:12", "report:14", "report:16", "Run:23"
+    ]
