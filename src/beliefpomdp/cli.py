@@ -6,17 +6,16 @@ output directory.  Exit codes:
 
 - 0 on success;
 - 1 on an input error: a model file that does not load, a count option
-  (``--grid``, ``--paths``, ``--num-models``, ``--root-degree``) below 1,
-  checked before anything is loaded or solved, ``ultrametric-root``
-  with ``--root-degree`` 1 (a chain of one power checks nothing), or any
-  other ``BeliefPomdpError``.  The message goes to stderr as ``error: ...``;
+  below its least value in ``COUNT_OPTIONS`` (``--grid``, ``--paths``
+  and ``--num-models`` below 1, ``--root-degree`` below 2), checked
+  before anything is loaded or solved, or any other
+  ``BeliefPomdpError``.  The message goes to stderr as ``error: ...``;
 - 2 when a verifier found a violation or a solve failed to converge.
   Every command that solves (``solve``, ``solve-relaxed``, ``verify``,
-  ``evaluate``, ``compare``, ``qd-threshold``, ``qd-simulate`` and
-  ``conjecture-probe``) applies the convergence rule, and its artifacts
-  are still written.  ``qd-threshold`` and ``qd-simulate`` also exit 2,
-  writing ``{"error": ...}`` as their artifact, when the solved policy
-  has no single threshold.
+  ``evaluate``, ``compare``, ``qd-simulate`` and ``conjecture-probe``)
+  applies the convergence rule, and its artifacts are still written.
+  ``qd-simulate`` also exits 2, writing ``{"error": ...}`` as its
+  artifact, when the solved policy has no single threshold.
 
 Each of these writes ``manifest.json``.  Click's own usage errors (a
 missing option, a ``--model`` that does not exist, a ``--tol`` that is
@@ -61,8 +60,9 @@ EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_VIOLATION = 2
 
-#: click parameters that count something: below 1 a run is empty or vacuous
-COUNT_OPTIONS = ("resolution", "paths", "num_models", "root_degree")
+#: click parameters that count something, by least value: below it a run
+#: is empty or vacuous (a root chain of one power checks no factorization)
+COUNT_OPTIONS = {"resolution": 1, "paths": 1, "num_models": 1, "root_degree": 2}
 
 
 #: rows that ``write_csv`` formats and writes at a time
@@ -137,12 +137,13 @@ class Run:
     """The lifecycle of one command: ``with Run(out) as run:``.
 
     Entering makes the output directory and rejects a count option below
-    1.  Leaving writes the manifest and exits with the run's status; a
-    ``BeliefPomdpError`` raised in the block is printed as ``error: ...``
-    on stderr and exits 1, and any other exception propagates.  The
-    manifest records the invoking click command's name and its
-    parameters under their click names, plus the problem ``sizes`` a
-    command reports (empty for commands that report none).
+    its least value in COUNT_OPTIONS.  Leaving writes the manifest and
+    exits with the run's status; a ``BeliefPomdpError`` raised in the
+    block is printed as ``error: ...`` on stderr and exits 1, and any
+    other exception propagates.  The manifest records the invoking click
+    command's name and its parameters under their click names, plus the
+    problem ``sizes`` a command reports (empty for commands that report
+    none).
     """
 
     def __init__(self, out):
@@ -151,7 +152,9 @@ class Run:
         self.command = ctx.info_name
         self.options = dict(ctx.params)
         self.counts = [
-            (p.opts[0], ctx.params[p.name]) for p in ctx.command.params if p.name in COUNT_OPTIONS
+            (p.opts[0], ctx.params[p.name], COUNT_OPTIONS[p.name])
+            for p in ctx.command.params
+            if p.name in COUNT_OPTIONS
         ]
         self.started = time.monotonic()
         self.status = EXIT_OK
@@ -159,9 +162,9 @@ class Run:
 
     def __enter__(self):
         self.dir.mkdir(parents=True, exist_ok=True)
-        for option, value in self.counts:
-            if value < 1:
-                self._end(f"{option} must be at least 1, got {value}")
+        for option, value, least in self.counts:
+            if value < least:
+                self._end(f"{option} must be at least {least}, got {value}")
         return self
 
     def __exit__(self, exc_type, exc, traceback):
@@ -409,43 +412,6 @@ def verify(model_path, resolution, tol, max_iters, seed, predicates, out):
                 run.violation()
 
 
-def _qd_solve(run, model_path, resolution, tol, max_iters):
-    """Load and solve a detection model: the model and the
-    ``qd_threshold.json`` payload, which is ``{"error": ...}``, exiting 2,
-    when the solved policy has no single threshold."""
-    model = load_model(model_path)
-    check_detection_model(model)
-    result = run.solve(model, resolution, tol, max_iters)
-    try:
-        threshold = qd_threshold(result.policy)
-    except StructureViolation as exc:
-        run.violation()
-        return model, {"error": str(exc)}
-    log = result.log
-    return model, {
-        "threshold": threshold,
-        "resolution": result.policy.grid.resolution,
-        "iterations": log.iterations,
-        "final_change": log.final_change,
-        "converged": log.converged,
-        "value_at_start": result.value.at(initial_belief()),
-        "stop_points": int(np.count_nonzero(result.policy.actions == 1)),
-    }
-
-
-@main.command("qd-threshold")
-@model_option
-@click.option("--grid", "resolution", default=1000, show_default=True, type=int)
-@click.option("--tol", default=1e-9, show_default=True, type=float, callback=_finite)
-@iters_option
-@out_option
-def qd_threshold_cmd(model_path, resolution, tol, max_iters, out):
-    """Solve a quickest-detection model and extract the threshold."""
-    with Run(out) as run:
-        _, payload = _qd_solve(run, model_path, resolution, tol, max_iters)
-        write_json(run.dir / "qd_threshold.json", payload)
-
-
 @main.command("qd-simulate")
 @model_option
 @click.option("--grid", "resolution", default=1000, show_default=True, type=int)
@@ -458,19 +424,32 @@ def qd_threshold_cmd(model_path, resolution, tol, max_iters, out):
 def qd_simulate(model_path, resolution, tol, max_iters, paths, seed, workers, out):
     """Monte Carlo delay/false-alarm cost of the solved threshold rule."""
     with Run(out) as run:
-        model, solved = _qd_solve(run, model_path, resolution, tol, max_iters)
-        payload = solved
-        if "error" not in solved:
-            estimate = ks_cost_estimate(
-                model, solved["threshold"], num_paths=paths, seed=seed, workers=workers
-            )
-            run.record_paths(paths, estimate.horizon_cap, 1, policies=1, horizon_key="horizon_cap")
-            payload = {
-                **dataclasses.asdict(estimate),
-                "value_at_start": solved["value_at_start"],
-                "solver": solved,
-            }
-        write_json(run.dir / "qd_simulate.json", payload)
+        model = load_model(model_path)
+        check_detection_model(model)
+        result = run.solve(model, resolution, tol, max_iters)
+        try:
+            threshold = qd_threshold(result.policy)
+        except StructureViolation as exc:
+            write_json(run.dir / "qd_simulate.json", {"error": str(exc)})
+            run.violation()
+            return
+        log = result.log
+        value_at_start = result.value.at(initial_belief())
+        solved = {
+            "threshold": threshold,
+            "resolution": resolution,
+            "iterations": log.iterations,
+            "final_change": log.final_change,
+            "converged": log.converged,
+            "value_at_start": value_at_start,
+            "stop_points": int(np.count_nonzero(result.policy.actions == 1)),
+        }
+        estimate = ks_cost_estimate(model, threshold, num_paths=paths, seed=seed, workers=workers)
+        run.record_paths(paths, estimate.horizon_cap, 1, policies=1, horizon_key="horizon_cap")
+        write_json(
+            run.dir / "qd_simulate.json",
+            {**dataclasses.asdict(estimate), "value_at_start": value_at_start, "solver": solved},
+        )
 
 
 @main.command()
@@ -495,11 +474,6 @@ def blackwell(model_path, out):
 def ultrametric_root(model_path, root_degree, out):
     """Stochastic root of sensor 1's matrix plus its dominance chain."""
     with Run(out) as run:
-        if root_degree < 2:
-            raise PreconditionFailed(
-                f"--root-degree must be at least 2 for a dominance chain to check, "
-                f"got {root_degree}"
-            )
         base = load_model(model_path).observation[0]
         report = structure.is_ultrametric(base)
         payload = {"ultrametric": report, "degree": root_degree}

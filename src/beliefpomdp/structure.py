@@ -146,25 +146,32 @@ def fosd_decreasing_cost(model: PomdpModel, u: int, seed: int = 0) -> OrderCheck
     )
 
 
+def _on_grid_midpoints(grid: SimplexGrid, a, b) -> tuple:
+    """The index pairs (a, b) whose coordinate midpoint is a grid point,
+    which holds iff both share every coordinate parity, and the index of
+    that midpoint: (a, b, mid)."""
+    coords = grid.coords
+    ok = ~np.any((coords[a] + coords[b]) % 2, axis=1)
+    a, b = a[ok], b[ok]
+    return a, b, grid.index_of((coords[a] + coords[b]) // 2)
+
+
 def _even_midpoint_pairs(grid: SimplexGrid, num_trials: int, rng) -> tuple:
     """Random grid index pairs whose coordinate midpoint is a grid point."""
     if grid.resolution % 2 != 0:
         raise PreconditionFailed("midpoint sampling needs an even grid resolution")
     n = grid.num_points
-    keep_a, keep_b = [], []
+    kept = []
     collected = 0
     for _ in range(200):
         a = rng.integers(0, n, size=num_trials)
         b = rng.integers(0, n, size=num_trials)
-        ok = ~np.any((grid.coords[a] + grid.coords[b]) % 2, axis=1)
-        keep_a.append(a[ok])
-        keep_b.append(b[ok])
-        collected += int(ok.sum())
+        a, b, mid = _on_grid_midpoints(grid, a, b)
+        kept.append((a, b, mid))
+        collected += a.size
         if collected >= num_trials:
             break
-    a = np.concatenate(keep_a)[:num_trials]
-    b = np.concatenate(keep_b)[:num_trials]
-    mid = grid.index_of((grid.coords[a] + grid.coords[b]) // 2)
+    a, b, mid = (np.concatenate(part)[:num_trials] for part in zip(*kept))
     return a, b, mid
 
 
@@ -224,12 +231,7 @@ def verify_stopping_set_convex(policy) -> OrderCheckReport:
     witness = None
     checked = 0
     for i, j in _triu_pairs(stop_idx.size, CONVEX_BLOCK):
-        a, b = stop_idx[i], stop_idx[j]
-        ok = ~np.any((grid.coords[a] + grid.coords[b]) % 2, axis=1)
-        a, b = a[ok], b[ok]
-        if a.size == 0:
-            continue
-        mid = grid.index_of((grid.coords[a] + grid.coords[b]) // 2)
+        a, b, mid = _on_grid_midpoints(grid, stop_idx[i], stop_idx[j])
         checked += a.size
         bad = policy.actions[mid] != 1
         if np.any(bad):

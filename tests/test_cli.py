@@ -225,7 +225,8 @@ class TestExitCodes:
         path = tmp_path / "never.json"
         save_model(qd_model(persistence=1.0), path)
         out = tmp_path / "o"
-        result = run(["qd-threshold", "--model", str(path), "--grid", "20", "--out", str(out)])
+        args = ["--model", str(path), "--grid", "20", "--paths", "10", "--out", str(out)]
+        result = run(["qd-simulate", *args])
         assert result.exit_code == 1
         assert "error: the change must arrive" in error_text(result)
         assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
@@ -360,19 +361,22 @@ class TestExitCodes:
 
     def test_count_options_cover_every_grid_command(self):
         flags = [flag for _, flag in count_options()]
-        assert flags.count("--grid") == 8
+        assert flags.count("--grid") == 7
         assert set(flags) == set(COUNT_FLAGS)
 
     @pytest.mark.parametrize("name,flag", count_options())
     def test_count_below_one_exits_one_before_loading(self, tmp_path, name, flag):
+        """Each count one below its least value exits 1 before the model
+        loads: 0 for most counts, 1 for ``--root-degree``."""
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")
-        params = {p.name for p in main.commands[name].params}
+        params = {p.name: p for p in main.commands[name].params}
+        [least] = [cli.COUNT_OPTIONS[n] for n, p in params.items() if flag in p.opts]
         args = ["--model", str(bad)] if "model_path" in params else []
-        args += [*REQUIRED_ARGS.get(name, []), flag, "0", "--out", str(tmp_path / "o")]
+        args += [*REQUIRED_ARGS.get(name, []), flag, str(least - 1), "--out", str(tmp_path / "o")]
         result = run([name, *args])
         assert result.exit_code == 1, result.output
-        assert f"{flag} must be at least 1, got 0" in error_text(result)
+        assert f"{flag} must be at least {least}, got {least - 1}" in error_text(result)
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert manifest["exit_status"] == 1 and manifest["sizes"] == {}
         assert [p.name for p in (tmp_path / "o").iterdir()] == ["manifest.json"]
@@ -401,7 +405,6 @@ class TestExitCodes:
             ("solve-relaxed", ["--model", MONO, "--grid", "20"]),
             ("evaluate", ["--model", FVP, "--grid", "20", "--paths", "10"]),
             ("compare", ["--model", FVP, "--grid", "20", "--paths", "10"]),
-            ("qd-threshold", ["--model", QD, "--grid", "50"]),
             ("qd-simulate", ["--model", QD, "--grid", "50", "--paths", "10"]),
         ],
     )
@@ -420,7 +423,6 @@ class TestExitCodes:
             ("verify", ["--model", QD, "--grid", "20", "--predicates", "concavity,stopping-convex"]),
             ("evaluate", ["--model", FVP, "--grid", "20", "--paths", "10"]),
             ("compare", ["--model", FVP, "--grid", "20", "--paths", "10"]),
-            ("qd-threshold", ["--model", QD, "--grid", "50"]),
             ("qd-simulate", ["--model", QD, "--grid", "50", "--paths", "10"]),
         ],
     )
@@ -443,22 +445,6 @@ class TestExitCodes:
         [model] = models
         assert model.to_dict() == load_model(args[1]).to_dict()
 
-    def test_qd_threshold_without_a_threshold_records_the_solve(self, tmp_path):
-        model, path = save_stops_everywhere(tmp_path)
-        out = tmp_path / "o"
-        result = run(["qd-threshold", "--model", str(path), "--grid", "100", "--out", str(out)])
-        assert result.exit_code == 2, result.output
-        payload = json.loads((out / "qd_threshold.json").read_text())
-        assert set(payload) == {"error"} and "0 switches" in payload["error"]
-        sweeps = solver.solve_stopping(model, build_grid(2, 100), tol=1e-9).log.iterations
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["exit_status"] == 2
-        assert manifest["sizes"] == {
-            "grid_points": 101,
-            "iterations": sweeps,
-            "sweep_threads": 1,
-        }
-
     def test_solve_without_a_threshold_writes_null(self, tmp_path):
         _, path = save_stops_everywhere(tmp_path)
         out = tmp_path / "o"
@@ -467,8 +453,9 @@ class TestExitCodes:
         assert json.loads((out / "solve_summary.json").read_text())["threshold"] is None
 
     def test_qd_simulate_without_a_threshold_exits_two(self, tmp_path):
-        """Like ``qd-threshold``: exit 2 with the error as the artifact, and
-        nothing simulated."""
+        """A solved policy with no single threshold exits 2 with the error
+        as the artifact and the solve's sizes in the manifest, and nothing
+        is simulated."""
         model, path = save_stops_everywhere(tmp_path)
         out = tmp_path / "o"
         args = ["--model", str(path), "--grid", "100", "--paths", "10", "--out", str(out)]
@@ -490,7 +477,7 @@ class TestExitCodes:
         """A chain of one power checks no factorization, so it has no verdict."""
         result = run(["ultrametric-root", "--model", CHAIN, "--root-degree", "1", "--out", str(tmp_path)])
         assert result.exit_code == 1, result.output
-        assert "--root-degree must be at least 2" in error_text(result)
+        assert "error: --root-degree must be at least 2, got 1" in error_text(result)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["exit_status"] == 1 and manifest["options"]["root_degree"] == 1
         assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
@@ -585,34 +572,26 @@ class TestCommands:
         }
 
     def test_qd_threshold_and_simulate(self, tmp_path):
-        result = run(
-            ["qd-threshold", "--model", QD, "--grid", "400", "--out", str(tmp_path)]
-        )
-        assert result.exit_code == 0
-        payload = json.loads((tmp_path / "qd_threshold.json").read_text())
-        assert 0.0 < payload["threshold"] < 1.0
-        assert manifest_sizes(tmp_path) == {
-            "grid_points": 401,
-            "iterations": payload["iterations"],
-            "sweep_threads": 1,
-        }
-        result = run(
-            [
-                "qd-simulate",
-                "--model",
-                QD,
-                "--grid",
-                "400",
-                "--paths",
-                "2000",
-                "--seed",
-                "3",
-                "--out",
-                str(tmp_path / "sim"),
-            ]
-        )
-        assert result.exit_code == 0
+        """``solve`` and ``qd-simulate`` at one grid and tol read the same
+        threshold off the same solve."""
+        solve_args = ["--model", QD, "--grid", "400", "--tol", "1e-9"]
+        result = run(["solve", *solve_args, "--out", str(tmp_path / "solve")])
+        assert result.exit_code == 0, result.output
+        summary = json.loads((tmp_path / "solve" / "solve_summary.json").read_text())
+        assert 0.0 < summary["threshold"] < 1.0
+        sim_args = ["--paths", "2000", "--seed", "3", "--out", str(tmp_path / "sim")]
+        result = run(["qd-simulate", *solve_args, *sim_args])
+        assert result.exit_code == 0, result.output
         sim = json.loads((tmp_path / "sim" / "qd_simulate.json").read_text())
+        solved = sim["solver"]
+        assert (solved["threshold"], solved["iterations"]) == (
+            summary["threshold"],
+            summary["iterations"],
+        )
+        # the last grid point is pi = (0, 1), the pre-change start belief
+        last = (tmp_path / "solve" / "value_policy.csv").read_text().splitlines()[-1]
+        assert last.split(",")[:2] == ["0", "1"]
+        assert float(last.split(",")[2]) == sim["value_at_start"] == solved["value_at_start"]
         for key in ("threshold", "delay_term", "false_alarm", "ks_cost", "ci_halfwidth", "seed", "cap_hits"):
             assert key in sim
         assert manifest_sizes(tmp_path / "sim") == {
@@ -626,7 +605,7 @@ class TestCommands:
         }
 
     def test_qd_threshold_rejects_non_qd_model(self, tmp_path):
-        result = run(["qd-threshold", "--model", FVP, "--out", str(tmp_path)])
+        result = run(["qd-simulate", "--model", FVP, "--paths", "10", "--out", str(tmp_path)])
         assert result.exit_code == 1
 
     def test_blackwell_and_ultrametric_root(self, tmp_path):
@@ -797,11 +776,11 @@ class TestCommands:
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("command", ["solve", "qd-threshold"])
+    @pytest.mark.parametrize("command", ["solve", "qd-simulate"])
     def test_sweep_threads_show_only_in_the_manifest(self, tmp_path, monkeypatch, command):
         """Artifacts do not depend on how many threads swept the grid."""
-        model = QD if command == "qd-threshold" else LINEAR_X3
-        args = [command, "--model", model, "--grid", "30"]
+        args = [command, "--grid", "30", "--model"]
+        args += [QD, "--paths", "100"] if command == "qd-simulate" else [LINEAR_X3]
         assert run([*args, "--out", str(tmp_path / "inline")]).exit_code == 0
         monkeypatch.setattr(solver, "TABLE_BLOCK", 12)
         monkeypatch.setattr(solver, "usable_cpus", lambda: 3)

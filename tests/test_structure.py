@@ -210,6 +210,13 @@ class TestStoppingSetConvex:
         grid = build_grid(2, len(actions) - 1)
         return Policy(grid, np.array(actions, dtype=np.int32))
 
+    @pytest.mark.parametrize("actions", [[2, 2, 2, 2], [1, 2, 2, 2], [1, 1, 2, 2]])
+    def test_requires_even_resolution(self, actions):
+        """An odd grid raises before the stop points are counted, so a
+        policy with fewer than two of them raises too."""
+        with pytest.raises(PreconditionFailed, match="even grid resolution"):
+            verify_stopping_set_convex(self.make_policy(actions))
+
     def test_interval_policy_is_convex(self):
         report = verify_stopping_set_convex(self.make_policy([1, 1, 2, 2, 2]))
         assert report.holds

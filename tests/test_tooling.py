@@ -1,8 +1,8 @@
 """Repository guards: the library holds only code the program uses, says
 each result's JSON shape once, turns a seed into streams by one rule,
 gives its verifiers, Monte Carlo and grid no setting that the program
-never passes, and writes every command artifact through one of two
-writers."""
+never passes, writes every command artifact through one of two
+writers, and shows in README exactly the commands it has."""
 
 import ast
 from pathlib import Path
@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import beliefpomdp
+from beliefpomdp.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "beliefpomdp"
@@ -294,3 +295,39 @@ def test_guard_flags_a_file_written_around_the_writers(tmp_path):
     assert file_writes_outside_the_writers(module) == [
         "report:10", "report:11", "report:12", "report:14", "report:16", "Run:23"
     ]
+
+
+def readme_command_drift(readme: str, commands) -> tuple:
+    """(commands missing from, names not commands in) the ``beliefpomdp
+    <name>`` lines of ``readme``'s fenced bash examples."""
+    shown = set()
+    in_bash = False
+    for line in readme.splitlines():
+        if line.startswith("```"):
+            in_bash = line == "```bash"
+        elif in_bash and line.startswith("beliefpomdp "):
+            shown.add(line.split()[1])
+    return sorted(set(commands) - shown), sorted(shown - set(commands))
+
+
+def test_readme_examples_show_every_command_and_no_other():
+    readme = (ROOT / "README.md").read_text()
+    assert readme_command_drift(readme, main.commands) == ([], [])
+
+
+def test_guard_flags_a_readme_that_drifted():
+    readme = (
+        "Run `beliefpomdp verify` after\n"
+        "beliefpomdp verify --model m\n\n"
+        "```bash\n"
+        "MODEL=m.json\n"
+        "beliefpomdp solve    --model $MODEL\n"
+        "beliefpomdp qd-threshold --model $MODEL \\\n"
+        "                     --grid 1000\n"
+        "```\n\n"
+        "```jsonc\n"
+        "beliefpomdp compare --model m\n"
+        "```\n"
+    )
+    drift = readme_command_drift(readme, ["solve", "verify", "compare"])
+    assert drift == (["compare", "verify"], ["qd-threshold"])
