@@ -110,26 +110,42 @@ def write_json(path: Path, payload) -> None:
 def write_csv(path: Path, header, columns) -> None:
     """Write a table given column by column.
 
-    ``columns`` holds one cell sequence per header name, all of one
-    length (the row count); a shorter or longer column raises
-    ``ValueError`` before the file is opened.  A column holds strings,
-    written as they are, or numbers, written through ``fmt``.  Lines end
-    in a newline, the last one included.  The file is written CSV_BLOCK
-    rows at a time, so the text of the whole table is never held.  Like
-    ``write_json``, it unlinks an existing file at ``path`` and makes a
-    new one rather than truncating it, so a link to the old artifact
-    keeps the old bytes.
+    ``columns`` holds one column per header name, all of one length (the
+    row count); a shorter or longer column raises ``ValueError`` before
+    the file is opened.  A column is a sequence or a numpy array of
+    cells, strings written as they are and numbers through ``fmt``, or
+    a label-coded pair ``(labels, codes)``: ``codes`` is an integer numpy
+    array, and a code ``k`` is written as ``labels[k]``.  Lines end in a
+    newline, the last one included.  Cells are made per block of
+    CSV_BLOCK rows: each column is sliced, a numpy slice turned into
+    Python numbers with ``.tolist()``, and the block formatted and
+    written, so neither the text of the table nor one Python object per
+    row is ever held.  Like ``write_json``, it unlinks an existing file
+    at ``path`` and makes a new one rather than truncating it, so a link
+    to the old artifact keeps the old bytes.
     """
-    columns = list(columns)
-    lengths = {len(col) for col in columns}
+    coded = [
+        col if isinstance(col, tuple) and len(col) == 2 and isinstance(col[1], np.ndarray)
+        else (None, col)
+        for col in columns
+    ]
+    lengths = {len(col) for _, col in coded}
     if len(lengths) > 1:
         raise ValueError(f"columns differ in length: {sorted(lengths)}")
     path.unlink(missing_ok=True)
     with path.open("w") as f:
         f.write(",".join(header) + "\n")
         for lo in range(0, min(lengths, default=0), CSV_BLOCK):
-            cells = [col[lo : lo + CSV_BLOCK] for col in columns]
-            cells = [c if isinstance(c[0], str) else map(fmt, c) for c in cells]
+            cells = []
+            for labels, col in coded:
+                block = col[lo : lo + CSV_BLOCK]
+                if isinstance(block, np.ndarray):
+                    block = block.tolist()
+                if labels is not None:
+                    block = map(labels.__getitem__, block)
+                elif not isinstance(block[0], str):
+                    block = map(fmt, block)
+                cells.append(block)
             f.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
@@ -292,15 +308,18 @@ def _write_solution(run, model, result, filename="value_policy.csv"):
 
     Every grid point is ``coords / M``, so the coordinate cells index
     the M + 1 labels ``fmt(k / M)`` (the same IEEE division that built
-    ``grid.points``) instead of formatting each coordinate.
+    ``grid.points``) instead of formatting each coordinate; the action
+    cells index the labels ``str(u)``.  The solve's arrays go to
+    ``write_csv`` as they are, which makes the cells block by block.
     """
     grid = result.policy.grid
     header = [f"pi{i}" for i in range(1, model.num_states + 1)] + ["value", "action"]
-    values = result.value.values
     labels = [fmt(k / grid.resolution) for k in range(grid.resolution + 1)]
-    coordinates = [list(map(labels.__getitem__, col.tolist())) for col in grid.coords.T]
-    actions = list(map(str, result.policy.actions.tolist()))
-    write_csv(run.dir / filename, header, [*coordinates, values.tolist(), actions])
+    actions = result.policy.actions
+    action_labels = list(map(str, range(int(actions.max()) + 1)))
+    coordinates = [(labels, col) for col in grid.coords.T]
+    columns = [*coordinates, result.value.values, (action_labels, actions)]
+    write_csv(run.dir / filename, header, columns)
     log = result.log
     sweeps = list(map(str, range(1, log.iterations + 1)))
     write_csv(run.dir / "convergence.csv", ["iteration", "change"], [sweeps, log.changes])

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -932,6 +933,34 @@ class TestCsvOracle:
     def test_column_lengths_must_agree(self, tmp_path):
         with pytest.raises(ValueError):
             cli.write_csv(tmp_path / "t.csv", ["a", "b"], [[1.0, 2.0], ["x"]])
+
+    def test_numpy_column_lengths_must_agree(self, tmp_path):
+        """Arrays and label-coded arrays are measured before the file is made."""
+        path = tmp_path / "t.csv"
+        codes = (["0", "1"], np.ones(3, dtype=np.intp))
+        with pytest.raises(ValueError, match=r"\[2, 3\]"):
+            cli.write_csv(path, ["a", "b", "c"], [np.zeros(3), codes, np.zeros(2)])
+        assert not path.exists()
+
+    @staticmethod
+    def writer_peak(folder, num_states, resolution):
+        """tracemalloc peak of ``_write_solution`` alone, in bytes."""
+        result = synthetic_solution(num_states, resolution)
+        model = SimpleNamespace(num_states=num_states, is_stopping=False)
+        tracemalloc.start()
+        try:
+            cli._write_solution(SimpleNamespace(dir=folder), model, result)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_solution_writer_memory_is_per_block(self, tmp_path):
+        """The writer holds CSV_BLOCK rows of cells, not a Python object per
+        grid point: 180,901 and 501,501 points peak alike.  Cells made for
+        the whole grid at once peak at 22.2 and 58.5 MB."""
+        peak = self.writer_peak(tmp_path, 3, 600)
+        assert peak < 4e6
+        assert abs(self.writer_peak(tmp_path, 3, 1000) - peak) <= 0.1 * peak
 
     def test_empty_table_is_header_line(self, tmp_path):
         cli.write_csv(tmp_path / "t.csv", ["a", "b"], [[], []])

@@ -23,6 +23,7 @@ from beliefpomdp.solver import (
     Policy,
     RelaxedValueFunction,
     build_tables,
+    q_values,
     solve_discounted,
     solve_relaxed,
     solve_stopping,
@@ -295,6 +296,12 @@ def test_overflowing_values_stop_the_solve():
 RELATION_RESOLUTION = {2: 30, 3: 8, 4: 4}
 
 
+def q_gap(model, solution):
+    """|Q(pi, 1) - Q(pi, 2)| at every grid point of a two-action solution."""
+    q = q_values(build_tables(model, solution.value.grid), solution.value.values)
+    return np.abs(q[0] - q[1])
+
+
 class TestMetamorphic:
     """Relations between two solves that need no oracle, on random
     two-action models with X <= 4 states and Y <= 3 observations."""
@@ -337,3 +344,52 @@ class TestMetamorphic:
         assert got.log.iterations == want.log.iterations == 40
         assert np.array_equal(got.value.values, 2.0 * want.value.values)
         assert np.array_equal(got.policy.actions, want.policy.actions)
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), num_states=st.integers(2, 4))
+    def test_shifting_the_costs_by_a_linear_function_shifts_the_values(self, seed, num_states):
+        # c_u - (I - rho P_u) phi maps V to V - phi'pi and keeps every
+        # argmin; grid interpolation is exact on linear functions, so the
+        # grid fixed point inherits this, but the iterates from V = 0 do
+        # not: compare converged solves, up to their tolerance
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, num_states, num_actions=2)
+        phi = rng.normal(size=num_states)
+        shifted = dataclasses.replace(
+            model,
+            linear_cost=tuple(
+                c - (np.eye(num_states) - model.discount * p) @ phi
+                for c, p in zip(model.linear_cost, model.transition)
+            ),
+        )
+        grid = build_grid(num_states, RELATION_RESOLUTION[num_states])
+        want = solve_discounted(model, grid, tol=1e-12)
+        got = solve_discounted(shifted, grid, tol=1e-12)
+        expected = want.value.values - grid.points @ phi
+        bound = 1e-9 * max(1.0, want.value.scale())
+        assert np.max(np.abs(got.value.values - expected)) <= bound
+        decided = q_gap(model, want) > 1e-9
+        assert np.array_equal(got.policy.actions[decided], want.policy.actions[decided])
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1), num_states=st.integers(2, 4), action=st.integers(1, 2)
+    )
+    def test_relabeling_one_actions_observations_changes_nothing(self, seed, num_states, action):
+        # the backup sums over observations, so their order is a label;
+        # the table's columns, and with them the summation order, move,
+        # so the values agree to rounding, not bit for bit
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, num_states, num_actions=2)
+        order = rng.permutation(model.num_observations[action - 1])
+        if np.array_equal(order, np.sort(order)):
+            order = order[::-1]  # the identity would test nothing
+        observation = list(model.observation)
+        observation[action - 1] = observation[action - 1][:, order]
+        relabeled = dataclasses.replace(model, observation=tuple(observation))
+        grid = build_grid(num_states, RELATION_RESOLUTION[num_states])
+        want = solve_discounted(model, grid, tol=1e-12)
+        got = solve_discounted(relabeled, grid, tol=1e-12)
+        np.testing.assert_allclose(got.value.values, want.value.values, rtol=1e-10, atol=0.0)
+        decided = q_gap(model, want) > 1e-9
+        assert np.array_equal(got.policy.actions[decided], want.policy.actions[decided])

@@ -2,9 +2,11 @@
 each result's JSON shape once, turns a seed into streams by one rule,
 gives its verifiers, Monte Carlo and grid no setting that the program
 never passes, writes every command artifact through one of two
-writers, and shows in README exactly the commands it has."""
+writers, and shows in README exactly the commands it has and only
+constants it has."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -331,3 +333,48 @@ def test_guard_flags_a_readme_that_drifted():
     )
     drift = readme_command_drift(readme, ["solve", "verify", "compare"])
     assert drift == (["compare", "verify"], ["qd-threshold"])
+
+
+#: the header row of README's table of module constants
+CONSTANTS_TABLE = "| constant | value | used by |"
+
+
+def readme_stale_constants(readme: str) -> list:
+    """Backticked names in the first column of ``readme``'s constants table
+    that are not a module constant of ``beliefpomdp``: ``module.NAME``, or
+    a bare name in ``structure``."""
+    stale = []
+    in_table = False
+    for line in readme.splitlines():
+        if line.strip() == CONSTANTS_TABLE:
+            in_table = True
+        elif not line.startswith("|"):
+            in_table = False
+        elif in_table and "`" in line.split("|")[1]:
+            name = line.split("|")[1].strip().strip("`")
+            where, _, attr = name.rpartition(".")
+            module = importlib.import_module(f"beliefpomdp.{where or 'structure'}")
+            found = getattr(module, attr, None)
+            if found is None or callable(found):
+                stale.append(name)
+    return stale
+
+
+def test_readme_constants_table_names_only_module_constants():
+    assert readme_stale_constants((ROOT / "README.md").read_text()) == []
+
+
+def test_guard_flags_a_stale_constant():
+    readme = (
+        "Settings are constants; `OLD_KNOB` was one.\n\n"
+        "| constant | value | used by |\n"
+        "| --- | --- | --- |\n"
+        "| `grid.MAX_POINTS` | 2,000,000 | every command that solves |\n"
+        "| `PAIR_CAP` | 1,000,000 pairs | `mlr-monotone` |\n"
+        "| `simulate.PATH_CHUNK` | 8,192 paths | `evaluate` |\n"
+        "| `cli.CSV_BLOCK` | 4,096 rows | `solve` |\n"
+        "| `verify_concavity` | a function, not a constant | `concavity` |\n"
+        "\n"
+        "| `MISSING_ELSEWHERE` | not in the table | |\n"
+    )
+    assert readme_stale_constants(readme) == ["simulate.PATH_CHUNK", "verify_concavity"]
