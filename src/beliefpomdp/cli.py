@@ -53,7 +53,14 @@ from .simulate import (
     myopic_sensor_policy,
     truncation_bound,
 )
-from .solver import solve_discounted, solve_relaxed, solve_stopping, sweep_threads
+from .solver import (
+    DEFAULT_MAX_ITERS,
+    DEFAULT_TOL,
+    solve_discounted,
+    solve_relaxed,
+    solve_stopping,
+    sweep_threads,
+)
 from . import structure
 
 EXIT_OK = 0
@@ -256,8 +263,10 @@ def _finite(ctx, param, value):
 
 model_option = click.option("--model", "model_path", required=True, type=click.Path(exists=True))
 grid_option = click.option("--grid", "resolution", default=200, show_default=True, type=int)
-tol_option = click.option("--tol", default=1e-8, show_default=True, type=float, callback=_finite)
-iters_option = click.option("--max-iters", default=100_000, show_default=True, type=int)
+tol_option = click.option(
+    "--tol", default=DEFAULT_TOL, show_default=True, type=float, callback=_finite
+)
+iters_option = click.option("--max-iters", default=DEFAULT_MAX_ITERS, show_default=True, type=int)
 seed_option = click.option("--seed", default=0, show_default=True, type=int)
 paths_option = click.option("--paths", default=10_000, show_default=True, type=int)
 workers_option = click.option("--workers", default=1, show_default=True, type=int)
@@ -455,12 +464,9 @@ def qd_simulate(model_path, resolution, tol, max_iters, paths, seed, workers, ou
         log = result.log
         value_at_start = result.value.at(initial_belief())
         solved = {
-            "threshold": threshold,
-            "resolution": resolution,
             "iterations": log.iterations,
             "final_change": log.final_change,
             "converged": log.converged,
-            "value_at_start": value_at_start,
             "stop_points": int(np.count_nonzero(result.policy.actions == 1)),
         }
         estimate = ks_cost_estimate(model, threshold, num_paths=paths, seed=seed, workers=workers)

@@ -35,9 +35,13 @@ never by fancy or boolean indexing.  At (8192, 2) float64, 2 CPUs and
 numpy 2.4, ``beliefs[rows]`` costs 8.3 ns per row and
 ``beliefs.take(rows, axis=0)`` 0.67 ns.  Rows go back one column at a
 time (``beliefs[rows, j] = post[:, j]``, 4.4 ns per row against 8.9 ns
-for ``beliefs[rows] = post``).  A policy that computes every action's
-cost to choose (the myopic rule) hands the chosen cost to the loop, so
-no cost is computed twice.
+for ``beliefs[rows] = post``).
+
+A policy is a function ``points -> (actions, costs)`` on the (N, X)
+points: a solved ``solver.Policy``, the myopic rule or a threshold
+rule alike.  ``costs`` holds the chosen action's instantaneous cost per
+row when the policy computed it to choose (the myopic rule), so no cost
+is computed twice, and is None otherwise.
 """
 
 from __future__ import annotations
@@ -57,7 +61,6 @@ from .errors import (
     ZeroLikelihood,
 )
 from .model import STOP, Belief, PomdpModel, uniform_belief, unit_belief
-from .solver import Policy
 
 CHUNK_SIZE = 8192
 #: largest discount truncation error of an evaluation horizon
@@ -126,21 +129,6 @@ def myopic_sensor_policy(model: PomdpModel):
         return np.where(cheaper, 2, 1), np.where(cheaper, c2, c1)
 
     return rule
-
-
-def _policy_actions(policy, points: np.ndarray) -> tuple:
-    """(actions, costs) of a policy at the (N, X) points.
-
-    A policy is a solved ``solver.Policy`` or a function
-    ``points -> (actions, costs)``, where ``costs`` holds the chosen
-    action's instantaneous cost per row when the function computed it
-    to choose, else None.
-    """
-    if isinstance(policy, Policy):
-        actions, costs = policy.actions_at(points), None
-    else:
-        actions, costs = policy(points)
-    return np.asarray(actions, dtype=np.int64), costs
 
 
 def discounted_horizon(model: PomdpModel) -> int:
@@ -213,7 +201,8 @@ def path_simulator(model: PomdpModel, policy, initial_belief: Belief, horizon: i
                 break
             # points, actions and chosen costs are indexed by position in live
             points = beliefs.take(live, axis=0)
-            actions, chosen = _policy_actions(policy, points)
+            actions, chosen = policy(points)
+            actions = np.asarray(actions, dtype=np.int64)
             step_u = rng.random(count)
             step_y = rng.random(count)
             for u in range(1, model.num_actions + 1):
@@ -274,7 +263,7 @@ def _evaluation_horizon(model: PomdpModel, policies):
         raise HorizonUnbounded("undiscounted general models cannot be evaluated")
     absorbing = np.isclose(np.diag(model.transition[1]), 1.0)
     for policy in policies:
-        actions, _ = _policy_actions(policy, np.eye(model.num_states))
+        actions = np.asarray(policy(np.eye(model.num_states))[0], dtype=np.int64)
         if not np.any(absorbing & (actions == 1)):
             raise HorizonUnbounded(
                 "undiscounted evaluation needs a policy that stops at some "

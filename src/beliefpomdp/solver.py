@@ -88,13 +88,18 @@ class RelaxedValueFunction:
 
 @dataclass
 class Policy:
-    """1-based action per grid point; beliefs map to the nearest cell vertex."""
+    """1-based action per grid point; beliefs map to the nearest cell vertex.
+
+    Like every policy that ``simulate`` runs, it is a function
+    ``points -> (actions, costs)``; it computes no cost, so ``costs`` is
+    None.
+    """
 
     grid: SimplexGrid
     actions: np.ndarray
 
-    def actions_at(self, points: np.ndarray) -> np.ndarray:
-        return self.actions.take(self.grid.nearest_index(points))
+    def __call__(self, points: np.ndarray) -> tuple:
+        return self.actions.take(self.grid.nearest_index(points)), None
 
 
 @dataclass
@@ -239,14 +244,6 @@ def stack_tables(models: list, grid: SimplexGrid) -> BackupTables:
 def continuation_values(tables: BackupTables, values: np.ndarray, u: int) -> np.ndarray:
     """sum_y V(T(pi, y, u)) sigma(pi, y, u) at every point row."""
     return np.einsum("nk,nk->n", tables.vert_w[u - 1], values[tables.vert_idx[u - 1]])
-
-
-def q_values(tables: BackupTables, values: np.ndarray) -> np.ndarray:
-    """Q(r, u) for every point row and action, shaped (U, B * N)."""
-    q = tables.cost.copy()
-    for u in np.flatnonzero(tables.has_continuation):
-        q[u] += tables.discount * continuation_values(tables, values, u + 1)
-    return q
 
 
 def usable_cpus() -> int:

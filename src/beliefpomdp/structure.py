@@ -23,6 +23,7 @@ from .errors import (
 from .grid import TABLE_BLOCK, SimplexGrid, build_grid, simplex_point_count
 from .model import PomdpModel
 from .reports import OrderCheckReport, make_report
+from .simulate import child_seed
 from .solver import (
     RelaxedValueFunction,
     SolveResult,
@@ -31,7 +32,6 @@ from .solver import (
     check_discounted,
     check_relaxed,
     continuation_values,
-    q_values,
     solve_stack,
     stack_key,
 )
@@ -330,21 +330,17 @@ def _mlr_pairs(grid: SimplexGrid, seed: int):
 
 
 def _sampled_pairs(n: int, seed: int):
-    """The PAIR_CAP uniform index pairs (a, b) of ``default_rng(seed)``,
-    a drawn first and then b, less those with a == b, one block of up to
-    PAIR_BLOCK draws at a time.
+    """The PAIR_CAP uniform index pairs (a, b), less those with a == b,
+    one block of up to PAIR_BLOCK draws at a time.
 
-    ``Generator.integers`` continues its stream exactly across calls, so
-    drawing in blocks gives the same indices as two PAIR_CAP-long draws.
-    b's generator first draws and discards a's PAIR_CAP indices, so no
-    more than one block of either is held.
+    a comes from ``default_rng(child_seed(seed, 0))`` and b from
+    ``default_rng(child_seed(seed, 1))``.  ``Generator.integers``
+    continues its stream exactly across calls, so the pairs do not
+    depend on PAIR_BLOCK, and no draw is discarded.
     """
-    sizes = [min(PAIR_BLOCK, PAIR_CAP - lo) for lo in range(0, PAIR_CAP, PAIR_BLOCK)]
-    draw_a = np.random.default_rng(seed)
-    draw_b = np.random.default_rng(seed)
-    for size in sizes:
-        draw_b.integers(0, n, size=size)
-    for size in sizes:
+    draw_a, draw_b = (np.random.default_rng(child_seed(seed, i)) for i in (0, 1))
+    for lo in range(0, PAIR_CAP, PAIR_BLOCK):
+        size = min(PAIR_BLOCK, PAIR_CAP - lo)
         a = draw_a.integers(0, n, size=size)
         b = draw_b.integers(0, n, size=size)
         keep = a != b
@@ -402,10 +398,10 @@ def _tie_floor(worst: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def random_a1a2_non_tp2_model(rng, num_obs: int | None = None, discount: float = 0.8):
-    """Random two-state model with decreasing costs and TP2 transitions
-    whose observation matrices are deliberately not TP2."""
-    y = int(num_obs) if num_obs else int(rng.integers(2, 4))
+def random_a1a2_non_tp2_model(rng):
+    """Random two-state model, discount 0.8, with decreasing costs and
+    TP2 transitions whose observation matrices are deliberately not TP2."""
+    y = int(rng.integers(2, 4))
     transition = []
     linear_cost = []
     for _ in range(2):
@@ -428,7 +424,7 @@ def random_a1a2_non_tp2_model(rng, num_obs: int | None = None, discount: float =
         transition=transition,
         observation=observation,
         linear_cost=linear_cost,
-        discount=discount,
+        discount=0.8,
     )
 
 
@@ -615,13 +611,12 @@ def verify_myopic_bound(model: PomdpModel, solution: SolveResult) -> OrderCheckR
     grid = solution.value.grid
     values = solution.value.values
     tables = build_tables(model, grid)
-    cont1 = continuation_values(tables, values, 1)
-    cont2 = continuation_values(tables, values, 2)
-    jensen_gap = cont2 - cont1
+    cont = np.stack([continuation_values(tables, values, u) for u in (1, 2)])
+    jensen_gap = cont[1] - cont[0]
     jensen_tol = JENSEN_TOLERANCE_SCALE * max(1.0, solution.value.scale())
     jensen_worst = int(np.argmax(jensen_gap))
 
-    q = q_values(tables, values)
+    q = tables.cost + tables.discount * cont
     cheaper2 = tables.cost[1] < tables.cost[0] - STRICTNESS_MARGIN
     if np.any(cheaper2):
         q_gap = np.where(cheaper2, q[1] - q[0], -np.inf)

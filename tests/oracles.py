@@ -18,7 +18,8 @@ enough to trust by reading.
 - ``sorted_barycentric`` locates Freudenthal cells by sorting each row's
   fractional parts, the form ``SimplexGrid.barycentric`` replaced.
 - ``one_shot_mlr_pairs`` draws the MLR verifier's sampled index pairs in
-  two whole-length draws, the form ``structure._sampled_pairs`` replaced.
+  two whole-length draws from spawned children, where
+  ``structure._sampled_pairs`` draws blocks from ``child_seed`` streams.
 """
 
 from __future__ import annotations
@@ -311,11 +312,11 @@ def sorted_barycentric(grid: SimplexGrid, queries):
 
 
 def one_shot_mlr_pairs(n: int, seed: int, cap: int):
-    """The ``cap`` index pairs (a, b) of ``default_rng(seed)`` over ``n``
-    grid points, all of a drawn before b in one call each, less those
-    with a == b."""
-    rng = np.random.default_rng(seed)
-    a = rng.integers(0, n, size=cap)
-    b = rng.integers(0, n, size=cap)
+    """The ``cap`` index pairs (a, b) over ``n`` grid points, a from the
+    first and b from the second child that ``SeedSequence.spawn`` makes of
+    ``seed``, each in one call, less those with a == b."""
+    rng_a, rng_b = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
+    a = rng_a.integers(0, n, size=cap)
+    b = rng_b.integers(0, n, size=cap)
     keep = a != b
     return a[keep], b[keep]

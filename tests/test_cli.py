@@ -536,6 +536,19 @@ class TestVerify:
 
 
 class TestCommands:
+    @pytest.mark.parametrize("name", ["solve", "solve-relaxed", "verify", "evaluate", "compare"])
+    def test_solve_defaults_are_the_solvers(self, name):
+        defaults = {p.name: p.default for p in main.commands[name].params}
+        assert (defaults["tol"], defaults["max_iters"]) == (
+            solver.DEFAULT_TOL,
+            solver.DEFAULT_MAX_ITERS,
+        )
+
+    def test_qd_simulate_keeps_its_own_grid_and_tol(self):
+        defaults = {p.name: p.default for p in main.commands["qd-simulate"].params}
+        assert (defaults["resolution"], defaults["tol"]) == (1000, 1e-9)
+        assert defaults["max_iters"] == solver.DEFAULT_MAX_ITERS
+
     def test_solve_writes_value_policy_csv(self, tmp_path):
         result = run(
             ["solve", "--model", QD, "--grid", "100", "--tol", "1e-9", "--out", str(tmp_path)]
@@ -584,15 +597,17 @@ class TestCommands:
         result = run(["qd-simulate", *solve_args, *sim_args])
         assert result.exit_code == 0, result.output
         sim = json.loads((tmp_path / "sim" / "qd_simulate.json").read_text())
+        # the solver block holds only what the top level and the manifest do not
         solved = sim["solver"]
-        assert (solved["threshold"], solved["iterations"]) == (
+        assert set(solved) == {"iterations", "final_change", "converged", "stop_points"}
+        assert (sim["threshold"], solved["iterations"]) == (
             summary["threshold"],
             summary["iterations"],
         )
         # the last grid point is pi = (0, 1), the pre-change start belief
         last = (tmp_path / "solve" / "value_policy.csv").read_text().splitlines()[-1]
         assert last.split(",")[:2] == ["0", "1"]
-        assert float(last.split(",")[2]) == sim["value_at_start"] == solved["value_at_start"]
+        assert float(last.split(",")[2]) == sim["value_at_start"]
         for key in ("threshold", "delay_term", "false_alarm", "ks_cost", "ci_halfwidth", "seed", "cap_hits"):
             assert key in sim
         assert manifest_sizes(tmp_path / "sim") == {

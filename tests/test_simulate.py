@@ -248,16 +248,14 @@ def test_stopped_paths_are_neither_looked_up_nor_priced(monkeypatch):
     model = qd_model(b=[[0.6, 0.3, 0.1], [0.2, 0.3, 0.5]])
     policy = solve_stopping(model, build_grid(2, 30), tol=1e-9).policy
     lookups = []
-    policy_actions = simulate._policy_actions
 
-    def counting(policy, points):
+    def counting(points):
         lookups.append(points.shape[0])
-        return policy_actions(policy, points)
+        return policy(points)
 
-    monkeypatch.setattr(simulate, "_policy_actions", counting)
     priced = count_cost_rows(monkeypatch)  # one row per active path-step
     num_paths, horizon = 600, 30
-    out = simulate_path_costs(model, policy, unit_belief(2, 2), num_paths, horizon, seed=4)
+    out = simulate_path_costs(model, counting, unit_belief(2, 2), num_paths, horizon, seed=4)
     assert 0 < out[:, 1].sum() < num_paths  # some paths stop, some run on
     assert sum(lookups) == sum(priced) < num_paths * horizon
 

@@ -23,7 +23,7 @@ from beliefpomdp.solver import (
     Policy,
     RelaxedValueFunction,
     build_tables,
-    q_values,
+    continuation_values,
     solve_discounted,
     solve_relaxed,
     solve_stopping,
@@ -298,7 +298,11 @@ RELATION_RESOLUTION = {2: 30, 3: 8, 4: 4}
 
 def q_gap(model, solution):
     """|Q(pi, 1) - Q(pi, 2)| at every grid point of a two-action solution."""
-    q = q_values(build_tables(model, solution.value.grid), solution.value.values)
+    tables = build_tables(model, solution.value.grid)
+    q = [
+        tables.cost[u - 1] + model.discount * continuation_values(tables, solution.value.values, u)
+        for u in (1, 2)
+    ]
     return np.abs(q[0] - q[1])
 
 
@@ -393,3 +397,28 @@ class TestMetamorphic:
         np.testing.assert_allclose(got.value.values, want.value.values, rtol=1e-10, atol=0.0)
         decided = q_gap(model, want) > 1e-9
         assert np.array_equal(got.policy.actions[decided], want.policy.actions[decided])
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_states=st.integers(2, 4),
+        entropy=st.booleans(),
+        rhos=st.lists(st.floats(0.0, 0.99), min_size=2, max_size=2, unique=True),
+    )
+    def test_a_larger_discount_never_lowers_the_values(self, seed, num_states, entropy, rhos):
+        # with nonnegative costs every iterate from V = 0 is nonnegative;
+        # both discounts share one table of nonnegative weights, and
+        # rounded products and sums are monotone, so after the same
+        # sweeps V_rho <= V_rho' holds bit for bit, not just to rounding
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, num_states, num_actions=2)
+        if entropy:
+            spec = NonlinearCostSpec("entropy", alpha=rng.uniform(0.0, 1.0, 2), beta=[0.0, 0.0])
+            model = dataclasses.replace(model, nonlinear_cost=spec)
+        grid = build_grid(num_states, RELATION_RESOLUTION[num_states])
+        low, high = (
+            solve_discounted(dataclasses.replace(model, discount=rho), grid, tol=0.0, max_iters=40)
+            for rho in sorted(rhos)
+        )
+        assert low.log.iterations == high.log.iterations == 40
+        assert np.all(low.value.values <= high.value.values)

@@ -1,5 +1,6 @@
 """Order predicates, structural verifiers, Blackwell dominance, roots."""
 
+import dataclasses
 import functools
 import tracemalloc
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from beliefpomdp import cli, structure
+from beliefpomdp import cli, solver, structure
 from beliefpomdp.costs import NonlinearCostSpec
 from beliefpomdp.errors import NegativeEigenvalue, PreconditionFailed
 from beliefpomdp.grid import build_grid
@@ -568,7 +569,7 @@ class TestConjectureProbe:
         rng = np.random.default_rng(4)
         stream = (
             [random_a1a2_non_tp2_model(rng) for _ in range(3)]
-            + [random_a1a2_non_tp2_model(rng, discount=0.6) for _ in range(3)]
+            + [dataclasses.replace(random_a1a2_non_tp2_model(rng), discount=0.6) for _ in range(3)]
             + [random_model(rng, num_states=3, num_actions=2) for _ in range(3)]
             + [random_a1a2_non_tp2_model(rng) for _ in range(2)]
         )
@@ -703,6 +704,22 @@ class TestMyopicBound:
         report = verify_myopic_bound(model, sol)
         assert report.holds
         assert report.details["strict_set_size"] == 0
+
+    def test_one_gather_per_action(self, monkeypatch):
+        """The Q comparison reuses the Jensen check's continuations."""
+        model = load_model(fixture_path("filter_vs_predictor.json"))
+        sol = solve_discounted(model, build_grid(2, 200), tol=1e-9)
+        calls = []
+        gather = solver.continuation_values
+
+        def counting(tables, values, u):
+            calls.append(u)
+            return gather(tables, values, u)
+
+        monkeypatch.setattr(solver, "continuation_values", counting)
+        monkeypatch.setattr(structure, "continuation_values", counting)
+        assert verify_myopic_bound(model, sol).holds
+        assert sorted(calls) == [1, 2]
 
 
 class TestUltrametric:

@@ -1,6 +1,6 @@
 """Repository guards: the library holds only code the program uses, says
 each result's JSON shape once, turns a seed into streams by one rule,
-gives its verifiers, Monte Carlo and grid no setting that the program
+gives ``structure``, Monte Carlo and grid no setting that the program
 never passes, writes every command artifact through one of two
 writers, and shows in README exactly the commands it has and only
 constants it has."""
@@ -161,16 +161,13 @@ def test_guard_flags_a_spawn_call(tmp_path):
     assert spawn_calls(package) == ["probe:4"]
 
 
-def unpassed_defaults(module: Path, users, returns=None) -> list:
+def unpassed_defaults(module: Path, users) -> list:
     """``function.parameter`` for every defaulted parameter of a
     module-level function of ``module`` that no call under ``users``
-    passes, by keyword or by position.  Given ``returns``, only functions
-    annotated ``-> returns`` count."""
+    passes, by keyword or by position."""
     defaulted = {}
     for node in ast.parse(module.read_text()).body:
         if not isinstance(node, ast.FunctionDef):
-            continue
-        if returns is not None and getattr(node.returns, "id", None) != returns:
             continue
         args = node.args
         positional = args.posonlyargs + args.args
@@ -194,9 +191,10 @@ def unpassed_defaults(module: Path, users, returns=None) -> list:
 
 
 def test_every_verifier_default_is_passed_by_the_program():
-    # a setting that only tests change belongs in a module constant
+    # a setting that only tests change belongs in a module constant; this
+    # covers every function of structure, the verifiers' helpers too
     users = [ROOT / d for d in USERS]
-    assert unpassed_defaults(PACKAGE / "structure.py", users, "OrderCheckReport") == []
+    assert unpassed_defaults(PACKAGE / "structure.py", users) == []
 
 
 @pytest.mark.parametrize("module", ["simulate.py", "quickest.py", "grid.py"])
@@ -219,8 +217,8 @@ def test_guard_flags_a_verifier_knob(tmp_path):
         "structure.check(v, 1e-6, seed=3)\n"
         "other(v, 2.0)\n"
     )
-    found = unpassed_defaults(package / "structure.py", [tmp_path], "OrderCheckReport")
-    assert found == ["check.cap", "check.trials"]
+    found = unpassed_defaults(package / "structure.py", [tmp_path])
+    assert found == ["check.cap", "check.trials", "helper.block"]
 
 
 def test_guard_flags_an_unannotated_knob(tmp_path):
