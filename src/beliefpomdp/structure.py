@@ -3,7 +3,9 @@
 Each verifier samples or sweeps a concrete finite model and reports the
 worst violation it found, never just a boolean; a property "holds" when
 that worst case is within the stated tolerance.  These are instance
-checks on solved grids, not proofs.
+checks on solved grids, not proofs.  The two grid-pair checks, concavity
+and MLR monotonicity, draw from one pair stream and report their largest
+gap and its canonical witness through one builder.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .model import PomdpModel
 from .reports import OrderCheckReport, make_report
 from .simulate import child_seed
 from .solver import (
+    DEFAULT_MAX_ITERS,
     RelaxedValueFunction,
     SolveResult,
     ValueFunction,
@@ -56,9 +59,11 @@ BLACKWELL_MAX_ITERS = 50_000
 BLACKWELL_STEP_TOL = 1e-14
 BLACKWELL_RESIDUAL_TOLERANCE = 1e-6
 MLR_TOL = 1e-12
-#: gaps this close to the worst, relative to max(1, |worst|), tie for the witness
+#: gaps this close to the worst, relative to max(1, |worst|), tie for the
+#: witness of a grid-pair report: concavity's and MLR's
 MLR_TIE_RTOL = 1e-12
-#: MLR pairs: all of them up to this many, a uniform sample of this many beyond
+#: MLR pairs: all of them up to this many, a uniform sample of this many beyond;
+#: concavity's draws stop at this many too
 PAIR_CAP = 1_000_000
 #: pairs drawn and compared at a time; bounds the temporaries of one block,
 #: and so the verifier's memory, whatever PAIR_CAP is.  Blocks this small
@@ -73,10 +78,10 @@ CONVEX_BLOCK = 500_000
 JENSEN_TOLERANCE_SCALE = 1e-8
 Q_TOLERANCE = 1e-9
 STRICTNESS_MARGIN = 1e-9
-#: conjecture probe: MLR tolerance per unit of value scale, and the solve
+#: conjecture probe: MLR tolerance per unit of value scale, and the solve's
+#: tolerance; its iteration cap is the solver's default
 PROBE_TOLERANCE_SCALE = 1e-6
 PROBE_SOLVER_TOL = 1e-9
-PROBE_MAX_ITERS = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -156,47 +161,27 @@ def _on_grid_midpoints(grid: SimplexGrid, a, b) -> tuple:
     return a, b, grid.index_of((coords[a] + coords[b]) // 2)
 
 
-def _even_midpoint_pairs(grid: SimplexGrid, num_trials: int, rng) -> tuple:
-    """Random grid index pairs whose coordinate midpoint is a grid point."""
-    if grid.resolution % 2 != 0:
-        raise PreconditionFailed("midpoint sampling needs an even grid resolution")
-    n = grid.num_points
-    kept = []
-    collected = 0
-    for _ in range(200):
-        a = rng.integers(0, n, size=num_trials)
-        b = rng.integers(0, n, size=num_trials)
-        a, b, mid = _on_grid_midpoints(grid, a, b)
-        kept.append((a, b, mid))
-        collected += a.size
-        if collected >= num_trials:
-            break
-    a, b, mid = (np.concatenate(part)[:num_trials] for part in zip(*kept))
-    return a, b, mid
-
-
 def verify_concavity(value: ValueFunction, tolerance: float, seed: int = 0) -> OrderCheckReport:
     """Midpoint concavity test on the stored grid values.
 
-    Samples CONCAVITY_PAIRS grid-point pairs whose midpoint is itself a
-    grid point and checks V(mid) >= (V(a) + V(b)) / 2 - tolerance.
+    Takes the first CONCAVITY_PAIRS of the ``_sampled_pairs`` stream whose
+    midpoint is itself a grid point, at any resolution, and checks
+    V(mid) >= (V(a) + V(b)) / 2 - tolerance; a grid with no such pair
+    reports 0 over 0 samples.  The witness is canonical, as for MLR.
     """
     grid = value.grid
-    rng = np.random.default_rng(seed)
-    a, b, mid = _even_midpoint_pairs(grid, CONCAVITY_PAIRS, rng)
     v = value.values
-    gap = 0.5 * v[a] + 0.5 * v[b] - v[mid]
-    worst = int(np.argmax(gap))
-    return make_report(
-        "value_concavity",
-        float(gap[worst]),
-        tolerance,
-        witness={
-            "pi1": grid.points[a[worst]].tolist(),
-            "pi2": grid.points[b[worst]].tolist(),
-        },
-        samples=int(gap.size),
-    )
+
+    def gaps():
+        left = CONCAVITY_PAIRS
+        for pair in _sampled_pairs(grid.num_points, seed):
+            a, b, mid = (part[:left] for part in _on_grid_midpoints(grid, *pair))
+            yield 0.5 * v[a] + 0.5 * v[b] - v[mid], a, b
+            left -= a.size
+            if left == 0:
+                return
+
+    return _worst_gap_report("value_concavity", grid, gaps(), tolerance, ("pi1", "pi2"))
 
 
 def _triu_pairs(n: int, block: int):
@@ -331,7 +316,8 @@ def _mlr_pairs(grid: SimplexGrid, seed: int):
 
 def _sampled_pairs(n: int, seed: int):
     """The PAIR_CAP uniform index pairs (a, b), less those with a == b,
-    one block of up to PAIR_BLOCK draws at a time.
+    one block of up to PAIR_BLOCK draws at a time: MLR's sample beyond
+    PAIR_CAP pairs, and the stream that concavity takes its pairs from.
 
     a comes from ``default_rng(child_seed(seed, 0))`` and b from
     ``default_rng(child_seed(seed, 1))``.  ``Generator.integers``
@@ -348,48 +334,56 @@ def _sampled_pairs(n: int, seed: int):
 
 
 def _mlr_report(value: ValueFunction, pairs, tolerance: float) -> OrderCheckReport:
-    """The MLR monotonicity report of ``value`` over ``_mlr_pairs`` blocks.
+    """The MLR monotonicity report of ``value`` over ``_mlr_pairs`` blocks:
+    the gaps V(hi) - V(lo)."""
+    v = value.values
+    blocks = ((v[hi] - v[lo], hi, lo) for hi, lo in pairs)
+    return _worst_gap_report(
+        "mlr_monotone_value", value.grid, blocks, tolerance, ("pi_high", "pi_low")
+    )
 
-    The worst violation is the largest gap V(hi) - V(lo).  The witness is
-    canonical: among the pairs whose gap lies within
+
+def _worst_gap_report(
+    predicate: str, grid: SimplexGrid, blocks, tolerance: float, names: tuple
+) -> OrderCheckReport:
+    """The ``predicate`` report of the largest gap over ``blocks`` of
+    (gaps, a, b), a and b grid indices whose points the witness names
+    ``names``.
+
+    The witness is canonical: among the pairs whose gap lies within
     ``MLR_TIE_RTOL * max(1, |worst|)`` of the worst, the one with the
-    smallest (hi, lo) grid indices, so a roundoff-level change in the
+    smallest (a, b) grid indices, so a roundoff-level change in the
     values does not move it.  Each block keeps the pairs at or above the
     tie floor of the worst so far; the floor only rises, so every pair
     that ties with the final worst is kept.
     """
-    n = value.grid.num_points
+    n = grid.num_points
     worst = -np.inf
-    kept = []  # (gaps, hi * n + lo), which orders pairs as (hi, lo)
+    kept = []  # (gaps, a * n + b), which orders pairs as (a, b)
     samples = 0
-    for hi, lo in pairs:
-        gap = value.values[hi] - value.values[lo]
+    for gap, a, b in blocks:
         samples += gap.size
         if gap.size == 0:
             continue
         worst = max(worst, float(gap.max()))
         near = gap >= _tie_floor(worst)
-        kept.append((gap[near], hi[near].astype(np.int64) * n + lo[near]))
+        kept.append((gap[near], a[near].astype(np.int64) * n + b[near]))
     if samples == 0:
-        return make_report("mlr_monotone_value", 0.0, tolerance, samples=0)
+        return make_report(predicate, 0.0, tolerance, samples=0)
     floor = _tie_floor(worst)
     smallest = min(keys[gaps >= floor].min(initial=n * n) for gaps, keys in kept)
-    hi, lo = divmod(int(smallest), n)
-    grid = value.grid
+    a, b = divmod(int(smallest), n)
     return make_report(
-        "mlr_monotone_value",
+        predicate,
         worst,
         tolerance,
-        witness={
-            "pi_high": grid.points[hi].tolist(),
-            "pi_low": grid.points[lo].tolist(),
-        },
+        witness={names[0]: grid.points[a].tolist(), names[1]: grid.points[b].tolist()},
         samples=samples,
     )
 
 
 def _tie_floor(worst: float) -> float:
-    """Smallest gap that ties with ``worst`` for the MLR witness."""
+    """Smallest gap that ties with ``worst`` for a grid-pair witness."""
     return worst - MLR_TIE_RTOL * max(1.0, abs(worst))
 
 
@@ -462,7 +456,7 @@ def conjecture_probe(
         for indices in stacks.values():
             stack = [models[i] for i in indices]
             grid, _ = grid_and_pairs(stack[0].num_states)
-            solved = solve_stack(stack, grid, tol=PROBE_SOLVER_TOL, max_iters=PROBE_MAX_ITERS)
+            solved = solve_stack(stack, grid, tol=PROBE_SOLVER_TOL, max_iters=DEFAULT_MAX_ITERS)
             results.update(zip(indices, solved))
         for result in results.values():
             work["models"] += 1

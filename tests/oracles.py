@@ -20,6 +20,8 @@ enough to trust by reading.
 - ``one_shot_mlr_pairs`` draws the MLR verifier's sampled index pairs in
   two whole-length draws from spawned children, where
   ``structure._sampled_pairs`` draws blocks from ``child_seed`` streams.
+  ``one_shot_concavity_pairs`` keeps the first of those pairs whose
+  coordinate midpoint is a grid point, in one pass over the whole draw.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from beliefpomdp.grid import SNAP_TOL, SimplexGrid
 from beliefpomdp.model import Belief, PomdpModel
 from beliefpomdp.reports import OrderCheckReport, make_report
 from beliefpomdp.solver import BackupTables, ValueFunction, _sweeper
-from beliefpomdp.structure import MLR_TOL
+from beliefpomdp.structure import CONCAVITY_PAIRS, MLR_TOL, PAIR_CAP
 
 #: path enumeration is exponential in sequence length
 MAX_ORACLE_STEPS = 12
@@ -320,3 +322,14 @@ def one_shot_mlr_pairs(n: int, seed: int, cap: int):
     b = rng_b.integers(0, n, size=cap)
     keep = a != b
     return a[keep], b[keep]
+
+
+def one_shot_concavity_pairs(grid: SimplexGrid, seed: int):
+    """The first CONCAVITY_PAIRS of the ``one_shot_mlr_pairs`` draw of
+    PAIR_CAP whose coordinate midpoint is a grid point, which holds iff
+    both points share every coordinate parity, and that midpoint's index:
+    (a, b, mid)."""
+    a, b = one_shot_mlr_pairs(grid.num_points, seed, PAIR_CAP)
+    total = grid.coords[a] + grid.coords[b]
+    keep = np.flatnonzero(np.all(total % 2 == 0, axis=1))[:CONCAVITY_PAIRS]
+    return a[keep], b[keep], grid.index_of(total[keep] // 2)

@@ -327,6 +327,17 @@ class TestExitCodes:
         report = json.loads((tmp_path / "verify_concavity.json").read_text())[0]
         assert report["holds"]
 
+    def test_concavity_on_a_grid_without_on_grid_midpoints(self, tmp_path):
+        """Grid 1 is odd and has no pair with an on-grid midpoint: the
+        report checks nothing and says so, in finite JSON."""
+        args = ["--model", QD, "--grid", "1", "--predicates", "concavity"]
+        result = run(["verify", *args, "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        text = (tmp_path / "verify_concavity.json").read_text()
+        [report] = json.loads(text, parse_constant=lambda name: pytest.fail(name))
+        assert report["holds"] and report["samples"] == 0
+        assert report["worst_violation"] == 0.0 and report["witness"] is None
+
     def test_manifest_written_even_on_violation(self, tmp_path):
         run(["verify", "--model", NON_TP2, "--predicates", "tp2", "--out", str(tmp_path)])
         manifest = json.loads((tmp_path / "manifest.json").read_text())
@@ -484,7 +495,7 @@ class TestExitCodes:
         assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
 
     def test_unconverged_probe_exits_two(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(structure, "PROBE_MAX_ITERS", 2)
+        monkeypatch.setattr(structure, "DEFAULT_MAX_ITERS", 2)
         args = ["--num-models", "2", "--grid", "20", "--out", str(tmp_path)]
         result = run(["conjecture-probe", *args])
         assert result.exit_code == 2, result.output

@@ -41,7 +41,7 @@ from beliefpomdp.structure import (
     verify_stopping_set_convex,
 )
 from conftest import qd_model, random_model, three_state_general, two_state_general
-from oracles import fosd_geq, one_shot_mlr_pairs
+from oracles import fosd_geq, one_shot_concavity_pairs, one_shot_mlr_pairs
 
 
 def mlr_direction(rows_a, rows_b):
@@ -52,13 +52,34 @@ def mlr_direction(rows_a, rows_b):
     return _mlr_direction(np.concatenate([rows_a, rows_b]), k, k + len(rows_a))
 
 
+@functools.cache
+def chain_x3_solution():
+    """``ultrametric_chain_x3`` solved at grid 150, as certify's verify does."""
+    model = load_model(fixture_path("ultrametric_chain_x3.json"))
+    return solve_discounted(model, build_grid(3, 150), tol=solver.DEFAULT_TOL)
+
+
+def ties(gap):
+    """Which gaps tie with the largest for a grid-pair witness."""
+    worst = gap.max()
+    return gap >= worst - structure.MLR_TIE_RTOL * max(1.0, abs(worst))
+
+
+def witness_indices(grid, report, names):
+    """The grid indices of the witness points named ``names``."""
+    return tuple(
+        grid.index_of(np.rint(np.array([report.witness[name]]) * grid.resolution))[0]
+        for name in names
+    )
+
+
 def probe_one_at_a_time(model_generator, num_models, resolution):
     """Reference probe: solve and check each model on its own, in order."""
     for index in range(num_models):
         model = model_generator(index)
         grid = build_grid(model.num_states, resolution)
         result = solve_discounted(
-            model, grid, tol=structure.PROBE_SOLVER_TOL, max_iters=structure.PROBE_MAX_ITERS
+            model, grid, tol=structure.PROBE_SOLVER_TOL, max_iters=solver.DEFAULT_MAX_ITERS
         )
         tolerance = structure.PROBE_TOLERANCE_SCALE * max(1.0, result.value.scale())
         report = verify_mlr_monotone_value(result.value, tolerance)
@@ -187,23 +208,73 @@ class TestVerifyConcavity:
         sol = solve_discounted(model, build_grid(2, 100), tol=1e-12)
         assert verify_concavity(sol.value, tolerance=1e-9).holds
 
-    def test_negated_entropy_control_fails(self):
+    @staticmethod
+    def negated_entropy_value(resolution):
+        """The convex control: the negated entropy, solved myopically."""
         spec = NonlinearCostSpec(
             "entropy", alpha=[-1.0, -1.0], beta=[0.0, 0.0], validate=False
         )
         model = two_state_general(
             nonlinear=spec, linear=[[0.0, 0.0], [0.0, 0.0]], discount=0.0
         )
-        sol = solve_discounted(model, build_grid(2, 100), tol=1e-12)
-        report = verify_concavity(sol.value, tolerance=1e-9)
+        return solve_discounted(model, build_grid(2, resolution), tol=1e-12).value
+
+    def test_negated_entropy_control_fails(self):
+        report = verify_concavity(self.negated_entropy_value(100), tolerance=1e-9)
         assert not report.holds
         assert report.worst_violation > 1e-3
 
-    def test_requires_even_resolution(self):
-        model = two_state_general()
-        sol = solve_discounted(model, build_grid(2, 25))
-        with pytest.raises(PreconditionFailed):
-            verify_concavity(sol.value, 1e-9)
+    def test_odd_resolution(self):
+        """The parity rule finds on-grid midpoints at any resolution."""
+        sol = solve_discounted(two_state_general(), build_grid(2, 25))
+        report = verify_concavity(sol.value, 1e-9)
+        assert report.holds and report.samples == structure.CONCAVITY_PAIRS
+        report = verify_concavity(self.negated_entropy_value(25), 1e-9)
+        assert not report.holds and report.worst_violation > 0.5
+
+    def test_grid_without_on_grid_midpoints_checks_nothing(self):
+        grid = build_grid(2, 1)
+        report = verify_concavity(ValueFunction(grid, np.array([0.0, 1.0])), 1e-9)
+        assert report.holds and report.samples == 0 and report.witness is None
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_no_point_is_paired_with_itself(self, seed):
+        """A pair (a, a) has gap 0 exactly, which would floor the worst at 0."""
+        sol = chain_x3_solution()
+        report = verify_concavity(sol.value, 1e-6 * sol.value.scale(), seed=seed)
+        assert report.witness["pi1"] != report.witness["pi2"]
+        assert report.worst_violation < 0.0
+
+    @pytest.mark.parametrize("block", [5, 1000, 8192])
+    def test_report_matches_the_one_shot_pairs(self, monkeypatch, block):
+        sol = chain_x3_solution()
+        v = sol.value.values
+        a, b, mid = one_shot_concavity_pairs(sol.value.grid, seed=4)
+        monkeypatch.setattr(structure, "PAIR_BLOCK", block)
+        report = verify_concavity(sol.value, 1e-9, seed=4)
+        assert report.samples == a.size == structure.CONCAVITY_PAIRS
+        assert report.worst_violation == float(np.max(0.5 * v[a] + 0.5 * v[b] - v[mid]))
+
+    @pytest.mark.parametrize("block", [structure.PAIR_BLOCK, 7])
+    @pytest.mark.parametrize(
+        "slope,rtol",
+        [((0.9, 0.5, 0.2), structure.MLR_TIE_RTOL), ((0, 0, 0), 0.0)],
+        ids=["roundoff-ties", "exact-ties"],
+    )
+    def test_witness_is_the_smallest_tied_pair(self, monkeypatch, block, slope, rtol):
+        """A linear value ties every pair up to roundoff and a zero value
+        exactly; at a tie tolerance of 0 the floor is the worst itself,
+        which still ties."""
+        grid = build_grid(3, 12)
+        value = ValueFunction(grid, grid.points @ np.array(slope, dtype=float))
+        monkeypatch.setattr(structure, "MLR_TIE_RTOL", rtol)
+        a, b, mid = one_shot_concavity_pairs(grid, seed=0)
+        tied = ties(0.5 * value.values[a] + 0.5 * value.values[b] - value.values[mid])
+        assert tied.sum() > 1
+        smallest = min(zip(a[tied].tolist(), b[tied].tolist()))
+        monkeypatch.setattr(structure, "PAIR_BLOCK", block)
+        report = verify_concavity(value, 1e-9)
+        assert witness_indices(grid, report, ("pi1", "pi2")) == smallest
 
 
 class TestStoppingSetConvex:
@@ -415,16 +486,8 @@ class TestMlrMonotoneValue:
         hi = np.concatenate([h for h, _ in pairs])
         lo = np.concatenate([l for _, l in pairs])
         gap = value.values[hi] - value.values[lo]
-        worst = gap.max()
-        tied = gap >= worst - structure.MLR_TIE_RTOL * max(1.0, abs(worst))
         first = int(np.argmax(gap))
-        return hi, lo, tied, (int(hi[first]), int(lo[first]))
-
-    def witness_indices(self, grid, report):
-        return (
-            grid.index_of(np.rint(np.array([report.witness["pi_high"]]) * grid.resolution))[0],
-            grid.index_of(np.rint(np.array([report.witness["pi_low"]]) * grid.resolution))[0],
-        )
+        return hi, lo, ties(gap), (int(hi[first]), int(lo[first]))
 
     @pytest.mark.parametrize("block", [structure.PAIR_BLOCK, 7])
     def test_witness_is_the_smallest_tied_pair(self, monkeypatch, block):
@@ -437,7 +500,7 @@ class TestMlrMonotoneValue:
         smallest = min(zip(hi[tied].tolist(), lo[tied].tolist()))
         monkeypatch.setattr(structure, "PAIR_BLOCK", block)
         report = verify_mlr_monotone_value(value, 1e-9)
-        assert self.witness_indices(grid, report) == smallest
+        assert witness_indices(grid, report, ("pi_high", "pi_low")) == smallest
         assert report.worst_violation == pytest.approx(-0.3 / 12, rel=1e-12)
 
     def test_last_bit_perturbation_keeps_the_witness(self):

@@ -2,8 +2,8 @@
 each result's JSON shape once, turns a seed into streams by one rule,
 gives ``structure``, Monte Carlo and grid no setting that the program
 never passes, writes every command artifact through one of two
-writers, and shows in README exactly the commands it has and only
-constants it has."""
+writers, and shows in README exactly the commands and verifier
+predicates it has and only constants it has."""
 
 import ast
 import importlib
@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import beliefpomdp
+from beliefpomdp import cli
 from beliefpomdp.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -331,6 +332,35 @@ def test_guard_flags_a_readme_that_drifted():
     )
     drift = readme_command_drift(readme, ["solve", "verify", "compare"])
     assert drift == (["compare", "verify"], ["qd-threshold"])
+
+
+#: the words that open README's sentence naming verify's predicates
+PREDICATES_SENTENCE = "Verifier predicates:"
+
+
+def readme_predicate_drift(readme: str, predicates) -> tuple:
+    """(predicates missing from, names not predicates in) the backticked
+    names of ``readme``'s sentence that opens with PREDICATES_SENTENCE."""
+    start = readme.index(PREDICATES_SENTENCE)
+    sentence = readme[start : readme.index(".", start)]
+    shown = set(sentence.split("`")[1::2])
+    return sorted(set(predicates) - shown), sorted(shown - set(predicates))
+
+
+def test_readme_names_every_verify_predicate_and_no_other():
+    readme = (ROOT / "README.md").read_text()
+    assert readme_predicate_drift(readme, cli.PREDICATES) == ([], [])
+
+
+def test_guard_flags_a_predicate_list_that_drifted():
+    readme = (
+        "`verify` runs predicates such as `tp2`.\n\n"
+        "Verifier predicates: `tp2`, `concavity`,\n"
+        "`mlr-monotone`, `bellman-residual`. Unknown names, such as `bogus`,\n"
+        "are rejected.\n"
+    )
+    drift = readme_predicate_drift(readme, ["tp2", "concavity", "mlr-monotone", "homogeneity"])
+    assert drift == (["homogeneity"], ["bellman-residual"])
 
 
 #: the header row of README's table of module constants
