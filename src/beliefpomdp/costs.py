@@ -18,11 +18,6 @@ from .columns import row_sum
 if TYPE_CHECKING:
     from .model import PomdpModel
 
-FAMILIES = ("none", "piecewise_linear", "mean_square", "l1", "linf", "entropy")
-
-#: families parameterized by per-action weights alpha(u), beta(u)
-WEIGHTED_FAMILIES = ("mean_square", "l1", "linf", "entropy")
-
 SYMMETRY_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 
@@ -140,33 +135,32 @@ def performance_loss_batch(spec: NonlinearCostSpec, beliefs: np.ndarray, u: int)
     p = np.asarray(beliefs, dtype=float)
     if p.ndim == 1:
         p = p[None, :]
-    fam = spec.family
-    if fam == "none":
-        return np.zeros(p.shape[0])
-    if fam == "piecewise_linear":
-        return _piecewise_linear_loss(p, spec.epsilon)
+    loss, _, weighted = _family(spec)
+    if not weighted:
+        return loss(spec, p)
+    a, b = _weights(spec, u)
+    return a * loss(spec, p) + b
+
+
+def _family(spec: NonlinearCostSpec) -> tuple:
+    """The spec's ``_FAMILY_TABLE`` entry."""
+    if spec.family not in _FAMILY_TABLE:
+        raise ValueError(f"unknown cost family {spec.family!r}")
+    return _FAMILY_TABLE[spec.family]
+
+
+def _weights(spec: NonlinearCostSpec, u: int) -> tuple:
+    """alpha(u) and beta(u) of a weighted family."""
     if not 1 <= u <= spec.alpha.size:
         raise ValueError(f"action index {u} out of range 1..{spec.alpha.size}")
-    a = float(spec.alpha[u - 1])
-    b = float(spec.beta[u - 1])
-    if fam == "mean_square":
-        m = spec.weight_matrix
-        quad = np.einsum("ni,ij,nj->n", p, m, p)
-        return a * (p @ np.diag(m) - quad) + b
-    if fam == "l1":
-        return a * 2.0 * (1.0 - np.einsum("ni,ni->n", p, p)) + b
-    if fam == "linf":
-        return a * (1.0 - np.einsum("ni,ni->n", p, p)) + b
-    if fam == "entropy":
-        plogp = p * np.log2(p, out=np.zeros_like(p), where=p > 0)
-        return -a * row_sum(plogp) + b
-    raise ValueError(f"unknown cost family {fam!r}")
+    return float(spec.alpha[u - 1]), float(spec.beta[u - 1])
 
 
-def _piecewise_linear_loss(p: np.ndarray, eps: float) -> np.ndarray:
+def _piecewise_linear_loss(spec: NonlinearCostSpec, p: np.ndarray) -> np.ndarray:
     # d(e_i, pi) is a three-level step in ||e_i - pi||_inf; ties at the
     # breakpoints resolve to the later branch (exactly eps -> eps,
     # exactly 1 - eps -> 1).
+    eps = spec.epsilon
     n, x = p.shape
     total = np.zeros(n)
     for i in range(x):
@@ -176,6 +170,48 @@ def _piecewise_linear_loss(p: np.ndarray, eps: float) -> np.ndarray:
         d = np.where(dist >= 1.0 - eps, 1.0, np.where(dist >= eps, eps, 0.0))
         total += d * p[:, i]
     return total
+
+
+def _mean_square_loss(spec: NonlinearCostSpec, p: np.ndarray) -> np.ndarray:
+    m = spec.weight_matrix
+    return p @ np.diag(m) - np.einsum("ni,ij,nj->n", p, m, p)
+
+
+#: family -> (loss, bound, weighted): loss(spec, p) of each belief row of
+#: p, and bound(spec, x) an upper bound on it over the x-state simplex; a
+#: weighted family's cost is alpha(u) * loss + beta(u), and so its bound
+_FAMILY_TABLE = {
+    "none": (lambda spec, p: np.zeros(p.shape[0]), lambda spec, x: 0.0, False),
+    "piecewise_linear": (_piecewise_linear_loss, lambda spec, x: 1.0, False),
+    "mean_square": (
+        _mean_square_loss,
+        lambda spec, x: 2.0 * float(np.linalg.eigvalsh(spec.weight_matrix).max()),
+        True,
+    ),
+    "l1": (lambda spec, p: 2.0 * (1.0 - np.einsum("ni,ni->n", p, p)), lambda spec, x: 2.0, True),
+    "linf": (lambda spec, p: 1.0 - np.einsum("ni,ni->n", p, p), lambda spec, x: 1.0, True),
+    "entropy": (
+        lambda spec, p: -row_sum(p * np.log2(p, out=np.zeros_like(p), where=p > 0)),
+        lambda spec, x: np.log2(x),
+        True,
+    ),
+}
+
+FAMILIES = tuple(_FAMILY_TABLE)
+
+
+def cost_problems(model: "PomdpModel") -> list[str]:
+    """``check()`` of the model's cost spec, then its sizes against the
+    model: one alpha per action, and a weight matrix of order X."""
+    spec, m = model.nonlinear_cost, model.nonlinear_cost.weight_matrix
+    out = spec.check()
+    weighted = spec.family in FAMILIES and _family(spec)[2]
+    if weighted and spec.alpha is not None and spec.alpha.size != model.num_actions:
+        out.append(f"alpha has {spec.alpha.size} entries for {model.num_actions} actions")
+    if spec.family == "mean_square" and m is not None and m.ndim == 2:
+        if m.shape[0] != model.num_states:
+            out.append(f"weight_matrix is {m.shape[0]}x{m.shape[1]} for {model.num_states} states")
+    return out
 
 
 def instantaneous_cost_batch(model: "PomdpModel", beliefs: np.ndarray, u: int) -> np.ndarray:
@@ -198,25 +234,14 @@ def instantaneous_cost_batch(model: "PomdpModel", beliefs: np.ndarray, u: int) -
 def max_cost_bound(model: "PomdpModel") -> float:
     """Upper bound on |C(pi, u)| over the simplex and all actions."""
     spec = model.nonlinear_cost
-    x = model.num_states
+    _, loss_bound, weighted = _family(spec)
+    peak = loss_bound(spec, model.num_states)
     bound = 0.0
     for u in range(1, model.num_actions + 1):
         lin = float(np.max(np.abs(model.linear_cost[u - 1])))
         loss = 0.0
-        if not (model.is_stopping and u == 1) and spec.family != "none":
-            if spec.family == "piecewise_linear":
-                loss = 1.0
-            else:
-                a = float(spec.alpha[u - 1])
-                b = float(spec.beta[u - 1])
-                if spec.family == "entropy":
-                    loss = a * np.log2(x) + b
-                elif spec.family == "mean_square":
-                    lam = float(np.linalg.eigvalsh(spec.weight_matrix).max())
-                    loss = 2.0 * a * lam + b
-                elif spec.family == "l1":
-                    loss = 2.0 * a + b
-                elif spec.family == "linf":
-                    loss = a + b
+        if not (model.is_stopping and u == 1):
+            a, b = _weights(spec, u) if weighted else (1.0, 0.0)
+            loss = a * peak + b
         bound = max(bound, lin + loss)
     return bound

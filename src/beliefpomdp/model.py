@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .costs import NonlinearCostSpec, WEIGHTED_FAMILIES, max_cost_bound
+from .costs import NonlinearCostSpec, cost_problems, max_cost_bound
 from .errors import ModelFormatError
 
 ROW_SUM_TOL = 1e-12
@@ -241,27 +241,8 @@ def validate_model(model: PomdpModel) -> list[Violation]:
             )
         )
 
-    spec = model.nonlinear_cost
-    for msg in spec.check():
+    for msg in cost_problems(model):
         out.append(Violation("nonlinear_cost", msg))
-    if spec.family in WEIGHTED_FAMILIES and spec.alpha is not None:
-        if spec.alpha.size != model.num_actions:
-            out.append(
-                Violation(
-                    "nonlinear_cost",
-                    f"alpha has {spec.alpha.size} entries for "
-                    f"{model.num_actions} actions",
-                )
-            )
-    if spec.family == "mean_square" and spec.weight_matrix is not None:
-        if spec.weight_matrix.ndim == 2 and spec.weight_matrix.shape[0] != model.num_states:
-            out.append(
-                Violation(
-                    "nonlinear_cost",
-                    f"weight_matrix is {spec.weight_matrix.shape[0]}x"
-                    f"{spec.weight_matrix.shape[1]} for {model.num_states} states",
-                )
-            )
     if not out:
         with np.errstate(over="ignore"):
             cost = max_cost_bound(model)

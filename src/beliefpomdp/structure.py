@@ -3,9 +3,10 @@
 Each verifier samples or sweeps a concrete finite model and reports the
 worst violation it found, never just a boolean; a property "holds" when
 that worst case is within the stated tolerance.  These are instance
-checks on solved grids, not proofs.  The two grid-pair checks, concavity
-and MLR monotonicity, draw from one pair stream and report their largest
-gap and its canonical witness through one builder.
+checks on solved grids, not proofs.  The three grid-pair checks,
+concavity, stopping-set convexity and MLR monotonicity, report their
+largest gap and its canonical witness through one builder; concavity and
+MLR draw from one pair stream, and convexity sweeps every stop pair.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ BLACKWELL_STEP_TOL = 1e-14
 BLACKWELL_RESIDUAL_TOLERANCE = 1e-6
 MLR_TOL = 1e-12
 #: gaps this close to the worst, relative to max(1, |worst|), tie for the
-#: witness of a grid-pair report: concavity's and MLR's
+#: witness of a grid-pair report: concavity's, convexity's and MLR's
 MLR_TIE_RTOL = 1e-12
 #: MLR pairs: all of them up to this many, a uniform sample of this many beyond;
 #: concavity's draws stop at this many too
@@ -70,9 +71,6 @@ PAIR_CAP = 1_000_000
 #: reuse freed heap memory: a sampled call at X = 3 takes about 30 minor
 #: page faults, against 18k with blocks of 1 << 16
 PAIR_BLOCK = 1 << 13
-#: stop-point pairs per convexity block; ``samples`` at the first violation
-#: counts the whole block it falls in, so changing this changes reports
-CONVEX_BLOCK = 500_000
 #: myopic bound: Jensen tolerance per unit of value scale, the absolute Q
 #: tolerance, and the cost margin by which sensor 2 counts as cheaper
 JENSEN_TOLERANCE_SCALE = 1e-8
@@ -173,6 +171,8 @@ def verify_concavity(value: ValueFunction, tolerance: float, seed: int = 0) -> O
     v = value.values
 
     def gaps():
+        if grid.resolution < 2:
+            return  # grid 1 is the vertices: no two share every parity
         left = CONCAVITY_PAIRS
         for pair in _sampled_pairs(grid.num_points, seed):
             a, b, mid = (part[:left] for part in _on_grid_midpoints(grid, *pair))
@@ -202,40 +202,24 @@ def verify_stopping_set_convex(policy) -> OrderCheckReport:
     """Sweep all stop-region pairs with on-grid midpoints for convexity.
 
     The stop region is the set of grid points with action 1; a violation
-    is a pair of stop points whose midpoint continues.
+    is a pair of stop points whose midpoint continues, a gap of 1 against
+    a tolerance of 0.5.  ``samples`` counts every pair checked, and the
+    witness is the smallest violating (pi1, pi2) pair.
     """
     grid = policy.grid
     if grid.resolution % 2 != 0:
         raise PreconditionFailed("convexity sweep needs an even grid resolution")
-    stop_idx = np.flatnonzero(policy.actions == 1)
-    if stop_idx.size < 2:
-        return make_report(
-            "stopping_set_convex", 0.0, 0.5, samples=0, stop_points=int(stop_idx.size)
-        )
-    worst = 0.0
-    witness = None
-    checked = 0
-    for i, j in _triu_pairs(stop_idx.size, CONVEX_BLOCK):
-        a, b, mid = _on_grid_midpoints(grid, stop_idx[i], stop_idx[j])
-        checked += a.size
-        bad = policy.actions[mid] != 1
-        if np.any(bad):
-            first = int(np.argmax(bad))
-            worst = 1.0
-            witness = {
-                "pi1": grid.points[a[first]].tolist(),
-                "pi2": grid.points[b[first]].tolist(),
-                "midpoint_action": int(policy.actions[mid[first]]),
-            }
-            break
-    return make_report(
-        "stopping_set_convex",
-        worst,
-        0.5,
-        witness=witness,
-        samples=checked,
-        stop_points=int(stop_idx.size),
-    )
+    stop = policy.actions == 1
+    stop_idx = np.flatnonzero(stop)
+
+    def gaps():
+        for i, j in _triu_pairs(stop_idx.size, PAIR_BLOCK):
+            a, b, mid = _on_grid_midpoints(grid, stop_idx[i], stop_idx[j])
+            yield np.where(stop[mid], 0.0, 1.0), a, b
+
+    report = _worst_gap_report("stopping_set_convex", grid, gaps(), 0.5, ("pi1", "pi2"))
+    report.details["stop_points"] = int(stop_idx.size)
+    return report
 
 
 def verify_homogeneity(model: PomdpModel, value: ValueFunction, seed: int = 0) -> OrderCheckReport:
@@ -355,7 +339,10 @@ def _worst_gap_report(
     smallest (a, b) grid indices, so a roundoff-level change in the
     values does not move it.  Each block keeps the pairs at or above the
     tie floor of the worst so far; the floor only rises, so every pair
-    that ties with the final worst is kept.
+    that ties with the final worst is kept.  Of those, a block keeps only
+    the pairs whose gap exceeds that of every pair before them in (a, b)
+    order: any other is beaten by a smaller pair that clears every floor
+    it clears, so a block of exact ties keeps one pair.
     """
     n = grid.num_points
     worst = -np.inf
@@ -367,7 +354,12 @@ def _worst_gap_report(
             continue
         worst = max(worst, float(gap.max()))
         near = gap >= _tie_floor(worst)
-        kept.append((gap[near], a[near].astype(np.int64) * n + b[near]))
+        keys = a[near].astype(np.int64) * n + b[near]
+        order = np.argsort(keys)
+        keys, gap = keys[order], gap[near][order]
+        front = np.ones(gap.size, dtype=bool)
+        front[1:] = gap[1:] > np.maximum.accumulate(gap)[:-1]
+        kept.append((gap[front], keys[front]))
     if samples == 0:
         return make_report(predicate, 0.0, tolerance, samples=0)
     floor = _tie_floor(worst)

@@ -1,5 +1,8 @@
 """Nonlinear performance-loss families and the combined cost."""
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,7 +13,7 @@ from beliefpomdp.costs import (
     performance_loss_batch,
 )
 from beliefpomdp.model import Belief, unit_belief, uniform_belief
-from conftest import cost_family_spec, two_state_general
+from conftest import cost_family_spec, random_model, two_state_general
 from oracles import concavity_probe
 
 WEIGHTED = ["mean_square", "l1", "linf", "entropy"]
@@ -194,13 +197,19 @@ class TestInstantaneousCost:
         assert cost == pytest.approx(1.0)
 
     def test_max_cost_bound_dominates_samples(self, rng):
-        for family in WEIGHTED + ["piecewise_linear", "none"]:
-            spec = cost_family_spec(family, num_actions=2, num_states=2)
-            model = two_state_general(nonlinear=spec)
+        # linear costs constant over the states leave the loss bound no
+        # slack to hide in; l1, linf and entropy peak at the centroid
+        for x, family in itertools.product([2, 3, 4], WEIGHTED + ["piecewise_linear", "none"]):
+            pts = np.vstack([rng.dirichlet(np.ones(x), size=200), np.eye(x), np.full(x, 1.0 / x)])
+            spec = cost_family_spec(family, num_actions=2, num_states=x)
+            model = dataclasses.replace(
+                random_model(rng, num_states=x, num_actions=2),
+                linear_cost=([0.3] * x, [0.1] * x),
+                nonlinear_cost=spec,
+            )
             bound = max_cost_bound(model)
-            pts = rng.dirichlet(np.ones(2), size=200)
             for u in (1, 2):
-                assert np.all(instantaneous_cost_batch(model, pts, u) <= bound + 1e-12)
+                assert np.all(instantaneous_cost_batch(model, pts, u) <= bound + 1e-12), (x, family)
 
 
 class TestConcavityProbe:

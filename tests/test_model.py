@@ -80,6 +80,13 @@ class TestValidateModel:
         )
         assert any("alpha" in v.message for v in validate_model(bad))
 
+    def test_weight_matrix_of_the_wrong_order(self):
+        spec = NonlinearCostSpec("mean_square", weight_matrix=np.eye(3), alpha=[1.0], beta=[0.0])
+        report = validate_model(dataclasses.replace(make(), nonlinear_cost=spec))
+        assert [(v.where, v.message) for v in report] == [
+            ("nonlinear_cost", "weight_matrix is 3x3 for 2 states")
+        ]
+
     def test_non_finite_entries_are_violations(self):
         nan, inf = float("nan"), float("inf")
         model = PomdpModel(

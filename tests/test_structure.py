@@ -237,6 +237,19 @@ class TestVerifyConcavity:
         report = verify_concavity(ValueFunction(grid, np.array([0.0, 1.0])), 1e-9)
         assert report.holds and report.samples == 0 and report.witness is None
 
+    @pytest.mark.parametrize("x", [2, 3, 4])
+    def test_grid_one_reports_before_any_draw(self, monkeypatch, x):
+        """Grid 1 is the vertices, and no two share every coordinate parity."""
+
+        def no_draws(n, seed):
+            raise AssertionError("grid 1 drew pairs")
+
+        monkeypatch.setattr(structure, "_sampled_pairs", no_draws)
+        grid = build_grid(x, 1)
+        report = verify_concavity(ValueFunction(grid, np.arange(float(x))), 1e-9)
+        assert report.holds
+        assert (report.worst_violation, report.samples, report.witness) == (0.0, 0, None)
+
     @pytest.mark.parametrize("seed", range(10))
     def test_no_point_is_paired_with_itself(self, seed):
         """A pair (a, a) has gap 0 exactly, which would floor the worst at 0."""
@@ -296,7 +309,21 @@ class TestStoppingSetConvex:
     def test_split_stop_region_fails(self):
         report = verify_stopping_set_convex(self.make_policy([1, 2, 1]))
         assert not report.holds
-        assert report.witness["midpoint_action"] == 2
+        assert report.witness == {"pi1": [1.0, 0.0], "pi2": [0.0, 1.0]}
+
+    @pytest.mark.parametrize("actions", [[2, 2, 2], [2, 1, 2], [1, 2, 2]])
+    def test_fewer_than_two_stop_points_check_nothing(self, actions):
+        report = verify_stopping_set_convex(self.make_policy(actions))
+        assert report.holds
+        assert (report.worst_violation, report.samples, report.witness) == (0.0, 0, None)
+        assert report.details["stop_points"] == sum(a == 1 for a in actions)
+
+    def test_holding_report_names_the_smallest_pair(self):
+        # of the three stop points only the two vertices share every parity
+        report = verify_stopping_set_convex(self.make_policy([1, 1, 1, 2, 2]))
+        assert report.holds
+        assert report.samples == 1
+        assert report.witness == {"pi1": [1.0, 0.0], "pi2": [0.5, 0.5]}
 
     def test_three_state_quickest_detection(self):
         model = PomdpModel(
@@ -316,49 +343,57 @@ class TestStoppingSetConvex:
         assert report.details["stop_points"] > 0
 
     def test_all_stop_policy_checks_every_even_pair(self):
-        grid = build_grid(3, 60)  # 1,891 stop points, 1,786,995 pairs: four blocks
-        report = verify_stopping_set_convex(Policy(grid, np.ones(grid.num_points, dtype=np.int32)))
+        grid = build_grid(3, 60)  # 1,891 stop points, 1,786,995 pairs: 219 blocks
+        policy = Policy(grid, np.ones(grid.num_points, dtype=np.int32))
+        tracemalloc.start()
+        try:
+            report = verify_stopping_set_convex(policy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert report.holds
         # a pair has an on-grid midpoint iff both points share every coordinate parity
         _, class_sizes = np.unique(grid.coords % 2, axis=0, return_counts=True)
         assert report.samples == int((class_sizes * (class_sizes - 1) // 2).sum())
+        # every gap ties at 0, and keeping each tied pair's gap and key
+        # would take 16 bytes a pair
+        assert peak < 8 * report.samples
 
     def test_blocks_match_materialized_pair_scan(self, monkeypatch):
         grid = build_grid(3, 8)
-        # a convex stop region plus the last grid point, which comes last in
-        # every row of the pair order
-        stop = (grid.coords[:, 0] >= 4) | (grid.coords[:, 2] == 8)
-        actions = np.where(stop, 1, 2).astype(np.int32)
-        policy = Policy(grid, actions)
-        monkeypatch.setattr(structure, "CONVEX_BLOCK", 5)
-        report = verify_stopping_set_convex(policy)
-        samples, witness = materialized_convexity_scan(policy, block=5)
-        assert samples > 5  # the first violation is past the first block
-        assert not report.holds
-        assert report.samples == samples
-        assert report.witness == witness
+        convex = grid.coords[:, 0] >= 4  # 15 points
+        # plus the last grid point: the smallest violating pair, coordinates
+        # (6, 2, 0) and (0, 0, 8), is pair 41 of the pair order, many blocks
+        # in at 5 and at 7
+        split = convex | (grid.coords[:, 2] == 8)
+        for stop in (convex, split):
+            policy = Policy(grid, np.where(stop, 1, 2).astype(np.int32))
+            samples, witness = materialized_convexity_scan(policy)
+            for block in (5, 7, 8192):
+                monkeypatch.setattr(structure, "PAIR_BLOCK", block)
+                report = verify_stopping_set_convex(policy)
+                assert report.holds is (stop is convex)
+                assert report.worst_violation == (0.0 if stop is convex else 1.0)
+                assert (report.samples, report.witness) == (samples, witness)
+                assert report.details["stop_points"] == int(stop.sum())
 
 
-def materialized_convexity_scan(policy, block):
-    """Reference: all stop pairs in np.triu_indices order, scanned in blocks."""
+def materialized_convexity_scan(policy):
+    """Reference: every stop pair in np.triu_indices order at once.  The
+    number with an on-grid midpoint, and the first of those whose midpoint
+    continues, else the first of those (None when there are none)."""
     grid = policy.grid
     stop = np.flatnonzero(policy.actions == 1)
-    a_all, b_all = np.triu_indices(stop.size, k=1)
-    checked = 0
-    for start in range(0, a_all.size, block):
-        a, b = stop[a_all[start : start + block]], stop[b_all[start : start + block]]
-        even = ~np.any((grid.coords[a] + grid.coords[b]) % 2, axis=1)
-        a, b = a[even], b[even]
-        checked += a.size
-        for pa, pb in zip(a, b):
-            mid = grid.index_of((grid.coords[pa] + grid.coords[pb]) // 2)[0]
-            if policy.actions[mid] != 1:
-                return checked, {
-                    "pi1": grid.points[pa].tolist(),
-                    "pi2": grid.points[pb].tolist(),
-                    "midpoint_action": int(policy.actions[mid]),
-                }
-    return checked, None
+    i, j = np.triu_indices(stop.size, k=1)
+    a, b = stop[i], stop[j]
+    even = ~np.any((grid.coords[a] + grid.coords[b]) % 2, axis=1)
+    a, b = a[even], b[even]
+    if a.size == 0:
+        return 0, None
+    mid = grid.index_of((grid.coords[a] + grid.coords[b]) // 2)
+    continues = np.flatnonzero(policy.actions[mid] != 1)
+    k = continues[0] if continues.size else 0
+    return a.size, {"pi1": grid.points[a[k]].tolist(), "pi2": grid.points[b[k]].tolist()}
 
 
 def homogeneity_one_point_at_a_time(model, value, kappas, num_samples=50, seed=0):

@@ -1,9 +1,9 @@
 """Repository guards: the library holds only code the program uses, says
-each result's JSON shape once, turns a seed into streams by one rule,
-gives ``structure``, Monte Carlo and grid no setting that the program
-never passes, writes every command artifact through one of two
-writers, and shows in README exactly the commands and verifier
-predicates it has and only constants it has."""
+each result's JSON shape once, names a cost family only in ``costs``,
+turns a seed into streams by one rule, gives ``structure``, Monte Carlo
+and grid no setting that the program never passes, writes every command
+artifact through one of two writers, and shows in README exactly the
+commands and verifier predicates it has and only constants it has."""
 
 import ast
 import importlib
@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import beliefpomdp
-from beliefpomdp import cli
+from beliefpomdp import cli, costs
 from beliefpomdp.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -128,6 +128,44 @@ def test_guard_flags_a_report_serializer(tmp_path):
     )
     found = set(classes_defining(package, "to_dict")) - MODEL_FILE_CLASSES
     assert sorted(found) == ["reports.OrderCheckReport"]
+
+
+def family_names_outside_costs(package: Path, families) -> list:
+    """``module:line`` of every string constant that is one of ``families``
+    in a module of ``package`` other than ``costs``."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "costs":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if node.value in families:
+                    found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_only_costs_names_a_cost_family():
+    # each family's loss, bound and checks live in costs' one table
+    families = set(costs.FAMILIES) - {"none"}
+    assert family_names_outside_costs(PACKAGE, families) == []
+
+
+def test_guard_flags_a_family_named_outside_costs(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "costs.py").write_text(
+        "FAMILIES = ('none', 'l1', 'mean_square')\n\n"
+        "def loss(spec):\n    return 2.0 if spec.family == 'l1' else 0.0\n"
+    )
+    (package / "model.py").write_text(
+        "def check(spec):\n"
+        "    if spec.family == 'none':\n        return []\n"
+        "    out = [f\"{spec.family} takes no 'l1'\", 'mean_square requires a matrix']\n"
+        "    if spec.family in ('l1', 'linf'):\n        out.append('mean_square')\n"
+        "    return out\n"
+    )
+    found = family_names_outside_costs(package, {"l1", "mean_square"})
+    assert found == ["model:5", "model:6"]
 
 
 def spawn_calls(package: Path) -> list:
